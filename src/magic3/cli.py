@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
+from operator import attrgetter
 
 from . import selftest
 from .canonical import reduce
@@ -22,9 +24,16 @@ from .core import (
     validate,
 )
 from .decompose import Decomposition, Family, construct, decompose
-from .enumeration import MismatchError, brute_force, enumerate_families, reconcile
+from .enumeration import MismatchError, iter_brute_squares, iter_family_grids, reconcile
 
 _JSON_COMPACT = {"separators": (",", ":")}
+
+# `enumerate` writes this many squares per write: enough that the per-write
+# cost vanishes, few enough that a pending chunk stays a few tens of kB.
+_ENUMERATE_CHUNK = 1024
+# One square as `format_square` and compact `json.dumps` render it.
+_TEXT_ROW = " ".join(["%d"] * 9) + "\n"
+_JSON_ROW = "[" + ",".join(["%d"] * 9) + "]"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,7 +48,8 @@ def _square_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "square",
         nargs="+",
-        help="nine integers, row-major; commas and row semicolons allowed",
+        help="nine integers, row-major, each written in ASCII digits 0-9 only "
+        "(no sign, not even '+'); commas and row semicolons allowed",
     )
 
 
@@ -82,12 +92,25 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.s < 0:
         raise ValueError(f"s must be nonnegative, got {args.s}")
-    result = brute_force(args.s) if args.source == "brute" else enumerate_families(args.s)
-    if args.format == "json":
-        print(json.dumps([list(m.entries) for m in result.squares], **_JSON_COMPACT))
+    if args.source == "brute":
+        grids = map(attrgetter("entries"), iter_brute_squares(args.s))
     else:
-        for m in result.squares:
-            print(format_square(m.square))
+        grids = iter_family_grids(args.s)
+    # Written chunk by chunk, with the bytes of printing every square (or one
+    # JSON array of them).  No entry of a square with center s exceeds 2s,
+    # and the first grid of either stream holds 2s, so a range error is
+    # raised by the first chunk, before anything is written.
+    write = sys.stdout.write
+    row = _JSON_ROW if args.format == "json" else _TEXT_ROW
+    opening = "["
+    while rows := [row % grid for grid in islice(grids, _ENUMERATE_CHUNK)]:
+        if args.format == "json":
+            write(opening + ",".join(rows))
+            opening = ","
+        else:
+            write("".join(rows))
+    if args.format == "json":
+        write("[]\n" if opening == "[" else "]\n")
     return 0
 
 

@@ -145,13 +145,19 @@ def permutation(g: DihedralElement) -> tuple[int, ...]:
     return _PERM[g]
 
 
-def _check_entry(value: int) -> None:
-    if not isinstance(value, int):
-        raise TypeError(f"entry must be int, got {type(value).__name__}")
-    if value < 0:
-        raise EntryRangeError(f"entry {value} is negative")
-    if value > ENTRY_MAX:
-        raise EntryRangeError(f"entry {value} exceeds the unsigned 64-bit range")
+def check_entries(entries: tuple[int, ...]) -> None:
+    """Raise as `Square` does on an entry that is not an int, or is a bool, or is out of range."""
+    for value in entries:
+        # A plain int in range passes this first test; anything else is
+        # sorted out below (an int subclass other than bool is admitted).
+        if type(value) is int and 0 <= value <= ENTRY_MAX:
+            continue
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"entry must be int, got {type(value).__name__}")
+        if value < 0:
+            raise EntryRangeError(f"entry {value} is negative")
+        if value > ENTRY_MAX:
+            raise EntryRangeError(f"entry {value} exceeds the unsigned 64-bit range")
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,8 +170,7 @@ class Square:
         entries = tuple(self.entries)
         if len(entries) != 9:
             raise ValueError(f"a square has 9 entries, got {len(entries)}")
-        for value in entries:
-            _check_entry(value)
+        check_entries(entries)
         object.__setattr__(self, "entries", entries)
 
     @classmethod
@@ -273,23 +278,38 @@ def validate(x: Square) -> MagicSquare:
     center four times and everything else once), so s = m / 3 is exact.
     """
     e = x.entries
-    m = e[0] + e[1] + e[2]
-    for line, (i, j, k) in _LINES[1:]:
-        total = e[i] + e[j] + e[k]
-        if total != m:
-            raise NotMagicError(line, expected=m, actual=total)
-    seen: set[int] = set()
-    for value in e:
-        if value in seen:
-            raise DuplicateEntriesError(value)
-        seen.add(value)
-    assert m == 3 * e[4], "equal line sums force m = 3 * center"
+    a1, a2, a3, b1, b2, b3, c1, c2, c3 = e
+    m = a1 + a2 + a3
+    # One chained comparison on the way in; the scan below runs only to name
+    # the first offending line.
+    if not (
+        m
+        == b1 + b2 + b3
+        == c1 + c2 + c3
+        == a1 + b1 + c1
+        == a2 + b2 + c2
+        == a3 + b3 + c3
+        == a1 + b2 + c3
+        == a3 + b2 + c1
+    ):
+        for line, (i, j, k) in _LINES[1:]:
+            total = e[i] + e[j] + e[k]
+            if total != m:
+                raise NotMagicError(line, expected=m, actual=total)
+    if len(set(e)) != 9:
+        seen: set[int] = set()
+        for value in e:
+            if value in seen:
+                raise DuplicateEntriesError(value)
+            seen.add(value)
     return MagicSquare(square=x, magic_sum=m, s=m // 3)
 
 
 def parse_square(text: str) -> Square:
     """Parse the text square format: nine base-10 integers in row-major order.
 
+    Each entry is one or more ASCII digits 0-9 and nothing else: no sign
+    (not even "+"), no "_" digit separators, no non-ASCII digits.
     Separators are whitespace and/or commas; semicolons between rows are
     accepted and ignored.  Raises ValueError on anything else.
     """
@@ -298,12 +318,9 @@ def parse_square(text: str) -> Square:
         raise ValueError(f"expected 9 entries, got {len(tokens)}")
     values = []
     for token in tokens:
-        try:
-            value = int(token)
-        except ValueError:
-            raise ValueError(f"entry {token!r} is not a base-10 integer") from None
-        if value < 0:
-            raise ValueError(f"entry {value} is negative")
+        if not (token.isascii() and token.isdigit()):
+            raise ValueError(f"entry {token!r} is not a string of ASCII digits 0-9")
+        value = int(token)
         if value > ENTRY_MAX:
             raise ValueError(f"entry {value} exceeds the unsigned 64-bit range")
         values.append(value)

@@ -8,13 +8,18 @@ keeps grids whose entries are nonnegative and pairwise distinct.  `reconcile`
 runs both plus the two counting devices and insists all four agree.
 
 Output orders are deterministic: family expansion is lexicographic by
-(family, i, j, k, symmetry index), brute force by (a1, a2).  Both
-enumerators stream, since counts grow quadratically in s.
+(family, i, j, k, symmetry index), brute force by (a1, a2).  The grid
+streams `iter_family_grids` and `iter_brute_grids` hold one lattice point or
+one (a1, a2) pair at a time, so a consumer that does not keep what they yield
+(such as `magic3 enumerate`, which writes them out in fixed-size chunks) runs
+in memory that does not depend on s.  `enumerate_families` and `brute_force`
+collect every certified square into one `EnumerationResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 from .core import (
@@ -22,6 +27,7 @@ from .core import (
     MagicSquare,
     MagicSquareError,
     Square,
+    check_entries,
     permutation,
     validate,
 )
@@ -48,7 +54,7 @@ class EnumerationResult:
 
 # Permutation applied by construct() for each recorded symmetry, in symmetry
 # index order: construct uses the inverse element.
-_INVERSE_PERMS = tuple(permutation(g.inverse) for g in ELEMENTS)
+_INVERSE_IMAGES = tuple(itemgetter(*permutation(g.inverse)) for g in ELEMENTS)
 
 
 def _family_solutions(s: int) -> Iterator[tuple[Family, int, int, int]]:
@@ -71,11 +77,17 @@ def iter_decompositions(s: int) -> Iterator[Decomposition]:
 
 
 def iter_family_grids(s: int) -> Iterator[tuple[int, ...]]:
-    """Raw row-major grids of the family expansion, in output order."""
+    """Row-major grids of the family expansion, in output order.
+
+    Each lattice point's base grid gets the `Square` entry checks, so an s
+    past the 64-bit range raises EntryRangeError as `Square` would on the
+    first image.  Its eight images permute those same nine entries.
+    """
     for family, i, j, k in _family_solutions(s):
         base = base_grid(family, i, j, k)
-        for perm in _INVERSE_PERMS:
-            yield tuple(base[p] for p in perm)
+        check_entries(base)
+        for image in _INVERSE_IMAGES:
+            yield image(base)
 
 
 def iter_family_squares(s: int) -> Iterator[MagicSquare]:
@@ -102,11 +114,15 @@ def iter_brute_grids(s: int) -> Iterator[tuple[int, ...]]:
 
     With magic sum m = 3s the center is forced to s, and the remaining cells
     follow from the row, column, and diagonal equations.  Grids with a
-    negative forced entry or a repeated value are dropped.
+    negative forced entry or a repeated value are dropped.  The a2 range is
+    cut to where c2, c1, a3, b1 and b3 are nonnegative, read off their
+    equations below; outside it every grid has a negative entry.
     """
     for a1 in range(2 * s + 1):
         c3 = 2 * s - a1
-        for a2 in range(2 * s + 1):
+        low = max(0, s - a1, 2 * s - 2 * a1)
+        high = min(2 * s, 3 * s - a1, 4 * s - 2 * a1)
+        for a2 in range(low, high + 1):
             a3 = 3 * s - a1 - a2
             c1 = a1 + a2 - s
             b1 = 4 * s - 2 * a1 - a2

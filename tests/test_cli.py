@@ -1,15 +1,49 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
+import tracemalloc
+
+import pytest
+
+from magic3 import brute_force, cli, enumerate_families, format_square
 
 T1_TEXT = "7 0 5 2 4 6 3 8 1"
 T2_TEXT = "8 0 7 4 5 6 3 10 2"
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "magic3", *args]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=timeout)
+
+
+def main_stdout(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of cli.main run in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(argv)
+    return rc, out.getvalue()
+
+
+class NullWriter:
+    def write(self, text: str) -> int:
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def enumerate_peak_bytes(s: int, source: str) -> int:
+    """tracemalloc peak of `enumerate s` with its output thrown away."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(NullWriter()):
+            assert cli.main(["enumerate", str(s), "--source", source]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestVerify:
@@ -116,6 +150,31 @@ class TestEnumerate:
         first = run_cli("enumerate", "6")
         second = run_cli("enumerate", "6")
         assert first.stdout == second.stdout
+
+    @pytest.mark.parametrize("source", ["families", "brute"])
+    def test_stream_matches_collected_rendering(self, source):
+        collect = brute_force if source == "brute" else enumerate_families
+        for s in range(0, 41):
+            squares = collect(s).squares
+            text = "".join(format_square(m.square) + "\n" for m in squares)
+            array = json.dumps([list(m.entries) for m in squares], separators=(",", ":")) + "\n"
+            for fmt, expected in (("text", text), ("json", array)):
+                assert main_stdout(["enumerate", str(s), "--source", source, "--format", fmt]) == (0, expected)
+
+    @pytest.mark.parametrize("source", ["families", "brute"])
+    def test_entry_range_rejected_at_once(self, source):
+        # 2s is one past the 64-bit range; the brute sweep used to walk about
+        # s pairs before its first grid, and hang.
+        result = run_cli("enumerate", str(2**63), "--source", source, timeout=10)
+        assert result.returncode == 2
+        assert result.stdout == f"rejected: entry {2**64} exceeds the unsigned 64-bit range\n"
+
+    @pytest.mark.parametrize("source", ["families", "brute"])
+    def test_memory_does_not_grow_with_s(self, source):
+        enumerate_peak_bytes(4, source)  # first-call set-up, not counted
+        small = enumerate_peak_bytes(40, source)
+        large = enumerate_peak_bytes(120, source)
+        assert large <= 1.5 * small + 0.5 * 2**20
 
 
 class TestCount:

@@ -1,7 +1,8 @@
 import itertools
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from magic3 import (
@@ -33,6 +34,43 @@ ZERO = Square((0,) * 9)
 FH = DihedralElement.FH
 FV = DihedralElement.FV
 ID = DihedralElement.ID
+
+# The line-by-line validation that `validate` short-cuts on success, in the
+# scan order its errors report; kept here as the reference its outcomes must
+# match exactly.
+_SCAN_ORDER = (
+    ("row 1", (0, 1, 2)),
+    ("row 2", (3, 4, 5)),
+    ("row 3", (6, 7, 8)),
+    ("column 1", (0, 3, 6)),
+    ("column 2", (1, 4, 7)),
+    ("column 3", (2, 5, 8)),
+    ("main diagonal", (0, 4, 8)),
+    ("anti-diagonal", (2, 4, 6)),
+)
+
+
+def _validate_by_scan(x: Square) -> MagicSquare:
+    e = x.entries
+    m = e[0] + e[1] + e[2]
+    for line, (i, j, k) in _SCAN_ORDER[1:]:
+        total = e[i] + e[j] + e[k]
+        if total != m:
+            raise NotMagicError(line, expected=m, actual=total)
+    seen: set[int] = set()
+    for value in e:
+        if value in seen:
+            raise DuplicateEntriesError(value)
+        seen.add(value)
+    return MagicSquare(square=x, magic_sum=m, s=m // 3)
+
+
+def _outcome(check, x: Square):
+    """The certificate, or the error's type, message and attributes."""
+    try:
+        return check(x)
+    except (NotMagicError, DuplicateEntriesError) as exc:
+        return type(exc), str(exc), vars(exc)
 
 
 class TestConstants:
@@ -90,6 +128,10 @@ class TestArithmetic:
     def test_square_rejects_negative_entries(self):
         with pytest.raises(EntryRangeError):
             Square((0, 1, 2, 3, 4, 5, 6, 7, -1))
+
+    def test_square_rejects_bool_entries(self):
+        with pytest.raises(TypeError):
+            Square((True, 1, 2, 3, 4, 5, 6, 7, 8))
 
     def test_square_rejects_wrong_length(self):
         with pytest.raises(ValueError):
@@ -161,6 +203,25 @@ class TestValidate:
             validate(bad)
         assert err.value.line == "column 1"
 
+    @given(st.lists(st.integers(0, 4), min_size=9, max_size=9))
+    @example([5] * 9)
+    @example([7, 0, 5, 2, 4, 6, 3, 8, 1])
+    def test_same_outcome_as_line_scan_on_small_grids(self, values):
+        sq = Square(tuple(values))
+        assert _outcome(validate, sq) == _outcome(_validate_by_scan, sq)
+
+    @given(st.lists(st.integers(0, ENTRY_MAX), min_size=9, max_size=9))
+    def test_same_outcome_as_line_scan_on_wide_grids(self, values):
+        sq = Square(tuple(values))
+        assert _outcome(validate, sq) == _outcome(_validate_by_scan, sq)
+
+    @given(magic_squares, st.integers(0, 8), st.integers(-3, 3))
+    def test_same_outcome_as_line_scan_on_perturbed_magic_squares(self, m, cell, delta):
+        entries = list(m.entries)
+        entries[cell] = max(0, entries[cell] + delta)
+        sq = Square(tuple(entries))
+        assert _outcome(validate, sq) == _outcome(_validate_by_scan, sq)
+
     @given(magic_squares)
     def test_magic_sum_is_three_times_center(self, m: MagicSquare):
         assert m.magic_sum == 3 * m.square.b2
@@ -176,10 +237,31 @@ class TestTextFormat:
         assert parse_square("7,0,5; 2,4,6; 3,8,1") == SEED_F1
         assert parse_square("7, 0, 5,2 4 6;3,8,1") == SEED_F1
 
-    @pytest.mark.parametrize("text", ["1 2 3", "1 2 3 4 5 6 7 8 9 10", "a b c d e f g h i", "7 0 5 2 4 6 3 8 -1"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1 2 3",
+            "1 2 3 4 5 6 7 8 9 10",
+            "a b c d e f g h i",
+            "7 0 5 2 4 6 3 8 -1",
+            "7 0 5 2 4 6 3 +8 1",
+            "7 0 5 2 4 6 3 8_0 1",
+            "\u0667 \u0660 \u0665 \u0662 \u0664 \u0666 \u0663 \u0668 \u0661",
+        ],
+    )
     def test_rejects_malformed_text(self, text):
         with pytest.raises(ValueError):
             parse_square(text)
+
+    @given(st.lists(st.text(alphabet="0123456789+-_\u0660\u0661\uff11\u00b9", min_size=1, max_size=4),
+                    min_size=9, max_size=9))
+    def test_parses_exactly_the_ascii_digit_tokens(self, tokens):
+        text = " ".join(tokens)
+        if all(re.fullmatch("[0-9]+", token) for token in tokens):
+            assert parse_square(text).entries == tuple(int(token) for token in tokens)
+        else:
+            with pytest.raises(ValueError):
+                parse_square(text)
 
     def test_format_matches_wire_example(self):
         assert format_square(SEED_F1) == "7 0 5 2 4 6 3 8 1"

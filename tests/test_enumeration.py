@@ -53,6 +53,23 @@ def naive_magic_grids(s):
     return found
 
 
+def full_brute_sweep(s):
+    """Every (a1, a2) in [0, 2s]^2, forced cells filled in, the bad grids dropped.
+
+    The sweep `iter_brute_grids` narrows to the a2 range where the forced
+    cells are nonnegative; this one walks the whole square of pairs.
+    """
+    found = []
+    for a1 in range(2 * s + 1):
+        for a2 in range(2 * s + 1):
+            a3 = 3 * s - a1 - a2
+            b1 = 4 * s - 2 * a1 - a2
+            grid = (a1, a2, a3, b1, s, 2 * s - b1, a1 + a2 - s, 2 * s - a2, 2 * s - a1)
+            if min(grid) >= 0 and len(set(grid)) == 9:
+                found.append(grid)
+    return found
+
+
 class TestFamilyEnumeration:
     def test_smallest_parameter_is_one_orbit(self):
         result = enumerate_families(4)
@@ -113,6 +130,10 @@ class TestBruteForce:
     def test_matches_naive_definition_sweep(self):
         for s in range(0, 9):
             assert sorted(iter_brute_grids(s)) == sorted(naive_magic_grids(s))
+
+    def test_bounded_sweep_matches_full_sweep(self):
+        for s in range(0, 41):
+            assert list(iter_brute_grids(s)) == full_brute_sweep(s)
 
     def test_empty_when_too_small(self):
         assert brute_force(2).squares == ()
