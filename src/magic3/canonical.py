@@ -1,21 +1,26 @@
 """Canonical form of a magic square and its coordinate systems.
 
 Every magic square has exactly one dihedral image whose corners satisfy
-c3 < c1 < a3 < a1 (corners are pairwise distinct because all entries are).
-Subtracting the minimum entry times ONES then puts a zero into the grid.
-The result is a *reduced* magic square, which is forced into a rigid shape:
-its top-center entry is 0, its bottom-center entry is 2s, and the whole grid
-is determined by the pair (r, s) where r = c3 and s = b2:
+c3 < c1 < a3 < a1, found by one lookup in an 8-entry orientation table.
+Subtracting the minimum entry from it gives the *reduced* magic square, a
+rigid shape: the whole grid is determined by r = c3 and s = b2:
 
         2s-r   0     s+r
         2r     s     2s-2r
         s-r    2s    r
 
+Proof: cells opposite across the center sum to 2s, so ordered corners are
+c3, c1, a3, a1 = s-x, s-y, s+y, s+x with x > y > 0.  The top row forces
+a2 = s-x-y, the left column b1 = s-x+y, and c2, b3 are their opposites.  No
+entry is further below s than a2, so the reduced a2 is 0, s = x+y and r = y:
+a reduced square has a2 = 0, c2 = 2s, r >= 1 and s >= 2r+1.
+
 Reduced squares are equivalently parametrized by coordinates (alpha, beta)
 with alpha = s - 2r - 2 and beta = r - 1: the grid equals
 SEED_F1 + alpha * GEN1 + beta * GEN2, and the pairs with alpha >= -1,
 beta >= 0, beta != alpha + 1 are exactly the reduced magic squares.  The
-excluded diagonal beta = alpha + 1 always produces repeated entries.
+excluded diagonal beta = alpha + 1 always produces repeated entries.  Both
+coordinate systems are views for the paper; `decompose` uses neither.
 """
 
 from __future__ import annotations
@@ -23,13 +28,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    ELEMENTS,
     DihedralElement,
     MagicSquare,
     MagicSquareError,
     Square,
     apply,
+    permutation,
     validate,
 )
+
+# Keyed by the cells of x that g's image reads its c3 and c1 from; derived
+# from the permutations like `compose`, and import fails unless 8 keys result.
+_ORIENTATION = {(permutation(g)[8], permutation(g)[6]): g for g in ELEMENTS}
+if len(_ORIENTATION) != 8:
+    raise RuntimeError("the dihedral permutations do not orient the corners one way each")
 
 
 class NotReducedError(MagicSquareError):
@@ -81,32 +94,12 @@ def is_canonical(x: Square) -> bool:
 def canonical_symmetry(m: MagicSquare) -> DihedralElement:
     """The unique dihedral element whose image of m has ordered corners.
 
-    Exactly two elements send the smallest corner to the c3 cell and they
-    disagree on the c1/a3 order, so exactly one image is canonical.  A
-    multiple or empty match would mean corrupted input or a group-table bug.
+    Its image has m's two smallest corners at c3 and c1.  They are neighbours:
+    opposite corners sum to 2s, so the smallest one faces the largest.
     """
-    matches = [g for g in DihedralElement if is_canonical(apply(g, m.square))]
-    assert len(matches) == 1, f"expected one canonical image, found {len(matches)}"
-    return matches[0]
-
-
-def as_reduced(m: MagicSquare) -> ReducedMagicSquare:
-    """Certify a magic square as reduced, or raise NotReducedError."""
     e = m.entries
-    if 0 not in e:
-        raise NotReducedError("no entry equals 0")
-    if not is_canonical(m.square):
-        raise NotReducedError(
-            f"corners ({e[8]}, {e[6]}, {e[2]}, {e[0]}) are not strictly increasing"
-        )
-    s = m.s
-    r = e[8]
-    # Consequences of the two checks above for a valid magic square.
-    assert e[1] == 0, "the zero of a reduced magic square sits at a2"
-    assert e[7] == 2 * s, "c2 = 2s in a reduced magic square"
-    assert r >= 1, "c3 >= 1 in a reduced magic square"
-    assert e == _grid_from_rs(r, s), "grid is determined by (r, s)"
-    return ReducedMagicSquare(square=m, r=r, s=s)
+    low, next_low, _, _ = sorted((0, 2, 6, 8), key=e.__getitem__)
+    return _ORIENTATION[low, next_low]
 
 
 def reduce(m: MagicSquare) -> tuple[ReducedMagicSquare, int, DihedralElement]:
@@ -114,30 +107,35 @@ def reduce(m: MagicSquare) -> tuple[ReducedMagicSquare, int, DihedralElement]:
 
     The symmetry g is applied first and i * ONES subtracted second (the two
     commute, but a fixed order keeps g reproducible).  The inverse transform
-    apply(g.inverse, reduced + i * ONES) recovers the input exactly.
+    apply(g.inverse, reduced + i * ONES) recovers the input exactly.  m is
+    validated on entry, which certifies the result: g keeps lines and distinct
+    entries, and the shift lowers every line sum by 3i.
     """
-    g = canonical_symmetry(m)
-    oriented = apply(g, m.square)
-    shift = min(oriented.entries)
-    translated = Square(tuple(value - shift for value in oriented.entries))
-    return as_reduced(validate(translated)), shift, g
-
-
-def _grid_from_rs(r: int, s: int) -> tuple[int, ...]:
-    return (2 * s - r, 0, s + r, 2 * r, s, 2 * s - 2 * r, s - r, 2 * s, r)
+    magic = validate(m.square)
+    g = canonical_symmetry(magic)
+    i = min(magic.entries)
+    grid = Square(tuple(value - i for value in apply(g, magic.square).entries))
+    s = magic.s - i
+    reduced = MagicSquare(square=grid, magic_sum=magic.magic_sum - 3 * i, s=s)
+    return ReducedMagicSquare(square=reduced, r=grid.c3, s=s), i, g
 
 
 def reduced_from_rs(r: int, s: int) -> ReducedMagicSquare:
     """Build the reduced magic square with c3 = r and b2 = s.
 
     Raises NotReducedError when the grid has a negative entry, repeated
-    entries, or unordered corners for this (r, s).
+    entries, or unordered corners for this (r, s).  Its a2 is always 0.
     """
+    grid = (2 * s - r, 0, s + r, 2 * r, s, 2 * s - 2 * r, s - r, 2 * s, r)
     try:
-        magic = validate(Square(_grid_from_rs(r, s)))
+        magic = validate(Square(grid))
     except MagicSquareError as exc:
         raise NotReducedError(f"(r={r}, s={s}) is not a reduced magic square: {exc}") from exc
-    return as_reduced(magic)
+    if not is_canonical(magic.square):
+        raise NotReducedError(
+            f"corners ({r}, {s - r}, {s + r}, {2 * s - r}) are not strictly increasing"
+        )
+    return ReducedMagicSquare(square=magic, r=r, s=s)
 
 
 def rs_to_alpha_beta(r: int, s: int) -> ReducedCoordinates:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable
 
 ENTRY_MAX = 2**64 - 1
@@ -121,6 +122,7 @@ def _permutation(g: DihedralElement) -> tuple[int, ...]:
 
 _PERM: dict[DihedralElement, tuple[int, ...]] = {g: _permutation(g) for g in ELEMENTS}
 _BY_PERM = {perm: g for g, perm in _PERM.items()}
+_IMAGE = {g: itemgetter(*perm) for g, perm in _PERM.items()}
 
 # Composition is derived from the permutations, not hand-entered; the lookup
 # fails at import time if the eight maps were not closed under composition.
@@ -251,8 +253,7 @@ def scale(n: int, x: Square) -> Square:
 
 def apply(g: DihedralElement, x: Square) -> Square:
     """Rotate or reflect a square.  Preserves line sums and distinctness."""
-    e = x.entries
-    return Square(tuple(e[p] for p in _PERM[g]))
+    return Square(_IMAGE[g](x.entries))
 
 
 # Validation scans lines in this fixed order so error messages are

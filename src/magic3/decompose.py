@@ -10,20 +10,27 @@ with nonnegative integers i, j, k.  Carrying the symmetry makes the
 decomposition a bijection on all magic squares, not only canonical ones:
 `decompose` and `construct` invert each other exactly.
 
-The bridge from reduced coordinates (alpha, beta) uses GEN3 = GEN1 + GEN2
-and SEED_F1 + GEN2 = SEED_F2 + GEN1.  When alpha >= beta the square is
-F1 with j = beta, k = alpha - beta; otherwise it is F2 with j = alpha + 1,
-k = beta - alpha - 2.  The leftover case k = -1 is the excluded diagonal
-beta = alpha + 1, which never validates as magic.
+`decompose` is one direct map.  Let g be the canonical symmetry and i the
+minimum entry: g's image less i is the reduced grid of `canonical`, with
+r = c3 - i and s' = b2 - i.  A base grid has (r, s') = (1 + j, 4 + 3j + k)
+on F1 and (2 + j + k, 5 + 3j + 2k) on F2, so s' - 3r = k + 1 or -(k + 1):
+
+    s' > 3r:  F1 with (j, k) = (r - 1, s' - 3r - 1)
+    s' < 3r:  F2 with (j, k) = (s' - 2r - 1, 3r - s' - 1)
+
+Both are >= 0: r >= 1, as the 0 of a reduced square sits at a2; the corner
+order gives s' >= 2r + 1; and s' = 3r, where a3 = b3 = 4r, fails validation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
-from .canonical import alpha_beta_to_rs, reduce, rs_to_alpha_beta
+from .canonical import canonical_symmetry
 from .core import (
+    ELEMENTS,
     GEN1,
     GEN2,
     GEN3,
@@ -31,15 +38,13 @@ from .core import (
     SEED_F2,
     DihedralElement,
     MagicSquare,
-    MagicSquareError,
     Square,
-    apply,
+    permutation,
     validate,
 )
 
-
-class InternalContradictionError(MagicSquareError):
-    """The impossible k = -1 branch was reached; input bypassed validation."""
+# construct() undoes each recorded symmetry, in symmetry index order.
+_INVERSE_IMAGES = tuple(itemgetter(*permutation(g.inverse)) for g in ELEMENTS)
 
 
 class Family(Enum):
@@ -78,9 +83,12 @@ class Decomposition:
     symmetry: DihedralElement
 
     def __post_init__(self) -> None:
-        for name in ("i", "j", "k"):
+        for name, kind in (("family", Family), ("i", int), ("j", int), ("k", int),
+                           ("symmetry", DihedralElement)):
             value = getattr(self, name)
-            if value < 0:
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise TypeError(f"{name} must be {kind.__name__}, got {type(value).__name__}")
+            if kind is int and value < 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
 
     @property
@@ -112,22 +120,17 @@ def construct(d: Decomposition) -> MagicSquare:
     The inverse symmetry returns the canonical-orientation base grid to the
     orientation recorded by `decompose`, so construct(decompose(m)) == m.
     """
-    base = Square(base_grid(d.family, d.i, d.j, d.k))
-    return validate(apply(d.symmetry.inverse, base))
+    base = base_grid(d.family, d.i, d.j, d.k)
+    return validate(Square(_INVERSE_IMAGES[d.symmetry.index](base)))
 
 
 def decompose(m: MagicSquare) -> Decomposition:
-    """Decompose a magic square; construct(decompose(m)) == m exactly."""
-    reduced, i, g = reduce(m)
-    coords = rs_to_alpha_beta(reduced.r, reduced.s)
-    alpha, beta = coords.alpha, coords.beta
-    if alpha >= beta:
-        family, j, k = Family.F1, beta, alpha - beta
-    else:
-        family, j, k = Family.F2, alpha + 1, beta - alpha - 2
-    if k < 0 or j < 0:
-        raise InternalContradictionError(
-            f"coordinates (alpha={alpha}, beta={beta}) from rs={alpha_beta_to_rs(coords)} "
-            "reached the excluded diagonal; input cannot be a valid magic square"
-        )
-    return Decomposition(family=family, i=i, j=j, k=k, symmetry=g)
+    """Decompose a magic square, validated on entry; construct(decompose(m)) == m."""
+    e = validate(m.square).entries
+    g = canonical_symmetry(m)
+    i = min(e)
+    r = e[permutation(g)[8]] - i
+    s = e[4] - i
+    if s > 3 * r:
+        return Decomposition(Family.F1, i, r - 1, s - 3 * r - 1, g)
+    return Decomposition(Family.F2, i, s - 2 * r - 1, 3 * r - s - 1, g)

@@ -19,7 +19,6 @@ collect every certified square into one `EnumerationResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterator
 
 from .core import (
@@ -28,10 +27,9 @@ from .core import (
     MagicSquareError,
     Square,
     check_entries,
-    permutation,
     validate,
 )
-from .decompose import Decomposition, Family, base_grid
+from .decompose import _INVERSE_IMAGES, Decomposition, Family, base_grid
 from .series import CountReport, count_closed, expand, magic_gf
 
 
@@ -50,11 +48,6 @@ class EnumerationResult:
     s: int
     squares: tuple[MagicSquare, ...]
     source: str
-
-
-# Permutation applied by construct() for each recorded symmetry, in symmetry
-# index order: construct uses the inverse element.
-_INVERSE_IMAGES = tuple(itemgetter(*permutation(g.inverse)) for g in ELEMENTS)
 
 
 def _family_solutions(s: int) -> Iterator[tuple[Family, int, int, int]]:
@@ -153,49 +146,60 @@ def count_families(s: int) -> int:
     return sum(1 for _ in iter_family_grids(s))
 
 
+def _brute_count(s: int, family_set: set[tuple[int, ...]]) -> int | None:
+    """The brute stream's length if its grids are exactly family_set, else None.
+
+    Its grids start with (a1, a2), in increasing order, so they are distinct:
+    if all are in family_set and there are as many, the two sets are equal.
+    """
+    count, previous = 0, ()
+    for grid in iter_brute_grids(s):
+        if grid <= previous or grid not in family_set:
+            return None
+        count += 1
+        previous = grid
+    return count if count == len(family_set) else None
+
+
 def reconcile(s: int, include_brute: bool = True) -> CountReport:
     """Count magic squares four ways and insist on exact agreement.
 
     Raises MismatchError, carrying the first differing square when the two
-    enumerated sets differ, on any disagreement.
+    enumerated sets differ, on any disagreement.  Holds one set, of the family grids.
     """
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
     closed = count_closed(s)
     series_count = expand(magic_gf(), s + 1)[s]
-    family_grids = list(iter_family_grids(s))
-    family_set = set(family_grids)
-    if len(family_set) != len(family_grids):
-        seen: set[tuple[int, ...]] = set()
-        for grid in family_grids:
-            if grid in seen:
-                raise MismatchError(
-                    f"family expansion repeated a square at s={s}", square=grid
-                )
-            seen.add(grid)
+    family_set: set[tuple[int, ...]] = set()
+    for grid in iter_family_grids(s):
+        if grid in family_set:
+            raise MismatchError(f"family expansion repeated a square at s={s}", square=grid)
+        family_set.add(grid)
+    families = len(family_set)
     brute: int | None = None
     if include_brute:
-        brute_set = set(iter_brute_grids(s))
-        brute = len(brute_set)
-        if family_set != brute_set:
-            diff = min(family_set.symmetric_difference(brute_set))
-            side = "families" if diff in family_set else "brute force"
-            raise MismatchError(
-                f"square sets differ at s={s}; first difference comes from {side}",
-                square=diff,
-            )
-    counts = {closed, series_count, len(family_grids)}
-    if brute is not None:
-        counts.add(brute)
-    if len(counts) != 1:
+        brute = _brute_count(s, family_set)
+        if brute is None:
+            brute_set = set(iter_brute_grids(s))
+            brute = len(brute_set)
+            if family_set != brute_set:
+                diff = min(family_set.symmetric_difference(brute_set))
+                side = "families" if diff in family_set else "brute force"
+                raise MismatchError(
+                    f"square sets differ at s={s}; first difference comes from {side}",
+                    square=diff,
+                )
+    # Past the set checks, brute (when counted) equals families.
+    if len({closed, series_count, families}) != 1:
         raise MismatchError(
             f"counts disagree at s={s}: closed={closed} series={series_count} "
-            f"families={len(family_grids)} brute={brute}"
+            f"families={families} brute={brute}"
         )
     return CountReport(
         s=s,
         closed_form=closed,
         series=series_count,
-        families=len(family_grids),
+        families=families,
         brute=brute,
     )

@@ -3,16 +3,19 @@
 For every s up to a bound this runs the four-way count reconciliation (which
 includes set equality of the two enumerators), then walks every decomposition
 with that s, rebuilding each square and decomposing it back.  Squares must
-round-trip exactly and never repeat across families, parameters, or
-symmetries.  A failure raises MismatchError carrying a counterexample; on a
-sound build that never happens.
+round-trip exactly.  That also proves they never repeat across families,
+parameters, or symmetries, without a table of the squares seen: if
+construct(d1) == construct(d2) with d1 != d2, then `decompose` returns one
+value for that square, so one of the two round trips fails.  Memory is
+therefore that of the last `reconcile`.  A failure raises MismatchError
+carrying a counterexample; on a sound build that never happens.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .decompose import Decomposition, construct, decompose
+from .decompose import construct, decompose
 from .enumeration import MismatchError, iter_decompositions, reconcile
 
 
@@ -20,18 +23,10 @@ def run(max_s: int, echo: Callable[[str], None] = print) -> None:
     """Check counts, set equality, round-trips, and disjointness for s <= max_s."""
     if max_s < 4:
         raise ValueError(f"--max-s must be at least 4, got {max_s}")
-    seen: dict[tuple[int, ...], Decomposition] = {}
     for s in range(max_s + 1):
         report = reconcile(s)
         for d in iter_decompositions(s):
             m = construct(d)
-            earlier = seen.get(m.entries)
-            if earlier is not None:
-                raise MismatchError(
-                    f"square produced twice: {earlier.to_json_obj()} and {d.to_json_obj()}",
-                    square=m.entries,
-                )
-            seen[m.entries] = d
             back = decompose(m)
             if back != d:
                 raise MismatchError(

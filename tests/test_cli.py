@@ -5,10 +5,20 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
-from magic3 import brute_force, cli, enumerate_families, format_square
+from magic3 import (
+    SEED_F1,
+    DihedralElement,
+    MismatchError,
+    brute_force,
+    cli,
+    enumerate_families,
+    format_square,
+    selftest,
+)
 
 T1_TEXT = "7 0 5 2 4 6 3 8 1"
 T2_TEXT = "8 0 7 4 5 6 3 10 2"
@@ -199,6 +209,34 @@ class TestSelftest:
         assert result.returncode == 0
         assert result.stdout.endswith("selftest ok max_s=30\n")
         assert time.perf_counter() - start < 10.0
+
+    def test_memory_does_not_grow_with_max_s(self):
+        # With no table of the squares seen, the peak is the last reconcile's
+        # family set: about 0.5 MB at 45, where a table of every square is 12.8 MB.
+        tracemalloc.start()
+        try:
+            selftest.run(45, echo=lambda line: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    def test_round_trip_catches_a_construct_that_ignores_the_symmetry(self, monkeypatch):
+        # Every symmetry of a lattice point then builds the same square, which
+        # the round trip alone must catch: decompose returns one symmetry.
+        real = selftest.construct
+        monkeypatch.setattr(
+            selftest, "construct", lambda d: real(replace(d, symmetry=DihedralElement.ID))
+        )
+        with pytest.raises(MismatchError) as info:
+            selftest.run(5, echo=lambda line: None)
+        assert info.value.square == SEED_F1.entries
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc, out = main_stdout(["selftest", "--max-s", "5"])
+        assert rc == 3
+        assert out == "".join(f"s={s} count=0 ok\n" for s in range(4))
+        assert "counterexample: 7 0 5 2 4 6 3 8 1" in err.getvalue()
 
     def test_too_small_bound_is_usage_error(self):
         result = run_cli("selftest", "--max-s", "3")

@@ -4,6 +4,7 @@ import pytest
 
 from magic3 import (
     ELEMENTS,
+    enumeration,
     GEN1,
     ONES,
     SEED_F1,
@@ -176,3 +177,40 @@ class TestReconcile:
     def test_mismatch_error_carries_square(self):
         err = MismatchError("boom", square=SEED_F1.entries)
         assert err.square == SEED_F1.entries
+
+
+def _patched(monkeypatch, name, edit):
+    """Replace enumeration.<name> with a stream that `edit` changes."""
+    real = getattr(enumeration, name)
+    monkeypatch.setattr(enumeration, name, lambda s: iter(edit(list(real(s)))))
+    return list(real(6))
+
+
+class TestReconcileFailures:
+    """A failure names the first repeated family grid in stream order, or the
+    smallest square of the set difference."""
+
+    def test_repeated_family_grid_is_the_first_repeat_in_stream_order(self, monkeypatch):
+        grids = _patched(monkeypatch, "iter_family_grids", lambda g: g[:5] + [g[3], g[1]] + g[5:])
+        with pytest.raises(MismatchError, match="family expansion repeated") as info:
+            reconcile(6)
+        assert info.value.square == grids[3]
+
+    @pytest.mark.parametrize(
+        "name, edit, expected, side",
+        [
+            ("iter_brute_grids", lambda g: g + [tuple(v + 1 for v in g[0])], "extra", "brute force"),
+            ("iter_brute_grids", lambda g: g[:9] + g[10:], "dropped", "families"),
+            ("iter_family_grids", lambda g: g + [tuple(v + 1 for v in g[0])], "extra", "families"),
+            ("iter_brute_grids", lambda g: g[:9] + g[10:] + [tuple(v + 1 for v in g[0])], "min", None),
+        ],
+    )
+    def test_set_difference_names_its_smallest_square(self, monkeypatch, name, edit, expected, side):
+        grids = _patched(monkeypatch, name, edit)
+        extra, dropped = tuple(v + 1 for v in grids[0]), grids[9]
+        square = {"extra": extra, "dropped": dropped, "min": min(extra, dropped)}[expected]
+        with pytest.raises(MismatchError, match="square sets differ") as info:
+            reconcile(6)
+        assert info.value.square == square
+        if side is not None:
+            assert str(info.value).endswith(f"comes from {side}")
