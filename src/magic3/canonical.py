@@ -95,11 +95,18 @@ def canonical_symmetry(m: MagicSquare) -> DihedralElement:
     """The unique dihedral element whose image of m has ordered corners.
 
     Its image has m's two smallest corners at c3 and c1.  They are neighbours:
-    opposite corners sum to 2s, so the smallest one faces the largest.
+    opposite corners sum to 2s, so the smallest one faces the largest.  Only a
+    hand-built certificate on a grid that is not magic can have them opposite,
+    which misses the table; that grid is then validated, to raise its
+    MagicSquareError.
     """
     e = m.entries
     low, next_low, _, _ = sorted((0, 2, 6, 8), key=e.__getitem__)
-    return _ORIENTATION[low, next_low]
+    try:
+        return _ORIENTATION[low, next_low]
+    except KeyError:
+        validate(m.square)
+        raise
 
 
 def reduce(m: MagicSquare) -> tuple[ReducedMagicSquare, int, DihedralElement]:

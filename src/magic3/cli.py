@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from itertools import islice
-from operator import attrgetter
 
 from . import selftest
 from .canonical import reduce
@@ -24,7 +23,7 @@ from .core import (
     validate,
 )
 from .decompose import Decomposition, Family, construct, decompose
-from .enumeration import MismatchError, iter_brute_squares, iter_family_grids, reconcile
+from .enumeration import MismatchError, iter_brute_grids, iter_family_grids, reconcile
 
 _JSON_COMPACT = {"separators": (",", ":")}
 
@@ -92,14 +91,15 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.s < 0:
         raise ValueError(f"s must be nonnegative, got {args.s}")
-    if args.source == "brute":
-        grids = map(attrgetter("entries"), iter_brute_squares(args.s))
-    else:
-        grids = iter_family_grids(args.s)
-    # Written chunk by chunk, with the bytes of printing every square (or one
-    # JSON array of them).  No entry of a square with center s exceeds 2s,
-    # and the first grid of either stream holds 2s, so a range error is
-    # raised by the first chunk, before anything is written.
+    stream = iter_brute_grids if args.source == "brute" else iter_family_grids
+    grids = stream(args.s)
+    # Both streams certify their grids themselves: the family grids by
+    # construction, the brute grids by the sweep's nonnegativity, line-sum
+    # and distinctness checks.  Written chunk by chunk, with the bytes of
+    # printing every square (or one JSON array of them).  No entry of a square
+    # with center s exceeds 2s (opposite cells sum to 2s), and the first grid
+    # of either stream holds 2s and gets the `Square` entry checks, so a range
+    # error is raised by the first chunk, before anything is written.
     write = sys.stdout.write
     row = _JSON_ROW if args.format == "json" else _TEXT_ROW
     opening = "["

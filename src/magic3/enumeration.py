@@ -7,6 +7,15 @@ cells (a1, a2), fills the rest of the grid from the line-sum equations, and
 keeps grids whose entries are nonnegative and pairwise distinct.  `reconcile`
 runs both plus the two counting devices and insists all four agree.
 
+Both grid streams certify what they yield without building a `Square` per
+grid.  Family grids are magic by construction, and each lattice point's base
+grid gets the `Square` entry checks.  The brute sweep checks each grid
+itself: nonnegative entries, all eight line sums equal to 3s (a MismatchError
+otherwise) and distinct entries, and it gives its first grid the `Square`
+entry checks.  No entry of either stream exceeds 2s, because opposite cells
+of a square with center s sum to 2s, and the first grid of each holds 2s, so
+an s past the 64-bit range fails on the first grid.
+
 Output orders are deterministic: family expansion is lexicographic by
 (family, i, j, k, symmetry index), brute force by (a1, a2).  The grid
 streams `iter_family_grids` and `iter_brute_grids` hold one lattice point or
@@ -27,7 +36,6 @@ from .core import (
     MagicSquareError,
     Square,
     check_entries,
-    validate,
 )
 from .decompose import _INVERSE_IMAGES, Decomposition, Family, base_grid
 from .series import CountReport, count_closed, expand, magic_gf
@@ -103,35 +111,75 @@ def enumerate_families(s: int) -> EnumerationResult:
 
 
 def iter_brute_grids(s: int) -> Iterator[tuple[int, ...]]:
-    """Brute-force sweep over (a1, a2); every other cell is forced by line sums.
+    """Certified brute-force sweep over (a1, a2); every other cell is forced by line sums.
 
     With magic sum m = 3s the center is forced to s, and the remaining cells
-    follow from the row, column, and diagonal equations.  Grids with a
-    negative forced entry or a repeated value are dropped.  The a2 range is
-    cut to where c2, c1, a3, b1 and b3 are nonnegative, read off their
-    equations below; outside it every grid has a negative entry.
+    follow from the row, column, and diagonal equations.  The a2 range is cut
+    to where c2, c1, a3, b1 and b3 are nonnegative, read off their equations
+    below; outside it every grid has a negative entry.  Along one a1 row,
+    a2 and the five cells it forces each move by one per step, so they are
+    stepped together as ranges that start and stop at their equations'
+    values for the first and last a2.
+
+    Every grid yielded is certified without a `Square` or `validate`:
+
+    * a grid with a negative forced entry is dropped;
+    * a grid whose eight line sums are not all m raises MismatchError
+      carrying it.  Each line is summed less its cell that is fixed for the
+      whole a1 row (a1, s or c3), whose part of m is subtracted once per row;
+    * a grid with a repeated value is dropped;
+    * the first grid gets the `Square` entry checks, so an s past the 64-bit
+      range raises EntryRangeError as `Square` would on it.  No later grid
+      can fail them.  Opposite cells sum to 2s (a1 + c3 = a2 + c2 =
+      a3 + c1 = b1 + b3 = 2s) and every cell is nonnegative, so no entry
+      exceeds 2s.  The first grid holds 2s: at a1 = 0 the only pair is
+      a2 = 2s, whose a3 = s repeats the center, and at a1 = 1 the first pair
+      a2 = 2s - 2 gives (1, 2s-2, s+1, 2s, s, 0, s-1, 2, 2s-1), whose entries
+      are distinct for every s >= 4.  Below s = 4 there are no grids.
     """
+    m = 3 * s
+    unchecked = True
     for a1 in range(2 * s + 1):
         c3 = 2 * s - a1
         low = max(0, s - a1, 2 * s - 2 * a1)
         high = min(2 * s, 3 * s - a1, 4 * s - 2 * a1)
-        for a2 in range(low, high + 1):
-            a3 = 3 * s - a1 - a2
-            c1 = a1 + a2 - s
-            b1 = 4 * s - 2 * a1 - a2
-            b3 = 2 * s - b1
-            c2 = 2 * s - a2
+        m_less_a1, m_less_c3, m_less_s = m - a1, m - c3, m - s
+        for a2, a3, c1, b1, b3, c2 in zip(
+            range(low, high + 1),
+            range(3 * s - a1 - low, 3 * s - a1 - high - 1, -1),
+            range(a1 + low - s, a1 + high - s + 1),
+            range(4 * s - 2 * a1 - low, 4 * s - 2 * a1 - high - 1, -1),
+            range(2 * a1 + low - 2 * s, 2 * a1 + high - 2 * s + 1),
+            range(2 * s - low, 2 * s - high - 1, -1),
+        ):
             if a3 < 0 or c1 < 0 or b1 < 0 or b3 < 0:
                 continue
             grid = (a1, a2, a3, b1, s, b3, c1, c2, c3)
+            # Rows 1 and 3, columns 1 and 3, then the four lines through the center.
+            if not (
+                m_less_a1 == a2 + a3 == b1 + c1
+                and m_less_c3 == c1 + c2 == a3 + b3
+                and m_less_s == b1 + b3 == a2 + c2 == a1 + c3 == a3 + c1
+            ):
+                raise MismatchError(
+                    f"brute-force grid at s={s} has a line sum other than {m}", square=grid
+                )
             if len(set(grid)) == 9:
+                if unchecked:
+                    check_entries(grid)
+                    unchecked = False
                 yield grid
 
 
 def iter_brute_squares(s: int) -> Iterator[MagicSquare]:
-    """Certified brute-force squares; each one passes full validation."""
+    """Certified squares of the brute-force sweep.
+
+    `iter_brute_grids` checks every grid it yields (see there), so the
+    certificate is attached without a per-square revalidation.
+    """
+    m = 3 * s
     for grid in iter_brute_grids(s):
-        yield validate(Square(grid))
+        yield MagicSquare(square=Square(grid), magic_sum=m, s=s)
 
 
 def brute_force(s: int) -> EnumerationResult:

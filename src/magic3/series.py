@@ -8,7 +8,7 @@ and equals the quasi-polynomial (6s**2 - 20s + 3 - 3*(-1)**s + 8*(s mod 3)) / 3.
 The two devices are kept independent so they cross-check each other: the
 series is expanded through an exact linear recurrence driven by the
 denominator, and the closed form is evaluated in integer arithmetic with the
-division by 3 asserted, never rounded.
+division by 3 checked (a remainder raises DivisibilityError), never rounded.
 """
 
 from __future__ import annotations

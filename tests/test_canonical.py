@@ -11,6 +11,8 @@ from magic3 import (
     DihedralElement,
     DuplicateEntriesError,
     IllegalCoordinatesError,
+    MagicSquare,
+    NotMagicError,
     NotReducedError,
     ReducedCoordinates,
     Square,
@@ -50,6 +52,13 @@ class TestCanonicalSymmetry:
     def test_rotation_maps_back_by_its_inverse(self):
         rotated = validate(apply(R90, SEED_F2))
         assert canonical_symmetry(rotated) is R270
+
+    def test_forged_certificate_with_opposite_smallest_corners_is_rejected(self):
+        # The two smallest corners, 1 at a1 and 2 at c3, face each other: no
+        # magic square has that, and the orientation table has no entry for it.
+        forged = MagicSquare(Square((1, 9, 5, 9, 9, 9, 4, 9, 2)), 0, 0)
+        with pytest.raises(NotMagicError, match="row 2 sums to 27, expected 15"):
+            canonical_symmetry(forged)
 
     @given(magic_squares)
     def test_exactly_one_canonical_image(self, m):

@@ -12,12 +12,16 @@ import pytest
 from magic3 import (
     SEED_F1,
     DihedralElement,
+    EntryRangeError,
+    MagicSquareError,
     MismatchError,
+    Square,
     brute_force,
     cli,
     enumerate_families,
     format_square,
     selftest,
+    validate,
 )
 
 T1_TEXT = "7 0 5 2 4 6 3 8 1"
@@ -35,6 +39,32 @@ def main_stdout(argv: list[str]) -> tuple[int, str]:
     with contextlib.redirect_stdout(out):
         rc = cli.main(argv)
     return rc, out.getvalue()
+
+
+def certified_full_sweep(s: int):
+    """Every (a1, a2) in [0, 2s]^2 with its forced cells, kept if `validate(Square(grid))` passes.
+
+    This is how the brute-force stream was certified before its sweep checked
+    its own grids: no bounded a2 range, no inline line sums.
+    """
+    for a1 in range(2 * s + 1):
+        for a2 in range(2 * s + 1):
+            b1 = 4 * s - 2 * a1 - a2
+            grid = (a1, a2, 3 * s - a1 - a2, b1, s, 2 * s - b1, a1 + a2 - s, 2 * s - a2, 2 * s - a1)
+            try:
+                yield validate(Square(grid)).entries
+            except MagicSquareError:
+                pass
+
+
+def first_full_sweep_grid(s: int) -> tuple[int, ...]:
+    """The first grid of `certified_full_sweep(s)` for s >= 4, ignoring the entry range.
+
+    Past the 64-bit range that sweep cannot be walked (its a1 = 0 row alone has
+    2s + 1 pairs); `test_first_full_sweep_grid_has_a_closed_form` checks this
+    form against the walk at small s.
+    """
+    return (1, 2 * s - 2, s + 1, 2 * s, s, 0, s - 1, 2, 2 * s - 1)
 
 
 class NullWriter:
@@ -178,6 +208,25 @@ class TestEnumerate:
         result = run_cli("enumerate", str(2**63), "--source", source, timeout=10)
         assert result.returncode == 2
         assert result.stdout == f"rejected: entry {2**64} exceeds the unsigned 64-bit range\n"
+
+    @pytest.mark.parametrize("s", [*range(0, 41), 230])
+    def test_brute_source_matches_the_validated_full_sweep(self, s):
+        grids = list(certified_full_sweep(s))
+        text = "".join(" ".join(map(str, grid)) + "\n" for grid in grids)
+        array = json.dumps([list(grid) for grid in grids], separators=(",", ":")) + "\n"
+        for fmt, expected in (("text", text), ("json", array)):
+            assert main_stdout(["enumerate", str(s), "--source", "brute", "--format", fmt]) == (0, expected)
+
+    def test_first_full_sweep_grid_has_a_closed_form(self):
+        for s in range(4, 61):
+            assert next(certified_full_sweep(s)) == first_full_sweep_grid(s)
+
+    @pytest.mark.parametrize("s", [2**63, 2**63 + 1, 2**63 + 7])
+    def test_brute_range_error_is_the_one_square_raises_on_the_first_grid(self, s):
+        with pytest.raises(EntryRangeError) as info:
+            Square(first_full_sweep_grid(s))
+        result = run_cli("enumerate", str(s), "--source", "brute", timeout=10)
+        assert (result.returncode, result.stdout) == (2, f"rejected: {info.value}\n")
 
     @pytest.mark.parametrize("source", ["families", "brute"])
     def test_memory_does_not_grow_with_s(self, source):

@@ -1,4 +1,7 @@
+import inspect
 import itertools
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +13,7 @@ from magic3 import (
     SEED_F1,
     SEED_F2,
     CountReport,
+    EntryRangeError,
     MismatchError,
     add,
     apply,
@@ -149,6 +153,47 @@ class TestBruteForce:
     def test_set_equality_with_family_expansion(self):
         for s in range(0, 31):
             assert set(iter_brute_grids(s)) == set(iter_family_grids(s))
+
+
+def slipped_zip(*ranges):
+    """`zip`, with the last value of each tuple one too high.
+
+    Put in place of `zip` in the enumeration module, it gives the brute sweep
+    a c2 one past its line-sum value, as a slip in its stepped range would.
+    """
+    for values in zip(*ranges):
+        yield values[:-1] + (values[-1] + 1,)
+
+
+# The first pair at s = 10, (a1, a2) = (0, 20), with c2 = 0 slipped to 1: row 3
+# and column 2 sum to 31.  It has a repeated entry, so only a line-sum check
+# that runs before the distinctness test stops it.
+SLIPPED_GRID = (0, 20, 10, 20, 10, 0, 10, 1, 20)
+
+
+class TestBruteSweepChecks:
+    def test_range_error_comes_with_the_first_grid(self):
+        with pytest.raises(EntryRangeError, match=f"entry {2**64} exceeds"):
+            next(iter_brute_grids(2**63 + 1))
+
+    def test_slipped_line_sum_is_caught(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "zip", slipped_zip, raising=False)
+        with pytest.raises(MismatchError, match="line sum other than 30") as info:
+            next(iter_brute_grids(10))
+        assert info.value.square == SLIPPED_GRID
+        assert sum(SLIPPED_GRID[6:9]) == sum(SLIPPED_GRID[1::3]) == 31
+
+    def test_slipped_line_sum_is_caught_under_optimize(self):
+        code = inspect.getsource(slipped_zip) + (
+            "import magic3.enumeration as E\n"
+            "E.zip = slipped_zip\n"
+            "try:\n"
+            "    next(E.iter_brute_grids(10))\n"
+            "except E.MismatchError as exc:\n"
+            "    print(exc.square)\n"
+        )
+        result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert (result.returncode, result.stdout) == (0, f"{SLIPPED_GRID}\n"), result.stderr
 
 
 class TestReconcile:
