@@ -91,6 +91,15 @@ def is_canonical(x: Square) -> bool:
     return e[8] < e[6] < e[2] < e[0]
 
 
+def _orientation(e: tuple[int, ...]) -> tuple[int, DihedralElement]:
+    """The cell of e's smallest corner, and the element whose image reads its c3 from there.
+
+    Raises KeyError when e's two smallest corners are opposite.
+    """
+    low, next_low, _, _ = sorted((0, 2, 6, 8), key=e.__getitem__)
+    return low, _ORIENTATION[low, next_low]
+
+
 def canonical_symmetry(m: MagicSquare) -> DihedralElement:
     """The unique dihedral element whose image of m has ordered corners.
 
@@ -100,10 +109,8 @@ def canonical_symmetry(m: MagicSquare) -> DihedralElement:
     which misses the table; that grid is then validated, to raise its
     MagicSquareError.
     """
-    e = m.entries
-    low, next_low, _, _ = sorted((0, 2, 6, 8), key=e.__getitem__)
     try:
-        return _ORIENTATION[low, next_low]
+        return _orientation(m.entries)[1]
     except KeyError:
         validate(m.square)
         raise

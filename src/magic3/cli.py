@@ -1,9 +1,10 @@
 """Command-line surface; consumers are scripts and test harnesses.
 
 Exit codes: 0 success, 1 usage or parse failure, 2 domain rejection (the
-input square is not magic), 3 selftest failure.  All JSON goes to stdout,
-one object or array per invocation, with no trailing commentary.  Identical
-invocations produce byte-identical output.
+input square is not magic), 3 two routes disagreed (stderr then starts with
+"<verb> failed:").  All JSON goes to stdout, one object or array per
+invocation, with no trailing commentary.  Identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ from .core import (
     validate,
 )
 from .decompose import Decomposition, Family, construct, decompose
-from .enumeration import MismatchError, iter_brute_grids, iter_family_grids, reconcile
+from .enumeration import (
+    COUNT_MAX_S,
+    MismatchError,
+    iter_brute_grids,
+    iter_family_grids,
+    reconcile,
+)
 
 _JSON_COMPACT = {"separators": (",", ":")}
 
@@ -164,7 +171,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--source", default="families", choices=["families", "brute"])
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("count", help="count magic squares four ways")
+    p = sub.add_parser(
+        "count",
+        help="count magic squares four ways",
+        description="Count magic squares with magic sum 3s four ways and check that they agree. "
+        f"Compares the two enumerations in (2s+1)**2 bytes of cell marks; s above {COUNT_MAX_S} "
+        "(256 MiB) is refused.",
+    )
     p.add_argument("s", type=int)
     p.add_argument("--no-brute", action="store_true", help="skip the brute-force oracle")
     p.set_defaults(func=_cmd_count)
@@ -182,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except MismatchError as exc:
-        print(f"selftest failed: {exc}", file=sys.stderr)
+        print(f"{args.verb} failed: {exc}", file=sys.stderr)
         if exc.square is not None:
             print(f"counterexample: {' '.join(str(v) for v in exc.square)}", file=sys.stderr)
         return 3

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 
-from .canonical import canonical_symmetry
+from .canonical import _orientation
 from .core import (
     ELEMENTS,
     GEN1,
@@ -83,6 +83,17 @@ class Decomposition:
     symmetry: DihedralElement
 
     def __post_init__(self) -> None:
+        i, j, k = self.i, self.j, self.k
+        if (
+            type(i) is type(j) is type(k) is int
+            and i >= 0
+            and j >= 0
+            and k >= 0
+            and type(self.family) is Family
+            and type(self.symmetry) is DihedralElement
+        ):
+            return
+        # Name the first bad field; an int subclass other than bool passes.
         for name, kind in (("family", Family), ("i", int), ("j", int), ("k", int),
                            ("symmetry", DihedralElement)):
             value = getattr(self, name)
@@ -106,12 +117,21 @@ class Decomposition:
         }
 
 
+# Code that runs once per square reads members through these names and keys
+# tables by a member's `_value_`: on Python 3.11, `Family.F1`, `.value` and
+# hashing a member each run Python code in the enum module.
+_F1, _F2 = Family
+# (seed, GEN3, generator) entries of each family, cell by cell.
+_BASIS = {
+    family._value_: tuple(zip(family.seed.entries, GEN3.entries, family.generator.entries))
+    for family in Family
+}
+_INVERSE_IMAGE = {g._value_: image for g, image in zip(ELEMENTS, _INVERSE_IMAGES)}
+
+
 def base_grid(family: Family, i: int, j: int, k: int) -> tuple[int, ...]:
     """Row-major entries of seed + i * ONES + j * GEN3 + k * generator."""
-    seed = family.seed.entries
-    gen = family.generator.entries
-    shared = GEN3.entries
-    return tuple(se + i + j * sh + k * ge for se, sh, ge in zip(seed, shared, gen))
+    return tuple([se + i + j * sh + k * ge for se, sh, ge in _BASIS[family._value_]])
 
 
 def construct(d: Decomposition) -> MagicSquare:
@@ -121,16 +141,17 @@ def construct(d: Decomposition) -> MagicSquare:
     orientation recorded by `decompose`, so construct(decompose(m)) == m.
     """
     base = base_grid(d.family, d.i, d.j, d.k)
-    return validate(Square(_INVERSE_IMAGES[d.symmetry.index](base)))
+    return validate(Square(_INVERSE_IMAGE[d.symmetry._value_](base)))
 
 
 def decompose(m: MagicSquare) -> Decomposition:
     """Decompose a magic square, validated on entry; construct(decompose(m)) == m."""
     e = validate(m.square).entries
-    g = canonical_symmetry(m)
+    # g's image reads its c3 from m's smallest corner, so that corner is r + i.
+    smallest_corner, g = _orientation(e)
     i = min(e)
-    r = e[permutation(g)[8]] - i
+    r = e[smallest_corner] - i
     s = e[4] - i
     if s > 3 * r:
-        return Decomposition(Family.F1, i, r - 1, s - 3 * r - 1, g)
-    return Decomposition(Family.F2, i, s - 2 * r - 1, 3 * r - s - 1, g)
+        return Decomposition(_F1, i, r - 1, s - 3 * r - 1, g)
+    return Decomposition(_F2, i, s - 2 * r - 1, 3 * r - s - 1, g)

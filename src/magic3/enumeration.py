@@ -7,6 +7,16 @@ cells (a1, a2), fills the rest of the grid from the line-sum equations, and
 keeps grids whose entries are nonnegative and pairwise distinct.  `reconcile`
 runs both plus the two counting devices and insists all four agree.
 
+`reconcile` compares the two enumerations in (2s + 1)**2 bytes, one cell mark
+per (a1, a2), and keeps neither set.  Six equations (center s, a1 + c3 =
+a2 + c2 = a3 + c1 = b1 + b3 = 2s, row 1 = column 1 = 3s) make every line sum
+3s and force the grid from (a1, a2), so a grid that satisfies them is named
+by its cell.  Family grids set their cells and brute grids clear them: no
+cell set twice, every brute cell found set, and equal counts prove the two
+streams are the same set of grids, each once.  A pass that fails falls back
+to the two sets, to name the first repeated family grid or the smallest
+square of their difference.
+
 Both grid streams certify what they yield without building a `Square` per
 grid.  Family grids are magic by construction, and each lattice point's base
 grid gets the `Square` entry checks.  The brute sweep checks each grid
@@ -28,7 +38,7 @@ collect every certified square into one `EnumerationResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 from .core import (
     ELEMENTS,
@@ -39,6 +49,10 @@ from .core import (
 )
 from .decompose import _INVERSE_IMAGES, Decomposition, Family, base_grid
 from .series import CountReport, count_closed, expand, magic_gf
+
+# `reconcile` keeps one byte per (a1, a2) pair, (2s + 1)**2 in all; this s is
+# the largest whose cell marks fit in 256 MiB.
+COUNT_MAX_S = 8191
 
 
 class MismatchError(MagicSquareError):
@@ -194,51 +208,115 @@ def count_families(s: int) -> int:
     return sum(1 for _ in iter_family_grids(s))
 
 
-def _brute_count(s: int, family_set: set[tuple[int, ...]]) -> int | None:
-    """The brute stream's length if its grids are exactly family_set, else None.
+def _mark_cells(
+    grids: Iterator[tuple[int, ...]], s: int, marks: bytearray, mark: int
+) -> tuple[int, tuple[int, ...] | None]:
+    """Count the grids, moving each one's (a1, a2) cell of marks to `mark`.
 
-    Its grids start with (a1, a2), in increasing order, so they are distinct:
-    if all are in family_set and there are as many, the two sets are equal.
+    A grid passes when its center is s, a1 + c3 = a2 + c2 = a3 + c1 =
+    b1 + b3 = 2s, row 1 and column 1 sum to 3s, 0 <= a1, a2 <= 2s, and its
+    cell a1 * (2s + 1) + a2 is not at `mark` yet.  Returns (count, None), or
+    the count so far and the first grid that does not pass.
     """
-    count, previous = 0, ()
-    for grid in iter_brute_grids(s):
-        if grid <= previous or grid not in family_set:
-            return None
+    w, two_s, three_s = 2 * s + 1, 2 * s, 3 * s
+    count = 0
+    for grid in grids:
+        a1, a2, a3, b1, b2, b3, c1, c2, c3 = grid
+        if not (
+            b2 == s
+            and a1 + c3 == a2 + c2 == a3 + c1 == b1 + b3 == two_s
+            and a1 + a2 + a3 == a1 + b1 + c1 == three_s
+            and 0 <= a1 <= two_s
+            and 0 <= a2 <= two_s
+            and marks[cell := a1 * w + a2] != mark
+        ):
+            return count, grid
+        marks[cell] = mark
         count += 1
-        previous = grid
-    return count if count == len(family_set) else None
+    return count, None
+
+
+def _raise_first_difference(
+    s: int, include_brute: bool, route: str, grid: tuple[int, ...] | None
+) -> NoReturn:
+    """Raise MismatchError for a failed marking pass, naming what the sets show.
+
+    That is the first repeated family grid in stream order, otherwise the
+    smallest square of the symmetric difference of the two sets.  When the
+    sets agree, the pass stopped at a grid, and that grid is named.  From
+    the brute pass it is a repeat: a brute grid that the six equations
+    reject, or whose cell no family grid set, is not a family grid.  From
+    the family pass it is a grid that the six equations reject.  (A brute
+    pass that stops at no grid, but counts fewer grids, leaves the sets
+    different.)
+    """
+    family_set: set[tuple[int, ...]] = set()
+    for family_grid in iter_family_grids(s):
+        if family_grid in family_set:
+            raise MismatchError(f"family expansion repeated a square at s={s}", square=family_grid)
+        family_set.add(family_grid)
+    if include_brute:
+        brute_set = set(iter_brute_grids(s))
+        if family_set != brute_set:
+            diff = min(family_set.symmetric_difference(brute_set))
+            side = "families" if diff in family_set else "brute force"
+            raise MismatchError(
+                f"square sets differ at s={s}; first difference comes from {side}",
+                square=diff,
+            )
+    if route == "brute force":
+        raise MismatchError(f"brute force repeated a square at s={s}", square=grid)
+    raise MismatchError(
+        f"family expansion gave a grid at s={s} that is not a magic square "
+        f"with magic sum {3 * s}",
+        square=grid,
+    )
 
 
 def reconcile(s: int, include_brute: bool = True) -> CountReport:
     """Count magic squares four ways and insist on exact agreement.
 
-    Raises MismatchError, carrying the first differing square when the two
-    enumerated sets differ, on any disagreement.  Holds one set, of the family grids.
+    The two enumerated sets are compared in one bytearray of (2s + 1)**2 cell
+    marks, one per (a1, a2), whatever the number of squares.  A grid with
+    center s, a1 + c3 = a2 + c2 = a3 + c1 = b1 + b3 = 2s and row 1 = column 1
+    = 3s has every line sum 3s: row 2, column 2 and both diagonals are
+    opposite pairs plus s, and row 3 and column 3 are 6s less row 1 and less
+    column 1.  Such a grid is forced by (a1, a2): c3 = 2s - a1,
+    c2 = 2s - a2, a3 = 3s - a1 - a2, c1 = 2s - a3, b1 = 3s - a1 - c1 and
+    b3 = 2s - b1.  So with 0 <= a1, a2 <= 2s, its cell a1 * (2s + 1) + a2
+    stands for the whole grid.  Each family grid moves its cell from 0 to 1,
+    and each brute grid moves its cell from 1 back to 0.  No family cell
+    marked twice means no family grid repeats; every brute grid finding its
+    mark means every brute grid is a family grid and none repeats; and equal
+    counts then make the two sets equal.
+
+    Any failed pass falls back to the sets: MismatchError names the first
+    repeated family grid in stream order, otherwise the smallest square of
+    the symmetric difference, otherwise the grid the pass stopped at.  A
+    failed pass always raises, with or without the brute-force stream.
+
+    Raises ValueError for a negative s, and for an s past COUNT_MAX_S, whose
+    cell marks would pass 256 MiB; both before any work is done.
     """
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
+    if s > COUNT_MAX_S:
+        raise ValueError(
+            f"s must be at most {COUNT_MAX_S}, got {s}: count keeps (2s+1)**2 bytes "
+            "of cell marks, at most 256 MiB"
+        )
     closed = count_closed(s)
     series_count = expand(magic_gf(), s + 1)[s]
-    family_set: set[tuple[int, ...]] = set()
-    for grid in iter_family_grids(s):
-        if grid in family_set:
-            raise MismatchError(f"family expansion repeated a square at s={s}", square=grid)
-        family_set.add(grid)
-    families = len(family_set)
+    marks = bytearray((2 * s + 1) ** 2)
+    families, failed = _mark_cells(iter_family_grids(s), s, marks, 1)
+    if failed is not None:
+        _raise_first_difference(s, include_brute, "families", failed)
     brute: int | None = None
     if include_brute:
-        brute = _brute_count(s, family_set)
-        if brute is None:
-            brute_set = set(iter_brute_grids(s))
-            brute = len(brute_set)
-            if family_set != brute_set:
-                diff = min(family_set.symmetric_difference(brute_set))
-                side = "families" if diff in family_set else "brute force"
-                raise MismatchError(
-                    f"square sets differ at s={s}; first difference comes from {side}",
-                    square=diff,
-                )
-    # Past the set checks, brute (when counted) equals families.
+        brute, failed = _mark_cells(iter_brute_grids(s), s, marks, 0)
+        if failed is not None or brute != families:
+            _raise_first_difference(s, include_brute, "brute force", failed)
+    # Past the marks, brute (when counted) equals families.
     if len({closed, series_count, families}) != 1:
         raise MismatchError(
             f"counts disagree at s={s}: closed={closed} series={series_count} "

@@ -7,8 +7,10 @@ round-trip exactly.  That also proves they never repeat across families,
 parameters, or symmetries, without a table of the squares seen: if
 construct(d1) == construct(d2) with d1 != d2, then `decompose` returns one
 value for that square, so one of the two round trips fails.  Memory is
-therefore that of the last `reconcile`.  A failure raises MismatchError
-carrying a counterexample; on a sound build that never happens.
+therefore that of the last `reconcile`: (2 * max_s + 1)**2 bytes of cell
+marks, so a max_s that `count` would refuse is refused up front.  A failure
+raises MismatchError carrying a counterexample; on a sound build that never
+happens.
 """
 
 from __future__ import annotations
@@ -16,13 +18,15 @@ from __future__ import annotations
 from typing import Callable
 
 from .decompose import construct, decompose
-from .enumeration import MismatchError, iter_decompositions, reconcile
+from .enumeration import COUNT_MAX_S, MismatchError, iter_decompositions, reconcile
 
 
 def run(max_s: int, echo: Callable[[str], None] = print) -> None:
     """Check counts, set equality, round-trips, and disjointness for s <= max_s."""
     if max_s < 4:
         raise ValueError(f"--max-s must be at least 4, got {max_s}")
+    if max_s > COUNT_MAX_S:
+        raise ValueError(f"--max-s must be at most {COUNT_MAX_S}, got {max_s}")
     for s in range(max_s + 1):
         report = reconcile(s)
         for d in iter_decompositions(s):

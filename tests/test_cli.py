@@ -18,11 +18,14 @@ from magic3 import (
     Square,
     brute_force,
     cli,
+    enumeration,
     enumerate_families,
     format_square,
     selftest,
     validate,
 )
+from magic3.enumeration import COUNT_MAX_S
+from test_enumeration import slipped_zip
 
 T1_TEXT = "7 0 5 2 4 6 3 8 1"
 T2_TEXT = "8 0 7 4 5 6 3 10 2"
@@ -245,6 +248,44 @@ class TestCount:
         result = run_cli("count", "12", "--no-brute")
         assert result.stdout == '{"s":12,"closed":208,"series":208,"families":208,"brute":null}\n'
 
+    @pytest.mark.parametrize("flags", [[], ["--no-brute"]])
+    @pytest.mark.parametrize("s", [COUNT_MAX_S + 1, 2**63])
+    def test_refuses_an_s_past_the_cap_at_once(self, s, flags):
+        result = run_cli("count", str(s), *flags, timeout=10)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == (
+            f"magic3: error: s must be at most {COUNT_MAX_S}, got {s}: "
+            "count keeps (2s+1)**2 bytes of cell marks, at most 256 MiB\n"
+        )
+
+    def test_help_states_the_memory_bound(self):
+        result = run_cli("count", "--help")
+        assert "(2s+1)**2 bytes" in result.stdout
+        assert f"s above {COUNT_MAX_S}" in result.stdout
+
+    def test_memory_is_the_cell_marks(self):
+        # (2s+1)**2 = 231,361 bytes of marks at s = 240, where a set of the
+        # family grids took 18.4 MB.
+        tracemalloc.start()
+        try:
+            rc, out = main_stdout(["count", "240"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        counts = '"closed":113600,"series":113600,"families":113600,"brute":113600'
+        assert (rc, out) == (0, '{"s":240,' + counts + "}\n")
+        assert peak < 2**20
+
+    def test_mismatch_names_the_verb(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "zip", slipped_zip, raising=False)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc, out = main_stdout(["count", "10"])
+        assert (rc, out) == (3, "")
+        assert err.getvalue().startswith(
+            "count failed: brute-force grid at s=10 has a line sum other than 30\n"
+        )
+
 
 class TestSelftest:
     def test_passes_quickly(self):
@@ -261,7 +302,7 @@ class TestSelftest:
 
     def test_memory_does_not_grow_with_max_s(self):
         # With no table of the squares seen, the peak is the last reconcile's
-        # family set: about 0.5 MB at 45, where a table of every square is 12.8 MB.
+        # cell marks: 8,281 bytes at 45, where a table of every square is 12.8 MB.
         tracemalloc.start()
         try:
             selftest.run(45, echo=lambda line: None)
@@ -290,6 +331,13 @@ class TestSelftest:
     def test_too_small_bound_is_usage_error(self):
         result = run_cli("selftest", "--max-s", "3")
         assert result.returncode == 1
+
+    def test_bound_past_the_count_cap_is_usage_error(self):
+        result = run_cli("selftest", "--max-s", str(COUNT_MAX_S + 1), timeout=10)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == (
+            f"magic3: error: --max-s must be at most {COUNT_MAX_S}, got {COUNT_MAX_S + 1}\n"
+        )
 
 
 class TestUsage:

@@ -114,6 +114,17 @@ class TestConstruct:
         with pytest.raises(error):
             Decomposition(**{**fields, field: value})
 
+    def test_admits_an_int_subclass(self):
+        # Only exact ints take the one-test path; a subclass goes through the
+        # per-field checks, which admit it, and a negative one is still refused.
+        class Count(int):
+            pass
+
+        d = Decomposition(Family.F2, Count(1), Count(2), Count(3), ID)
+        assert construct(d) == construct(Decomposition(Family.F2, 1, 2, 3, ID))
+        with pytest.raises(ValueError, match="k must be nonnegative, got -1"):
+            Decomposition(Family.F2, 1, 2, Count(-1), ID)
+
 
 class TestDecompose:
     def test_second_seed(self):

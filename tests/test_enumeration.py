@@ -22,10 +22,13 @@ from magic3 import (
     count_families,
     decompose,
     enumerate_families,
+    expand,
     iter_brute_grids,
     iter_family_grids,
+    magic_gf,
     reconcile,
 )
+from magic3.enumeration import COUNT_MAX_S
 
 
 def naive_magic_grids(s):
@@ -259,3 +262,84 @@ class TestReconcileFailures:
         assert info.value.square == square
         if side is not None:
             assert str(info.value).endswith(f"comes from {side}")
+
+
+def set_based_reconcile(s, include_brute=True):
+    """`reconcile` as it was when it held the family grids in a set: the reference."""
+    closed = count_closed(s)
+    series_count = expand(magic_gf(), s + 1)[s]
+    family_set = set()
+    for grid in iter_family_grids(s):
+        if grid in family_set:
+            raise MismatchError(f"family expansion repeated a square at s={s}", square=grid)
+        family_set.add(grid)
+    brute = None
+    if include_brute:
+        brute_set = set(iter_brute_grids(s))
+        brute = len(brute_set)
+        if family_set != brute_set:
+            raise MismatchError(f"square sets differ at s={s}")
+    if len({closed, series_count, len(family_set)}) != 1:
+        raise MismatchError(f"counts disagree at s={s}")
+    return CountReport(s, closed, series_count, len(family_set), brute)
+
+
+def edit_first(when, change):
+    """A grid-stream edit: `change` applied to the first grid that `when` holds for."""
+    def edit(grids):
+        n = next(n for n, g in enumerate(grids) if when(g))
+        return grids[:n] + [change(grids[n])] + grids[n + 1:]
+
+    return edit
+
+
+# Each edit keeps the grid's (a1, a2) and makes it not magic, and the edited
+# grid sorts before the true one.  Swapping b1 and b3 breaks column 1.
+# Swapping c2 and c3 keeps row 1 and column 1 but breaks a2 + c2 = 2s and
+# a1 + c3 = 2s.  Lowering the center by one keeps all of those.
+NON_MAGIC_EDITS = {
+    "b1-b3": edit_first(lambda g: g[5] < g[3], lambda g: g[:3] + (g[5], g[4], g[3]) + g[6:]),
+    "c2-c3": edit_first(lambda g: g[8] < g[7], lambda g: g[:7] + (g[8], g[7])),
+    "center": edit_first(lambda g: True, lambda g: g[:4] + (g[4] - 1,) + g[5:]),
+}
+
+
+class TestReconcileMarks:
+    """`reconcile` compares the two streams by (a1, a2) cell marks."""
+
+    @pytest.mark.parametrize("include_brute", [True, False])
+    def test_reports_what_the_set_based_reconcile_reports(self, include_brute):
+        for s in range(0, 61):
+            assert reconcile(s, include_brute) == set_based_reconcile(s, include_brute)
+
+    @pytest.mark.parametrize("include_brute", [True, False])
+    @pytest.mark.parametrize("edit", NON_MAGIC_EDITS.values(), ids=NON_MAGIC_EDITS.keys())
+    def test_non_magic_family_grid_is_named(self, monkeypatch, edit, include_brute):
+        grids = _patched(monkeypatch, "iter_family_grids", edit)
+        edited = next(g for g, h in zip(edit(grids), grids) if g != h)
+        if include_brute:
+            match = "square sets differ at s=6; first difference comes from families"
+        else:
+            match = "family expansion gave a grid at s=6 that is not a magic square"
+        with pytest.raises(MismatchError, match=match) as info:
+            reconcile(6, include_brute)
+        assert info.value.square == edited
+
+    def test_repeated_brute_grid_is_caught(self, monkeypatch):
+        grids = _patched(monkeypatch, "iter_brute_grids", lambda g: g[:5] + [g[3]] + g[5:])
+        with pytest.raises(MismatchError, match="brute force repeated a square at s=6") as info:
+            reconcile(6)
+        assert info.value.square == grids[3]
+
+    @pytest.mark.parametrize("s", [COUNT_MAX_S + 1, 2**63])
+    def test_refuses_an_s_past_the_cap_before_any_work(self, monkeypatch, s):
+        def unreachable(*args):
+            raise AssertionError("reconcile did work before refusing s")
+
+        for name in ("count_closed", "expand", "iter_family_grids", "iter_brute_grids"):
+            monkeypatch.setattr(enumeration, name, unreachable)
+        with pytest.raises(ValueError, match=f"at most {COUNT_MAX_S}, got {s}"):
+            reconcile(s)
+
+    def test_cap_is_the_largest_s_within_256_mib(self):
+        assert (2 * COUNT_MAX_S + 1) ** 2 <= 2**28 < (2 * COUNT_MAX_S + 3) ** 2

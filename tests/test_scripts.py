@@ -1,0 +1,47 @@
+"""The scripts under scripts/ run end to end and print their tables."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from magic3 import count_closed
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name: str, *args: str) -> list[str]:
+    """Stdout lines of scripts/<name> run with PYTHONPATH=src; it must exit 0."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    cmd = [sys.executable, str(ROOT / "scripts" / name), *args]
+    result = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-brute"]])
+def test_count_table(flags):
+    lines = run_script("count_table.py", "--max-s", "12", *flags)
+    assert lines[0].split() == ["s", "m", "closed", "series", "families", "brute"]
+    for s, line in enumerate(lines[1:14]):
+        n = str(count_closed(s))
+        assert line.split() == [str(s), str(3 * s), n, n, n, "-" if flags else n]
+    total = sum(count_closed(s) for s in range(13))
+    assert lines[14:] == [f"total squares through s=12: {total}"]
+
+
+def test_class_census():
+    lines = run_script("class_census.py", "--max-s", "8")
+    starts = [n for n, line in enumerate(lines) if line.startswith("s=")]
+    assert len(starts) == 5
+    for s, start, end in zip(range(4, 9), starts, starts[1:] + [len(lines)]):
+        # A class is one dihedral orbit: eight squares.
+        classes = count_closed(s) // 8
+        header = re.fullmatch(rf"s={s}: {classes} classes \(F1: (\d+), F2: (\d+)\)", lines[start])
+        assert header is not None, lines[start]
+        assert sum(map(int, header.groups())) == classes == end - start - 1
+        for line in lines[start + 1:end]:
+            assert re.fullmatch(r"  F[12] i=\d+ j=\d+ k=\d+( +\d+){9}", line), line
