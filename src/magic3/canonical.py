@@ -1,7 +1,7 @@
 """Canonical form of a magic square and its coordinate systems.
 
 Every magic square has exactly one dihedral image whose corners satisfy
-c3 < c1 < a3 < a1, found by one lookup in an 8-entry orientation table.
+c3 < c1 < a3 < a1, picked by the smallest corner and its smaller neighbour.
 Subtracting the minimum entry from it gives the *reduced* magic square, a
 rigid shape: the whole grid is determined by r = c3 and s = b2:
 
@@ -38,11 +38,16 @@ from .core import (
     validate,
 )
 
-# Keyed by the cells of x that g's image reads its c3 and c1 from; derived
-# from the permutations like `compose`, and import fails unless 8 keys result.
+# Keyed by the cells of x that g's image reads its c3 and c1 from, derived from
+# the permutations like `compose` (import fails unless 8 keys result); then, per
+# c3 cell, its two neighbours, each followed by the g that reads c1 from it.
 _ORIENTATION = {(permutation(g)[8], permutation(g)[6]): g for g in ELEMENTS}
 if len(_ORIENTATION) != 8:
     raise RuntimeError("the dihedral permutations do not orient the corners one way each")
+_NEIGHBOURS = {
+    corner: [x for (low, n), g in _ORIENTATION.items() if low == corner for x in (n, g)]
+    for corner in (0, 2, 6, 8)
+}
 
 
 class NotReducedError(MagicSquareError):
@@ -92,28 +97,20 @@ def is_canonical(x: Square) -> bool:
 
 
 def _orientation(e: tuple[int, ...]) -> tuple[int, DihedralElement]:
-    """The cell of e's smallest corner, and the element whose image reads its c3 from there.
-
-    Raises KeyError when e's two smallest corners are opposite.
-    """
-    low, next_low, _, _ = sorted((0, 2, 6, 8), key=e.__getitem__)
-    return low, _ORIENTATION[low, next_low]
+    """The cell of e's smallest corner and the g whose image reads c3 there; e is certified."""
+    low = e.index(min(e[0], e[2], e[6], e[8]))
+    a, g_a, b, g_b = _NEIGHBOURS[low]
+    return low, g_a if e[a] < e[b] else g_b
 
 
 def canonical_symmetry(m: MagicSquare) -> DihedralElement:
     """The unique dihedral element whose image of m has ordered corners.
 
-    Its image has m's two smallest corners at c3 and c1.  They are neighbours:
-    opposite corners sum to 2s, so the smallest one faces the largest.  Only a
-    hand-built certificate on a grid that is not magic can have them opposite,
-    which misses the table; that grid is then validated, to raise its
-    MagicSquareError.
+    m is validated on entry unless `validate` minted it.  The image has m's two
+    smallest corners at c3 and c1: as opposite corners sum to 2s, they are neighbours.
     """
-    try:
-        return _orientation(m.entries)[1]
-    except KeyError:
-        validate(m.square)
-        raise
+    magic = m if getattr(m, "_minted", False) else validate(m.square)
+    return _orientation(magic.entries)[1]
 
 
 def reduce(m: MagicSquare) -> tuple[ReducedMagicSquare, int, DihedralElement]:
@@ -121,11 +118,11 @@ def reduce(m: MagicSquare) -> tuple[ReducedMagicSquare, int, DihedralElement]:
 
     The symmetry g is applied first and i * ONES subtracted second (the two
     commute, but a fixed order keeps g reproducible).  The inverse transform
-    apply(g.inverse, reduced + i * ONES) recovers the input exactly.  m is
-    validated on entry, which certifies the result: g keeps lines and distinct
-    entries, and the shift lowers every line sum by 3i.
+    apply(g.inverse, reduced + i * ONES) recovers the input exactly.  m, validated
+    on entry unless `validate` minted it, certifies the result: g keeps lines
+    and distinct entries, and the shift lowers every line sum by 3i.
     """
-    magic = validate(m.square)
+    magic = m if getattr(m, "_minted", False) else validate(m.square)
     g = canonical_symmetry(magic)
     i = min(magic.entries)
     grid = Square(tuple(value - i for value in apply(g, magic.square).entries))

@@ -9,7 +9,8 @@ leave that range raises instead of wrapping.
 `validate` certifies the magic conditions.  A magic square has all eight line
 sums (three rows, three columns, both diagonals) equal to the magic sum m and
 all nine entries pairwise distinct.  The magic sum is always three times the
-center entry, so the parameter s = m / 3 is an integer.
+center entry, so the parameter s = m / 3 is an integer.  Only `validate` mints
+a certificate; its consumers re-validate any other `MagicSquare` on entry.
 
 The module also defines the six constant squares from which every magic
 square of order three is built:
@@ -162,18 +163,19 @@ def check_entries(entries: tuple[int, ...]) -> None:
             raise EntryRangeError(f"entry {value} exceeds the unsigned 64-bit range")
 
 
-@dataclass(frozen=True, slots=True)
+# The value types set their slots by the descriptors' `__set__`, cheaper than a frozen `__init__`.
+@dataclass(frozen=True, slots=True, init=False)
 class Square:
     """Nine checked nonnegative integers in row-major order."""
 
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        entries = tuple(self.entries)
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        entries = tuple(entries)
         if len(entries) != 9:
             raise ValueError(f"a square has 9 entries, got {len(entries)}")
         check_entries(entries)
-        object.__setattr__(self, "entries", entries)
+        _SET_ENTRIES(self, entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "Square":
@@ -226,17 +228,35 @@ class Square:
         return self.entries[8]
 
 
-@dataclass(frozen=True, slots=True)
-class MagicSquare:
-    """A square certified by `validate`: equal line sums and distinct entries."""
+class _Minted:
+    __slots__ = ("_minted",)
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class MagicSquare(_Minted):
+    """A square certified by `validate`: equal line sums and distinct entries.
+
+    Only `validate` sets its private `_minted` slot (not a field); `reduce`,
+    `canonical_symmetry` and `decompose` re-validate any other instance.
+    """
 
     square: Square
     magic_sum: int
     s: int
 
+    def __init__(self, square: Square, magic_sum: int, s: int) -> None:
+        _SET_SQUARE(self, square)
+        _SET_MAGIC_SUM(self, magic_sum)
+        _SET_S(self, s)
+
     @property
     def entries(self) -> tuple[int, ...]:
         return self.square.entries
+
+
+_SET_ENTRIES, _SET_SQUARE, _SET_MAGIC_SUM, _SET_S = (
+    s.__set__ for s in (Square.entries, MagicSquare.square, MagicSquare.magic_sum, MagicSquare.s)
+)
 
 
 def add(x: Square, y: Square) -> Square:
@@ -303,7 +323,9 @@ def validate(x: Square) -> MagicSquare:
             if value in seen:
                 raise DuplicateEntriesError(value)
             seen.add(value)
-    return MagicSquare(square=x, magic_sum=m, s=m // 3)
+    certificate = MagicSquare(x, m, m // 3)
+    object.__setattr__(certificate, "_minted", True)
+    return certificate
 
 
 def parse_square(text: str) -> Square:
@@ -317,6 +339,12 @@ def parse_square(text: str) -> Square:
     tokens = text.replace(",", " ").replace(";", " ").split()
     if len(tokens) != 9:
         raise ValueError(f"expected 9 entries, got {len(tokens)}")
+    # One pass in C (at most 9 x 20 digits, under int's digit limit); the loop names a bad token.
+    digits = "".join(tokens)
+    if len(digits) <= 9 * 20 and digits.isascii() and digits.isdigit():
+        entries = tuple(map(int, tokens))
+        if max(entries) <= ENTRY_MAX:
+            return Square(entries)
     values = []
     for token in tokens:
         if not (token.isascii() and token.isdigit()):
@@ -330,7 +358,7 @@ def parse_square(text: str) -> Square:
 
 def format_square(x: Square) -> str:
     """Render a square in the text format: nine integers joined by spaces."""
-    return " ".join(str(value) for value in x.entries)
+    return " ".join(map(str, x.entries))
 
 
 ONES = Square.from_rows(((1, 1, 1), (1, 1, 1), (1, 1, 1)))

@@ -72,7 +72,7 @@ class Family(Enum):
         return 1 if self is Family.F1 else 2
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Decomposition:
     """Coordinates (family, i, j, k) plus the symmetry from reduction."""
 
@@ -82,25 +82,27 @@ class Decomposition:
     k: int
     symmetry: DihedralElement
 
-    def __post_init__(self) -> None:
-        i, j, k = self.i, self.j, self.k
-        if (
+    def __init__(self, family: Family, i: int, j: int, k: int, symmetry: DihedralElement) -> None:
+        if not (
             type(i) is type(j) is type(k) is int
             and i >= 0
             and j >= 0
             and k >= 0
-            and type(self.family) is Family
-            and type(self.symmetry) is DihedralElement
+            and type(family) is Family
+            and type(symmetry) is DihedralElement
         ):
-            return
-        # Name the first bad field; an int subclass other than bool passes.
-        for name, kind in (("family", Family), ("i", int), ("j", int), ("k", int),
-                           ("symmetry", DihedralElement)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise TypeError(f"{name} must be {kind.__name__}, got {type(value).__name__}")
-            if kind is int and value < 0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
+            # Name the first bad field; an int subclass other than bool passes.
+            for name, value, kind in (("family", family, Family), ("i", i, int), ("j", j, int),
+                                      ("k", k, int), ("symmetry", symmetry, DihedralElement)):
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise TypeError(f"{name} must be {kind.__name__}, got {type(value).__name__}")
+                if kind is int and value < 0:
+                    raise ValueError(f"{name} must be nonnegative, got {value}")
+        _SET_FAMILY(self, family)
+        _SET_I(self, i)
+        _SET_J(self, j)
+        _SET_K(self, k)
+        _SET_SYMMETRY(self, symmetry)
 
     @property
     def s(self) -> int:
@@ -117,6 +119,9 @@ class Decomposition:
         }
 
 
+_SET_FAMILY, _SET_I, _SET_J, _SET_K, _SET_SYMMETRY = (
+    getattr(Decomposition, name).__set__ for name in ("family", "i", "j", "k", "symmetry")
+)
 # Code that runs once per square reads members through these names and keys
 # tables by a member's `_value_`: on Python 3.11, `Family.F1`, `.value` and
 # hashing a member each run Python code in the enum module.
@@ -145,8 +150,8 @@ def construct(d: Decomposition) -> MagicSquare:
 
 
 def decompose(m: MagicSquare) -> Decomposition:
-    """Decompose a magic square, validated on entry; construct(decompose(m)) == m."""
-    e = validate(m.square).entries
+    """Decompose m (validated on entry unless minted); construct(decompose(m)) == m."""
+    e = (m if getattr(m, "_minted", False) else validate(m.square)).entries
     # g's image reads its c3 from m's smallest corner, so that corner is r + i.
     smallest_corner, g = _orientation(e)
     i = min(e)

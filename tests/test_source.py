@@ -19,3 +19,50 @@ def test_library_has_no_assert_statements():
     ]
     assert len(SOURCES) >= 8
     assert found == []
+
+
+def _mark_uses(path):
+    """(file, enclosing function or class, kind) for each node naming the `_minted` slot."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if not (
+            (isinstance(node, ast.Constant) and node.value == "_minted")
+            or (isinstance(node, ast.Attribute) and node.attr == "_minted")
+            or (isinstance(node, ast.Name) and node.id == "_minted")
+        ):
+            continue
+        parent = parents[node]
+        # Only getattr(m, "_minted", default), used as a value, reads the mark;
+        # getattr(cls, "_minted").__set__ and the rest count as writes.
+        is_read = (
+            isinstance(parent, ast.Call)
+            and getattr(parent.func, "id", None) == "getattr"
+            and len(parent.args) == 3
+            and not isinstance(parents[parent], ast.Attribute)
+        )
+        kind = "read" if is_read else "write"
+        scope, statement = "", parent
+        while statement in parents:
+            if isinstance(statement, ast.Assign) and [
+                getattr(target, "id", None) for target in statement.targets
+            ] == ["__slots__"]:
+                kind = "declaration"
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)) and not scope:
+                scope = statement.name
+            statement = parents[statement]
+        yield path.name, scope, kind
+
+
+def test_certificate_mark_is_written_only_in_validate():
+    # `canonical_symmetry`, `reduce` and `decompose` trust a `MagicSquare`
+    # without validating it again only when it carries this mark, so no code
+    # but `core.validate` may set it.
+    uses = sorted(use for path in SOURCES for use in _mark_uses(path))
+    assert uses == [
+        ("canonical.py", "canonical_symmetry", "read"),
+        ("canonical.py", "reduce", "read"),
+        ("core.py", "_Minted", "declaration"),
+        ("core.py", "validate", "write"),
+        ("decompose.py", "decompose", "read"),
+    ]

@@ -1,0 +1,230 @@
+"""The public contract of the value types and of the text parser.
+
+`Square`, `MagicSquare` and `Decomposition` set their slots in hand-written
+`__init__` methods; these tests pin what a frozen, slotted dataclass gives:
+construction, fields, `replace`, immutability, equality, hashing and `repr`.
+"""
+
+import dataclasses
+
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from magic3 import (
+    ENTRY_MAX,
+    SEED_F1,
+    DihedralElement,
+    Decomposition,
+    EntryRangeError,
+    Family,
+    MagicSquare,
+    Square,
+    parse_square,
+    validate,
+)
+
+ID = DihedralElement.ID
+R90 = DihedralElement.R90
+SEED_F1_ENTRIES = (7, 0, 5, 2, 4, 6, 3, 8, 1)
+SEED_F1_REPR = "Square(entries=(7, 0, 5, 2, 4, 6, 3, 8, 1))"
+
+# For each type: positional arguments, the keyword form, a replacement field
+# and value, and the repr of the positional instance.
+CASES = {
+    "Square": (
+        Square,
+        (SEED_F1_ENTRIES,),
+        {"entries": SEED_F1_ENTRIES},
+        ("entries", (8, 1, 6, 3, 5, 7, 4, 9, 2)),
+        SEED_F1_REPR,
+    ),
+    "MagicSquare": (
+        MagicSquare,
+        (SEED_F1, 12, 4),
+        {"square": SEED_F1, "magic_sum": 12, "s": 4},
+        ("s", 5),
+        f"MagicSquare(square={SEED_F1_REPR}, magic_sum=12, s=4)",
+    ),
+    "Decomposition": (
+        Decomposition,
+        (Family.F2, 1, 2, 3, R90),
+        {"family": Family.F2, "i": 1, "j": 2, "k": 3, "symmetry": R90},
+        ("k", 4),
+        "Decomposition(family=<Family.F2: 'F2'>, i=1, j=2, k=3, "
+        "symmetry=<DihedralElement.R90: 'r90'>)",
+    ),
+}
+FIELDS = {
+    "Square": ["entries"],
+    "MagicSquare": ["square", "magic_sum", "s"],
+    "Decomposition": ["family", "i", "j", "k", "symmetry"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+class TestValueTypeContract:
+    def test_positional_and_keyword_construction_agree(self, name):
+        cls, args, kwargs, _, _ = CASES[name]
+        x, y = cls(*args), cls(**kwargs)
+        assert x == y and hash(x) == hash(y)
+        assert [getattr(x, field) for field in FIELDS[name]] == list(args)
+
+    def test_fields_are_the_declared_ones(self, name):
+        cls, args, _, _, _ = CASES[name]
+        assert [f.name for f in dataclasses.fields(cls)] == FIELDS[name]
+        assert cls.__slots__ == tuple(FIELDS[name])
+        assert not hasattr(cls(*args), "__dict__")
+
+    def test_replace_builds_a_new_value(self, name):
+        cls, args, kwargs, (field, value), _ = CASES[name]
+        x = cls(*args)
+        y = dataclasses.replace(x, **{field: value})
+        assert getattr(y, field) == value
+        assert y == cls(**{**kwargs, field: value}) and y != x
+        assert dataclasses.replace(x) == x
+
+    def test_fields_are_frozen(self, name):
+        cls, args, _, (field, value), _ = CASES[name]
+        x = cls(*args)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, field, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(x, field)
+
+    def test_equality_and_hash_follow_the_fields(self, name):
+        cls, args, kwargs, (field, value), _ = CASES[name]
+        x = cls(*args)
+        other = cls(**{**kwargs, field: value})
+        assert x != other
+        assert len({x, cls(*args), other}) == 2
+        assert x != tuple(args)
+
+    def test_repr_is_unchanged(self, name):
+        cls, args, _, _, text = CASES[name]
+        assert repr(cls(*args)) == text
+
+
+class TestMagicSquareMint:
+    def test_minted_certificate_equals_a_hand_built_one(self):
+        # The mint is no field: eq, hash and repr ignore it.
+        minted, built = validate(SEED_F1), MagicSquare(SEED_F1, 12, 4)
+        assert minted == built and hash(minted) == hash(built)
+        assert repr(minted) == repr(built)
+        assert dataclasses.asdict(minted) == dataclasses.asdict(built)
+
+
+class TestSquareChecks:
+    @pytest.mark.parametrize(
+        "entries, error, message",
+        [
+            (SEED_F1_ENTRIES[:8], ValueError, "a square has 9 entries, got 8"),
+            ((True,) + SEED_F1_ENTRIES[1:], TypeError, "entry must be int, got bool"),
+            ((1.0,) + SEED_F1_ENTRIES[1:], TypeError, "entry must be int, got float"),
+            ((-1,) + SEED_F1_ENTRIES[1:], EntryRangeError, "entry -1 is negative"),
+            (
+                (2**64,) + SEED_F1_ENTRIES[1:],
+                EntryRangeError,
+                "entry 18446744073709551616 exceeds the unsigned 64-bit range",
+            ),
+        ],
+    )
+    def test_rejects_with_todays_messages(self, entries, error, message):
+        with pytest.raises(error) as info:
+            Square(entries)
+        assert str(info.value) == message
+        with pytest.raises(error):
+            Square(entries=entries)
+
+    def test_any_iterable_becomes_a_tuple(self):
+        assert Square(iter(SEED_F1_ENTRIES)).entries == SEED_F1_ENTRIES
+        assert Square(list(SEED_F1_ENTRIES)) == SEED_F1
+
+
+class TestDecompositionChecks:
+    def test_admits_an_int_subclass(self):
+        class Count(int):
+            pass
+
+        d = Decomposition(Family.F1, Count(1), Count(2), Count(3), ID)
+        assert d == Decomposition(Family.F1, 1, 2, 3, ID)
+        assert type(d.i) is Count
+
+    @pytest.mark.parametrize(
+        "field, value, error, message",
+        [
+            ("family", "F1", TypeError, "family must be Family, got str"),
+            ("i", True, TypeError, "i must be int, got bool"),
+            ("j", 1.0, TypeError, "j must be int, got float"),
+            ("k", -1, ValueError, "k must be nonnegative, got -1"),
+            ("symmetry", 0, TypeError, "symmetry must be DihedralElement, got int"),
+        ],
+    )
+    def test_rejects_with_todays_messages(self, field, value, error, message):
+        fields = {"family": Family.F1, "i": 0, "j": 0, "k": 0, "symmetry": ID}
+        with pytest.raises(error) as info:
+            Decomposition(**{**fields, field: value})
+        assert str(info.value) == message
+
+    def test_first_bad_field_is_named(self):
+        with pytest.raises(TypeError, match="^family must be Family, got str$"):
+            Decomposition("F1", -1, 0, 0, "id")
+        with pytest.raises(ValueError, match="^i must be nonnegative, got -1$"):
+            Decomposition(Family.F1, -1, True, 0, ID)
+
+
+def parse_by_token(text):
+    """The per-token parser `parse_square` short-cuts: the reference its outcomes must match."""
+    tokens = text.replace(",", " ").replace(";", " ").split()
+    if len(tokens) != 9:
+        raise ValueError(f"expected 9 entries, got {len(tokens)}")
+    values = []
+    for token in tokens:
+        if not (token.isascii() and token.isdigit()):
+            raise ValueError(f"entry {token!r} is not a string of ASCII digits 0-9")
+        value = int(token)
+        if value > ENTRY_MAX:
+            raise ValueError(f"entry {value} exceeds the unsigned 64-bit range")
+        values.append(value)
+    return Square(tuple(values))
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+tokens = st.one_of(
+    st.integers(0, 2**66).map(str),
+    st.text(alphabet="0123456789", min_size=1, max_size=24),
+    st.sampled_from([
+        "+8", "8_0", "-1", "1.5", "0x10", "2**64", "٨", "1٠", "１", "¹",
+        str(ENTRY_MAX), str(ENTRY_MAX + 1), "0" * 30 + "7",
+        # Past int's default limit of 4,300 digits.
+        "0" * 4400 + "1", "1" * 4400,
+    ]),
+)
+separators = st.sampled_from([" ", ",", ";", " ; ", ", ", "\t", "\n", ",,", ""])
+
+
+@st.composite
+def square_texts(draw):
+    words = draw(st.one_of(st.lists(tokens, min_size=9, max_size=9), st.lists(tokens, max_size=11)))
+    text = draw(separators)
+    for word in words:
+        text += word + draw(separators.filter(bool))
+    return text
+
+
+class TestParserEquivalence:
+    @given(square_texts())
+    @example("7 0 5 2 4 6 3 8 1")
+    @example("18446744073709551616 " + "1" * 4400 + " 5 2 4 6 3 8 1")
+    @example("1" * 4400 + " 18446744073709551616 5 2 4 6 3 8 1")
+    @example("0" * 4400 + "7 0 5 2 4 6 3 8 1")
+    @example("7 0 5 2 4 6 3 8 +1")
+    @example("")
+    def test_matches_the_per_token_parser(self, text):
+        assert outcome(parse_square, text) == outcome(parse_by_token, text)
