@@ -349,9 +349,11 @@ def parse_square(text: str) -> Square:
     for token in tokens:
         if not (token.isascii() and token.isdigit()):
             raise ValueError(f"entry {token!r} is not a string of ASCII digits 0-9")
-        value = int(token)
-        if value > ENTRY_MAX:
-            raise ValueError(f"entry {value} exceeds the unsigned 64-bit range")
+        # Past 20 significant digits (ENTRY_MAX has 20) the token is out of
+        # range, and `int` would refuse one of more than 4,300 digits.
+        digits = token.lstrip("0") or "0"
+        if len(digits) > 20 or (value := int(digits)) > ENTRY_MAX:
+            raise ValueError(f"entry {digits} exceeds the unsigned 64-bit range")
         values.append(value)
     return Square(tuple(values))
 

@@ -16,11 +16,11 @@ from magic3 import (
     MagicSquareError,
     MismatchError,
     Square,
-    brute_force,
     cli,
     enumeration,
-    enumerate_families,
     format_square,
+    iter_brute_squares,
+    iter_family_squares,
     selftest,
     validate,
 )
@@ -103,6 +103,15 @@ class TestVerify:
     def test_parse_failure_exits_one(self):
         result = run_cli("verify", "1", "2", "3")
         assert result.returncode == 1
+
+    def test_tokens_past_the_int_digit_limit(self):
+        # 4,400 digits is past the 4,300 that `int` converts by default.
+        rest = T1_TEXT.split()[1:]
+        result = run_cli("verify", "0" * 4400 + "7", *rest)
+        assert (result.returncode, result.stdout) == (0, "magic m=12 s=4\n")
+        result = run_cli("verify", "1" * 4400, *rest)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == f"magic3: error: entry {'1' * 4400} exceeds the unsigned 64-bit range\n"
 
     def test_accepts_comma_and_semicolon_text(self):
         result = run_cli("verify", "7,0,5;", "2,4,6;", "3,8,1")
@@ -196,9 +205,9 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("source", ["families", "brute"])
     def test_stream_matches_collected_rendering(self, source):
-        collect = brute_force if source == "brute" else enumerate_families
+        collect = iter_brute_squares if source == "brute" else iter_family_squares
         for s in range(0, 41):
-            squares = collect(s).squares
+            squares = tuple(collect(s))
             text = "".join(format_square(m.square) + "\n" for m in squares)
             array = json.dumps([list(m.entries) for m in squares], separators=(",", ":")) + "\n"
             for fmt, expected in (("text", text), ("json", array)):

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -17,14 +18,14 @@ from magic3 import (
     MismatchError,
     add,
     apply,
-    brute_force,
     count_closed,
     count_families,
     decompose,
-    enumerate_families,
     expand,
     iter_brute_grids,
+    iter_brute_squares,
     iter_family_grids,
+    iter_family_squares,
     magic_gf,
     reconcile,
 )
@@ -80,32 +81,32 @@ def full_brute_sweep(s):
 
 class TestFamilyEnumeration:
     def test_smallest_parameter_is_one_orbit(self):
-        result = enumerate_families(4)
-        assert len(result.squares) == 8
+        squares = list(iter_family_squares(4))
+        assert len(squares) == 8
         orbit = {apply(g, SEED_F1).entries for g in ELEMENTS}
-        assert {m.entries for m in result.squares} == orbit
+        assert {m.entries for m in squares} == orbit
 
     def test_empty_below_threshold(self):
         for s in range(4):
-            assert enumerate_families(s).squares == ()
+            assert list(iter_family_squares(s)) == []
 
     def test_three_orbits_at_five(self):
-        result = enumerate_families(5)
-        assert len(result.squares) == 24
+        squares = list(iter_family_squares(5))
+        assert len(squares) == 24
         reps = [add(SEED_F1, ONES), add(SEED_F1, GEN1), SEED_F2]
         expected = {apply(g, rep).entries for rep in reps for g in ELEMENTS}
-        assert {m.entries for m in result.squares} == expected
+        assert {m.entries for m in squares} == expected
 
     def test_all_squares_certified_with_requested_sum(self):
-        for m in enumerate_families(9).squares:
+        for m in iter_family_squares(9):
             assert m.magic_sum == 27
 
     def test_output_order_is_reproducible(self):
-        first = [m.entries for m in enumerate_families(8).squares]
-        second = [m.entries for m in enumerate_families(8).squares]
+        first = [m.entries for m in iter_family_squares(8)]
+        second = [m.entries for m in iter_family_squares(8)]
         assert first == second
         assert len(first) == 80
-        assert enumerate_families(4).squares[0].entries == SEED_F1.entries
+        assert next(iter_family_squares(4)).entries == SEED_F1.entries
 
     def test_count_matches_lattice_solution_count(self):
         for s in range(0, 26):
@@ -122,15 +123,15 @@ class TestFamilyEnumeration:
             assert count_families(s) == 8 * (f1 + f2)
 
     def test_minimum_entry_equals_translation_part(self):
-        for m in enumerate_families(10).squares:
+        for m in iter_family_squares(10):
             d = decompose(m)
             assert min(m.entries) == d.i
             assert max(m.entries) <= 2 * m.s
 
     def test_monotone_nesting(self):
         for s in range(4, 11):
-            grown = {add(m.square, ONES).entries for m in enumerate_families(s).squares}
-            bigger = {m.entries for m in enumerate_families(s + 1).squares}
+            grown = {add(m.square, ONES).entries for m in iter_family_squares(s)}
+            bigger = {m.entries for m in iter_family_squares(s + 1)}
             assert grown <= bigger
 
 
@@ -144,13 +145,13 @@ class TestBruteForce:
             assert list(iter_brute_grids(s)) == full_brute_sweep(s)
 
     def test_empty_when_too_small(self):
-        assert brute_force(2).squares == ()
+        assert list(iter_brute_squares(2)) == []
 
     def test_count_at_seven(self):
-        assert len(brute_force(7).squares) == 56
+        assert len(list(iter_brute_squares(7))) == 56
 
     def test_emitted_in_top_left_lexicographic_order(self):
-        grids = [m.entries for m in brute_force(9).squares]
+        grids = [m.entries for m in iter_brute_squares(9)]
         assert grids == sorted(grids, key=lambda g: (g[0], g[1]))
 
     def test_set_equality_with_family_expansion(self):
@@ -330,6 +331,51 @@ class TestReconcileMarks:
         with pytest.raises(MismatchError, match="brute force repeated a square at s=6") as info:
             reconcile(6)
         assert info.value.square == grids[3]
+
+    @pytest.mark.parametrize(
+        "include_brute, match",
+        [
+            (True, "square sets differ at s=6; first difference comes from families"),
+            (False, "family expansion gave a grid at s=6 that is not a magic square"),
+        ],
+    )
+    def test_non_magic_family_grid_is_named_before_its_repeat(
+        self, monkeypatch, include_brute, match
+    ):
+        bad = NON_MAGIC_EDITS["center"](list(iter_family_grids(6)))[0]
+        _patched(monkeypatch, "iter_family_grids", lambda g: [bad] + g + [bad])
+        with pytest.raises(MismatchError, match=match) as info:
+            reconcile(6, include_brute)
+        assert info.value.square == bad
+
+    def test_failure_is_named_in_one_walk_per_stream_within_the_marks(self, monkeypatch):
+        # A set of either stream's grids at s = 240 takes tens of MB; the
+        # marks are (2s+1)**2 = 231,361 bytes.
+        s = 240
+        real_family, real_brute = iter_family_grids, iter_brute_grids
+        dropped = next(itertools.islice(real_brute(s), 9, None))
+        calls = {"families": 0, "brute": 0}
+
+        def family_stream(s):
+            calls["families"] += 1
+            return real_family(s)
+
+        def brute_stream_without_its_tenth_grid(s):
+            calls["brute"] += 1
+            return (grid for n, grid in enumerate(real_brute(s)) if n != 9)
+
+        monkeypatch.setattr(enumeration, "iter_family_grids", family_stream)
+        monkeypatch.setattr(enumeration, "iter_brute_grids", brute_stream_without_its_tenth_grid)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MismatchError, match="first difference comes from families") as info:
+                reconcile(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.square == dropped
+        assert calls == {"families": 1, "brute": 1}
+        assert peak < 2**20
 
     @pytest.mark.parametrize("s", [COUNT_MAX_S + 1, 2**63])
     def test_refuses_an_s_past_the_cap_before_any_work(self, monkeypatch, s):

@@ -66,3 +66,20 @@ def test_certificate_mark_is_written_only_in_validate():
         ("core.py", "validate", "write"),
         ("decompose.py", "decompose", "read"),
     ]
+
+
+def test_public_names_are_the_imported_names():
+    # A name deleted from the imports and not from `__all__`, or the other
+    # way round, shows here.
+    init = Path(magic3.__file__)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text(), filename=str(init)).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+    names = magic3.__all__
+    assert names == sorted(set(names))
+    assert [name for name in names if not hasattr(magic3, name)] == []
+    assert set(names) == imported

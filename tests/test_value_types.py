@@ -182,10 +182,10 @@ def parse_by_token(text):
     for token in tokens:
         if not (token.isascii() and token.isdigit()):
             raise ValueError(f"entry {token!r} is not a string of ASCII digits 0-9")
-        value = int(token)
-        if value > ENTRY_MAX:
-            raise ValueError(f"entry {value} exceeds the unsigned 64-bit range")
-        values.append(value)
+        digits = token.lstrip("0") or "0"
+        if len(digits) > 20 or int(digits) > ENTRY_MAX:
+            raise ValueError(f"entry {digits} exceeds the unsigned 64-bit range")
+        values.append(int(digits))
     return Square(tuple(values))
 
 
