@@ -6,17 +6,10 @@ closed form and a rational generating series.
 """
 
 from .canonical import (
-    IllegalCoordinatesError,
-    NotReducedError,
-    ReducedCoordinates,
     ReducedMagicSquare,
-    alpha_beta_to_rs,
     canonical_symmetry,
     is_canonical,
     reduce,
-    reduced_from_coordinates,
-    reduced_from_rs,
-    rs_to_alpha_beta,
 )
 from .core import (
     ELEMENTS,
@@ -81,21 +74,17 @@ __all__ = [
     "GEN1",
     "GEN2",
     "GEN3",
-    "IllegalCoordinatesError",
     "MagicSquare",
     "MagicSquareError",
     "MismatchError",
     "NotMagicError",
-    "NotReducedError",
     "ONES",
     "RationalSeries",
-    "ReducedCoordinates",
     "ReducedMagicSquare",
     "SEED_F1",
     "SEED_F2",
     "Square",
     "add",
-    "alpha_beta_to_rs",
     "apply",
     "canonical_symmetry",
     "compose",
@@ -116,9 +105,6 @@ __all__ = [
     "poly_mul",
     "reconcile",
     "reduce",
-    "reduced_from_coordinates",
-    "reduced_from_rs",
-    "rs_to_alpha_beta",
     "scale",
     "validate",
 ]

@@ -1,4 +1,4 @@
-"""Canonical form of a magic square and its coordinate systems.
+"""Canonical form of a magic square.
 
 Every magic square has exactly one dihedral image whose corners satisfy
 c3 < c1 < a3 < a1, picked by the smallest corner and its smaller neighbour.
@@ -13,14 +13,8 @@ Proof: cells opposite across the center sum to 2s, so ordered corners are
 c3, c1, a3, a1 = s-x, s-y, s+y, s+x with x > y > 0.  The top row forces
 a2 = s-x-y, the left column b1 = s-x+y, and c2, b3 are their opposites.  No
 entry is further below s than a2, so the reduced a2 is 0, s = x+y and r = y:
-a reduced square has a2 = 0, c2 = 2s, r >= 1 and s >= 2r+1.
-
-Reduced squares are equivalently parametrized by coordinates (alpha, beta)
-with alpha = s - 2r - 2 and beta = r - 1: the grid equals
-SEED_F1 + alpha * GEN1 + beta * GEN2, and the pairs with alpha >= -1,
-beta >= 0, beta != alpha + 1 are exactly the reduced magic squares.  The
-excluded diagonal beta = alpha + 1 always produces repeated entries.  Both
-coordinate systems are views for the paper; `decompose` uses neither.
+a reduced square has a2 = 0, c2 = 2s, r >= 1, s >= 2r+1 and s != 3r, as
+x = 2y would make b1 = c1.
 """
 
 from __future__ import annotations
@@ -31,7 +25,6 @@ from .core import (
     ELEMENTS,
     DihedralElement,
     MagicSquare,
-    MagicSquareError,
     Square,
     apply,
     permutation,
@@ -50,14 +43,6 @@ _NEIGHBOURS = {
 }
 
 
-class NotReducedError(MagicSquareError):
-    """The grid is not a reduced magic square."""
-
-
-class IllegalCoordinatesError(MagicSquareError):
-    """Coordinates outside alpha >= -1, beta >= 0, or on the excluded diagonal."""
-
-
 @dataclass(frozen=True, slots=True)
 class ReducedMagicSquare:
     """A magic square in reduced form, with r = c3 and s = b2."""
@@ -69,25 +54,6 @@ class ReducedMagicSquare:
     @property
     def entries(self) -> tuple[int, ...]:
         return self.square.entries
-
-
-@dataclass(frozen=True, slots=True)
-class ReducedCoordinates:
-    """Affine coordinates of a reduced grid over (GEN1, GEN2) relative to SEED_F1.
-
-    The constructor enforces alpha >= -1 and beta >= 0.  It does not exclude
-    beta = alpha + 1, so the coordinate maps stay total on legal (r, s)
-    pairs; materializing a square from such coordinates is what fails.
-    """
-
-    alpha: int
-    beta: int
-
-    def __post_init__(self) -> None:
-        if self.alpha < -1:
-            raise IllegalCoordinatesError(f"alpha must be >= -1, got {self.alpha}")
-        if self.beta < 0:
-            raise IllegalCoordinatesError(f"beta must be >= 0, got {self.beta}")
 
 
 def is_canonical(x: Square) -> bool:
@@ -130,48 +96,3 @@ def reduce(m: MagicSquare) -> tuple[ReducedMagicSquare, int, DihedralElement]:
     reduced = MagicSquare(square=grid, magic_sum=magic.magic_sum - 3 * i, s=s)
     return ReducedMagicSquare(square=reduced, r=grid.c3, s=s), i, g
 
-
-def reduced_from_rs(r: int, s: int) -> ReducedMagicSquare:
-    """Build the reduced magic square with c3 = r and b2 = s.
-
-    Raises NotReducedError when the grid has a negative entry, repeated
-    entries, or unordered corners for this (r, s).  Its a2 is always 0.
-    """
-    grid = (2 * s - r, 0, s + r, 2 * r, s, 2 * s - 2 * r, s - r, 2 * s, r)
-    try:
-        magic = validate(Square(grid))
-    except MagicSquareError as exc:
-        raise NotReducedError(f"(r={r}, s={s}) is not a reduced magic square: {exc}") from exc
-    if not is_canonical(magic.square):
-        raise NotReducedError(
-            f"corners ({r}, {s - r}, {s + r}, {2 * s - r}) are not strictly increasing"
-        )
-    return ReducedMagicSquare(square=magic, r=r, s=s)
-
-
-def rs_to_alpha_beta(r: int, s: int) -> ReducedCoordinates:
-    """Map (r, s) to (alpha, beta) = (s - 2r - 2, r - 1).
-
-    Raises IllegalCoordinatesError when the image leaves alpha >= -1,
-    beta >= 0 (that is, when r < 1 or s < 2r + 1).
-    """
-    return ReducedCoordinates(alpha=s - 2 * r - 2, beta=r - 1)
-
-
-def alpha_beta_to_rs(coords: ReducedCoordinates) -> tuple[int, int]:
-    """Inverse coordinate map: r = beta + 1, s = alpha + 2 * beta + 4."""
-    return coords.beta + 1, coords.alpha + 2 * coords.beta + 4
-
-
-def reduced_from_coordinates(coords: ReducedCoordinates) -> ReducedMagicSquare:
-    """Materialize the reduced square SEED_F1 + alpha * GEN1 + beta * GEN2.
-
-    Raises IllegalCoordinatesError on the excluded diagonal beta = alpha + 1,
-    whose grid always carries repeated entries.
-    """
-    if coords.beta == coords.alpha + 1:
-        raise IllegalCoordinatesError(
-            f"beta = alpha + 1 = {coords.beta} never yields distinct entries"
-        )
-    r, s = alpha_beta_to_rs(coords)
-    return reduced_from_rs(r, s)

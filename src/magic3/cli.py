@@ -122,8 +122,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    if args.s < 0:
-        raise ValueError(f"s must be nonnegative, got {args.s}")
     report = reconcile(args.s, include_brute=not args.no_brute)
     obj = {
         "s": report.s,

@@ -88,16 +88,11 @@ class DihedralElement(Enum):
         return self.value
 
     @property
-    def index(self) -> int:
-        return _INDEX[self]
-
-    @property
     def inverse(self) -> "DihedralElement":
         return _INVERSE[self]
 
 
 ELEMENTS: tuple[DihedralElement, ...] = tuple(DihedralElement)
-_INDEX = {g: n for n, g in enumerate(ELEMENTS)}
 
 # Destination cell (r, c) of the transformed grid is read from this source
 # cell of the input grid.  These maps are the normative definition of the

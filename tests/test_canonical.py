@@ -1,6 +1,5 @@
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from magic3 import (
     GEN1,
@@ -10,22 +9,15 @@ from magic3 import (
     SEED_F2,
     DihedralElement,
     DuplicateEntriesError,
-    IllegalCoordinatesError,
     MagicSquare,
     NotMagicError,
-    NotReducedError,
-    ReducedCoordinates,
     Square,
     add,
-    alpha_beta_to_rs,
     apply,
     canonical_symmetry,
     is_canonical,
     iter_brute_squares,
     reduce,
-    reduced_from_coordinates,
-    reduced_from_rs,
-    rs_to_alpha_beta,
     scale,
     validate,
 )
@@ -96,62 +88,6 @@ class TestReduce:
                 assert reduced.square.square.c2 == 2 * reduced.s
 
 
-class TestReducedFromRS:
-    def test_seeds(self):
-        assert reduced_from_rs(1, 4).square == T1
-        assert reduced_from_rs(2, 5).square == T2
-
-    def test_next_square_up(self):
-        grown = reduced_from_rs(1, 5)
-        assert grown.entries == (9, 0, 6, 2, 5, 8, 4, 10, 1)
-        assert grown.square.square == add(SEED_F1, GEN1)
-
-    @pytest.mark.parametrize("r, s", [(1, 3), (2, 6), (2, 4), (3, 2), (1, 2)])
-    def test_degenerate_pairs_rejected(self, r, s):
-        with pytest.raises(NotReducedError):
-            reduced_from_rs(r, s)
-
-
-class TestCoordinateMaps:
-    def test_seed_coordinates(self):
-        coords = rs_to_alpha_beta(1, 4)
-        assert (coords.alpha, coords.beta) == (0, 0)
-
-    def test_second_seed_coordinates(self):
-        assert alpha_beta_to_rs(ReducedCoordinates(-1, 1)) == (2, 5)
-        # same square two ways: SEED_F1 + GEN2 == SEED_F2 + GEN1
-        assert add(SEED_F1, GEN2) == add(SEED_F2, GEN1)
-
-    def test_map_is_total_even_on_the_excluded_diagonal(self):
-        coords = rs_to_alpha_beta(2, 6)
-        assert (coords.alpha, coords.beta) == (0, 1)
-        with pytest.raises(IllegalCoordinatesError):
-            reduced_from_coordinates(coords)
-
-    def test_illegal_coordinates_rejected(self):
-        with pytest.raises(IllegalCoordinatesError):
-            ReducedCoordinates(-2, 0)
-        with pytest.raises(IllegalCoordinatesError):
-            ReducedCoordinates(0, -1)
-        with pytest.raises(IllegalCoordinatesError):
-            rs_to_alpha_beta(0, 4)
-
-    @given(st.integers(-1, 60), st.integers(0, 60))
-    def test_round_trip_from_coordinates(self, alpha, beta):
-        coords = ReducedCoordinates(alpha, beta)
-        r, s = alpha_beta_to_rs(coords)
-        back = rs_to_alpha_beta(r, s)
-        assert (back.alpha, back.beta) == (alpha, beta)
-
-    @given(st.integers(1, 60), st.integers(0, 140))
-    def test_round_trip_from_rs(self, r, s):
-        if s < 2 * r + 1:
-            with pytest.raises(IllegalCoordinatesError):
-                rs_to_alpha_beta(r, s)
-        else:
-            assert alpha_beta_to_rs(rs_to_alpha_beta(r, s)) == (r, s)
-
-
 class TestCoordinateBijection:
     def test_materialized_coordinates_cover_all_reduced_squares(self):
         for s in range(4, 31):
@@ -159,14 +95,12 @@ class TestCoordinateBijection:
             for m in iter_brute_squares(s):
                 if 0 in m.entries and is_canonical(m.square):
                     from_brute.add(m.entries)
-            from_coords = set()
-            for beta in range(s // 2 + 1):
-                alpha = s - 2 * beta - 4
-                if alpha < -1 or beta == alpha + 1:
-                    continue
-                reduced = reduced_from_coordinates(ReducedCoordinates(alpha, beta))
-                assert reduced.s == s
-                from_coords.add(reduced.entries)
+            # the (r, s) grid of `magic3.canonical`: 1 <= r, 2r + 1 <= s and s != 3r
+            from_coords = {
+                (2 * s - r, 0, s + r, 2 * r, s, 2 * s - 2 * r, s - r, 2 * s, r)
+                for r in range(1, (s - 1) // 2 + 1)
+                if s != 3 * r
+            }
             assert from_brute == from_coords
 
     def test_excluded_diagonal_always_has_equal_entries(self):

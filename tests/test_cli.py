@@ -357,3 +357,9 @@ class TestUsage:
     def test_no_verb(self):
         result = run_cli()
         assert result.returncode == 1
+
+    @pytest.mark.parametrize("argv", [["count", "-1"], ["count", "-1", "--no-brute"], ["enumerate", "-1"]])
+    def test_negative_s_is_usage_error(self, argv):
+        result = run_cli(*argv, timeout=10)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "magic3: error: s must be nonnegative, got -1\n"

@@ -78,6 +78,7 @@ class TestConstants:
         assert add(GEN1, GEN2) == GEN3
         assert add(GEN3, GEN1) == SEED_F1
         assert add(GEN3, GEN2) == SEED_F2
+        assert add(SEED_F1, GEN2) == add(SEED_F2, GEN1)
 
     def test_gen2_is_gen1_plus_its_mirror(self):
         mirrored = apply(FV, GEN1)

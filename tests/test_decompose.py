@@ -30,7 +30,6 @@ from magic3 import (
     is_canonical,
     iter_brute_squares,
     reduce,
-    rs_to_alpha_beta,
     validate,
 )
 from magic3.decompose import base_grid
@@ -43,8 +42,8 @@ R180 = DihedralElement.R180
 
 # The five-stage ladder that `canonical_symmetry`, `reduce` and `decompose`
 # replace with one table lookup and the (r, s') formula: eight trial images,
-# a re-validated translated copy, (r, s), then (alpha, beta), then
-# (family, j, k).  Kept here as the reference the direct map must match.
+# a re-validated translated copy, (r, s), then (alpha, beta) computed inline,
+# then (family, j, k).  Kept here as the reference the direct map must match.
 def ladder_canonical_symmetry(m):
     matches = [g for g in DihedralElement if is_canonical(apply(g, m.square))]
     assert len(matches) == 1
@@ -64,8 +63,7 @@ def ladder_reduce(m):
 
 def ladder_decompose(m):
     reduced, i, g = ladder_reduce(m)
-    coords = rs_to_alpha_beta(reduced.r, reduced.s)
-    alpha, beta = coords.alpha, coords.beta
+    alpha, beta = reduced.s - 2 * reduced.r - 2, reduced.r - 1
     if alpha >= beta:
         family, j, k = Family.F1, beta, alpha - beta
     else:
