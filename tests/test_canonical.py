@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from magic3 import (
     GEN1,
@@ -10,7 +11,9 @@ from magic3 import (
     DihedralElement,
     DuplicateEntriesError,
     MagicSquare,
+    MagicSquareError,
     NotMagicError,
+    ReducedMagicSquare,
     Square,
     add,
     apply,
@@ -31,6 +34,20 @@ R270 = DihedralElement.R270
 
 T1 = validate(SEED_F1)
 T2 = validate(SEED_F2)
+
+
+def rs_grid(r, s):
+    """The (r, s) shape of a reduced square, as the `magic3.canonical` docstring draws it."""
+    return Square((2 * s - r, 0, s + r, 2 * r, s, 2 * s - 2 * r, s - r, 2 * s, r))
+
+
+def is_reduced_pair(r, s):
+    """True when rs_grid(r, s) builds, is magic and distinct, has ordered corners and minimum 0."""
+    try:
+        magic = validate(rs_grid(r, s))
+    except MagicSquareError:
+        return False
+    return is_canonical(magic.square) and min(magic.entries) == 0
 
 
 class TestCanonicalSymmetry:
@@ -88,6 +105,48 @@ class TestReduce:
                 assert reduced.square.square.c2 == 2 * reduced.s
 
 
+class TestReducedShape:
+    def test_seeds(self):
+        assert rs_grid(1, 4) == SEED_F1
+        assert rs_grid(2, 5) == SEED_F2
+        reduced, _, _ = reduce(T2)
+        assert (reduced.r, reduced.s) == (2, 5)
+
+    def test_next_square_up(self):
+        grown = rs_grid(1, 5)
+        assert grown.entries == (9, 0, 6, 2, 5, 8, 4, 10, 1)
+        assert grown == add(SEED_F1, GEN1)
+        reduced, shift, g = reduce(validate(grown))
+        assert (reduced.square.square, reduced.r, reduced.s, shift, g) == (grown, 1, 5, 0, ID)
+
+    @pytest.mark.parametrize("r, s", [(1, 3), (2, 6), (2, 4), (3, 2), (1, 2), (0, 4)])
+    def test_degenerate_pairs_rejected(self, r, s):
+        assert not is_reduced_pair(r, s)
+
+    def test_excluded_diagonal_repeats_b1_as_c1(self):
+        for r in range(1, 21):
+            e = rs_grid(r, 3 * r).entries
+            assert e[3] == e[6] == 2 * r
+            with pytest.raises(DuplicateEntriesError):
+                validate(rs_grid(r, 3 * r))
+
+    @given(st.integers(-3, 60), st.integers(-3, 140))
+    def test_grid_is_reduced_exactly_on_the_legal_pairs(self, r, s):
+        assert is_reduced_pair(r, s) == (1 <= r and 2 * r + 1 <= s and s != 3 * r)
+
+    @given(st.integers(1, 60), st.integers(0, 140))
+    def test_reduce_fixes_every_reduced_grid(self, r, s):
+        if 2 * r + 1 <= s and s != 3 * r:
+            magic = validate(rs_grid(r, s))
+            assert reduce(magic) == (ReducedMagicSquare(square=magic, r=r, s=s), 0, ID)
+
+    @given(magic_squares)
+    def test_every_reduced_square_is_its_rs_grid(self, m):
+        reduced, _, _ = reduce(m)
+        assert reduced.square.square == rs_grid(reduced.r, reduced.s)
+        assert reduced.entries == reduced.square.entries
+
+
 class TestCoordinateBijection:
     def test_materialized_coordinates_cover_all_reduced_squares(self):
         for s in range(4, 31):
@@ -97,9 +156,7 @@ class TestCoordinateBijection:
                     from_brute.add(m.entries)
             # the (r, s) grid of `magic3.canonical`: 1 <= r, 2r + 1 <= s and s != 3r
             from_coords = {
-                (2 * s - r, 0, s + r, 2 * r, s, 2 * s - 2 * r, s - r, 2 * s, r)
-                for r in range(1, (s - 1) // 2 + 1)
-                if s != 3 * r
+                rs_grid(r, s).entries for r in range(1, (s - 1) // 2 + 1) if s != 3 * r
             }
             assert from_brute == from_coords
 
