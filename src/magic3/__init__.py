@@ -53,7 +53,6 @@ from .enumeration import (
 )
 from .series import (
     CountReport,
-    DivisibilityError,
     RationalSeries,
     count_closed,
     expand,
@@ -65,7 +64,6 @@ __all__ = [
     "CountReport",
     "Decomposition",
     "DihedralElement",
-    "DivisibilityError",
     "DuplicateEntriesError",
     "ELEMENTS",
     "ENTRY_MAX",

@@ -17,6 +17,7 @@ from itertools import islice
 from . import selftest
 from .canonical import reduce
 from .core import (
+    _TEXT_FORMAT,
     DihedralElement,
     MagicSquareError,
     format_square,
@@ -38,7 +39,7 @@ _JSON_COMPACT = {"separators": (",", ":")}
 # cost vanishes, few enough that a pending chunk stays a few tens of kB.
 _ENUMERATE_CHUNK = 1024
 # One square as `format_square` and compact `json.dumps` render it.
-_TEXT_ROW = " ".join(["%d"] * 9) + "\n"
+_TEXT_ROW = _TEXT_FORMAT + "\n"
 _JSON_ROW = "[" + ",".join(["%d"] * 9) + "]"
 
 
@@ -59,18 +60,14 @@ def _square_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _parse_square_args(tokens: list[str]):
-    return parse_square(" ".join(tokens))
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    magic = validate(_parse_square_args(args.square))
+    magic = validate(parse_square(" ".join(args.square)))
     print(f"magic m={magic.magic_sum} s={magic.s}")
     return 0
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    magic = validate(_parse_square_args(args.square))
+    magic = validate(parse_square(" ".join(args.square)))
     reduced, shift, g = reduce(magic)
     obj = {"reduced": list(reduced.entries), "i": shift, "symmetry": g.tag}
     print(json.dumps(obj, **_JSON_COMPACT))
@@ -78,7 +75,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    d = decompose(validate(_parse_square_args(args.square)))
+    d = decompose(validate(parse_square(" ".join(args.square))))
     print(json.dumps(d.to_json_obj(), **_JSON_COMPACT))
     return 0
 
@@ -96,8 +93,6 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.s < 0:
-        raise ValueError(f"s must be nonnegative, got {args.s}")
     stream = iter_brute_grids if args.source == "brute" else iter_family_grids
     grids = stream(args.s)
     # Both streams certify their grids themselves: the family grids by
@@ -106,7 +101,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     # printing every square (or one JSON array of them).  No entry of a square
     # with center s exceeds 2s (opposite cells sum to 2s), and the first grid
     # of either stream holds 2s and gets the `Square` entry checks, so a range
-    # error is raised by the first chunk, before anything is written.
+    # error or a negative s raises in the first chunk, before anything is written.
     write = sys.stdout.write
     row = _JSON_ROW if args.format == "json" else _TEXT_ROW
     opening = "["

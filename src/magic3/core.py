@@ -34,6 +34,8 @@ from operator import itemgetter
 from typing import Iterable
 
 ENTRY_MAX = 2**64 - 1
+# One square in the text format, nine integers joined by spaces.
+_TEXT_FORMAT = " ".join(["%d"] * 9)
 
 
 class MagicSquareError(Exception):
@@ -355,7 +357,7 @@ def parse_square(text: str) -> Square:
 
 def format_square(x: Square) -> str:
     """Render a square in the text format: nine integers joined by spaces."""
-    return " ".join(map(str, x.entries))
+    return _TEXT_FORMAT % x.entries
 
 
 ONES = Square.from_rows(((1, 1, 1), (1, 1, 1), (1, 1, 1)))

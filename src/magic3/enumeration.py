@@ -27,7 +27,8 @@ distinct entries, its a2 range keeps every entry nonnegative, and it gives
 its first grid the `Square` entry checks.  No entry of either stream exceeds
 2s, because opposite cells of a square with center s sum to 2s, and the
 first grid of each holds 2s, so an s past the 64-bit range fails on the
-first grid.
+first grid.  A negative s raises ValueError on the first item of every
+stream, and the `iter_*_squares` streams mint each certificate by `validate`.
 
 Output orders are deterministic: family expansion is lexicographic by
 (family, i, j, k, symmetry index), brute force by (a1, a2).  The grid
@@ -46,9 +47,10 @@ from .core import (
     MagicSquareError,
     Square,
     check_entries,
+    validate,
 )
 from .decompose import _INVERSE_IMAGES, Decomposition, Family, base_grid
-from .series import CountReport, count_closed, expand, magic_gf
+from .series import CountReport, _check_s, count_closed, expand, magic_gf
 
 # `reconcile` keeps one byte per (a1, a2) pair, (2s + 1)**2 in all; this s is
 # the largest whose cell marks fit in 256 MiB.
@@ -65,6 +67,7 @@ class MismatchError(MagicSquareError):
 
 def _family_solutions(s: int) -> Iterator[tuple[Family, int, int, int]]:
     """Lattice solutions (family, i, j, k) in lexicographic order."""
+    _check_s(s)
     for family in Family:
         budget = s - family.base_s
         for i in range(budget + 1):
@@ -97,15 +100,8 @@ def iter_family_grids(s: int) -> Iterator[tuple[int, ...]]:
 
 
 def iter_family_squares(s: int) -> Iterator[MagicSquare]:
-    """Certified squares of the family expansion.
-
-    Family grids satisfy the magic conditions by construction (the
-    reconciliation suite checks this against the brute-force oracle), so the
-    certificate is attached without a per-square revalidation.
-    """
-    m = 3 * s
-    for grid in iter_family_grids(s):
-        yield MagicSquare(square=Square(grid), magic_sum=m, s=s)
+    """`validate` certificates of the family grids, in output order."""
+    return map(validate, map(Square, iter_family_grids(s)))
 
 
 def iter_brute_grids(s: int) -> Iterator[tuple[int, ...]]:
@@ -142,6 +138,7 @@ def iter_brute_grids(s: int) -> Iterator[tuple[int, ...]]:
       a2 = 2s - 2 gives (1, 2s-2, s+1, 2s, s, 0, s-1, 2, 2s-1), whose entries
       are distinct for every s >= 4.  Below s = 4 there are no grids.
     """
+    _check_s(s)
     m = 3 * s
     unchecked = True
     for a1 in range(2 * s + 1):
@@ -175,14 +172,8 @@ def iter_brute_grids(s: int) -> Iterator[tuple[int, ...]]:
 
 
 def iter_brute_squares(s: int) -> Iterator[MagicSquare]:
-    """Certified squares of the brute-force sweep.
-
-    `iter_brute_grids` checks every grid it yields (see there), so the
-    certificate is attached without a per-square revalidation.
-    """
-    m = 3 * s
-    for grid in iter_brute_grids(s):
-        yield MagicSquare(square=Square(grid), magic_sum=m, s=s)
+    """`validate` certificates of the brute-force grids, in (a1, a2) order."""
+    return map(validate, map(Square, iter_brute_grids(s)))
 
 
 def count_families(s: int) -> int:
@@ -268,8 +259,7 @@ def reconcile(s: int, include_brute: bool = True) -> CountReport:
     Raises ValueError for a negative s, and for an s past COUNT_MAX_S, whose
     cell marks would pass 256 MiB; both before any work is done.
     """
-    if s < 0:
-        raise ValueError(f"s must be nonnegative, got {s}")
+    _check_s(s)
     if s > COUNT_MAX_S:
         raise ValueError(
             f"s must be at most {COUNT_MAX_S}, got {s}: count keeps (2s+1)**2 bytes "

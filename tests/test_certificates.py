@@ -1,10 +1,10 @@
 """The certificate boundary: `validate` mints, and the consumers trust only its mint.
 
 `canonical_symmetry`, `reduce` and `decompose` take a `MagicSquare` that
-`validate` returned as it is, and validate any other one on entry: built by
-hand, copied by `dataclasses.replace`, or yielded by the `iter_*_squares`
-streams.  So every square reaching their bodies has passed `validate`
-exactly once.
+`validate` returned as it is, as the `iter_*_squares` streams yield them,
+and validate any other one on entry: built by hand or copied by
+`dataclasses.replace`.  So every square reaching their bodies has passed
+`validate` exactly once.
 """
 
 import contextlib
@@ -29,6 +29,7 @@ from magic3 import (
     count_closed,
     decompose,
     iter_brute_squares,
+    iter_family_squares,
     reduce,
     selftest,
     validate,
@@ -97,10 +98,17 @@ class TestMintedIsTrusted:
         decompose(magic)
         assert validate_calls == []
 
+    @pytest.mark.parametrize("stream", [iter_family_squares, iter_brute_squares])
+    @pytest.mark.parametrize("name", sorted(CONSUMERS))
+    def test_stream_certificate_is_not_validated_again(self, name, stream, validate_calls):
+        magic = next(stream(5))
+        validate_calls.clear()
+        CONSUMERS[name](magic)
+        assert validate_calls == []
+
     @pytest.mark.parametrize("name", sorted(CONSUMERS))
     def test_unminted_certificate_is_validated_once(self, name, validate_calls):
-        # An iter_brute_squares certificate is built without validate.
-        magic = next(iter_brute_squares(5))
+        magic = MagicSquare(SEED_F2, 15, 5)
         CONSUMERS[name](magic)
         assert validate_calls == [magic.entries]
 

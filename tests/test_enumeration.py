@@ -24,6 +24,7 @@ from magic3 import (
     expand,
     iter_brute_grids,
     iter_brute_squares,
+    iter_decompositions,
     iter_family_grids,
     iter_family_squares,
     magic_gf,
@@ -198,6 +199,24 @@ class TestBruteSweepChecks:
         )
         result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
         assert (result.returncode, result.stdout) == (0, f"{SLIPPED_GRID}\n"), result.stderr
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        count_families,
+        iter_family_grids,
+        iter_brute_grids,
+        iter_decompositions,
+        iter_family_squares,
+        iter_brute_squares,
+    ],
+    ids=lambda fn: fn.__name__,
+)
+def test_negative_s_raises_on_the_first_item(fn):
+    # `count_families` raises in the call, and each stream on its first item.
+    with pytest.raises(ValueError, match="^s must be nonnegative, got -1$"):
+        next(fn(-1))
 
 
 class TestReconcile:

@@ -1,7 +1,6 @@
 import pytest
 
 from magic3 import (
-    DivisibilityError,
     RationalSeries,
     count_closed,
     count_families,
@@ -69,6 +68,11 @@ class TestClosedForm:
         coeffs = expand(magic_gf(), 1001)
         for s in range(1001):
             assert count_closed(s) == coeffs[s]
+            # Mod 3 the closed form's terms are 0, s, 0, 0 and 2s, so its
+            # numerator is 3s = 0 mod 3 and the division by 3 is exact.
+            terms = (6 * s * s, -20 * s, 3, -3 * (-1) ** s, 8 * (s % 3))
+            assert [t % 3 for t in terms] == [0, s % 3, 0, 0, 2 * s % 3]
+            assert 3 * count_closed(s) == sum(terms)
 
     def test_agrees_with_family_enumeration(self):
         for s in range(0, 26):
@@ -87,6 +91,3 @@ class TestClosedForm:
                 for n in range(len(values) - 2)
             ]
             assert len(set(second)) == 1
-
-    def test_divisibility_guard_exists(self):
-        assert issubclass(DivisibilityError, Exception)

@@ -68,6 +68,28 @@ def test_certificate_mark_is_written_only_in_validate():
     ]
 
 
+def test_certificates_are_built_only_in_validate_and_reduce():
+    # Every other `MagicSquare` in the library comes out of `validate`; the
+    # square streams pass their grids through it rather than build their own.
+    calls = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        # Breadth-first, so a nested function's name overwrites its parent's.
+        scope = {
+            node: function.name
+            for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(function)
+        }
+        calls += [
+            (path.name, scope.get(node, ""))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "MagicSquare" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+    assert sorted(calls) == [("canonical.py", "reduce"), ("core.py", "validate")]
+
+
 def test_public_names_are_the_imported_names():
     # A name deleted from the imports and not from `__all__`, or the other
     # way round, shows here.
