@@ -84,15 +84,13 @@ def reduce(m: MagicSquare) -> tuple[ReducedMagicSquare, int, DihedralElement]:
 
     The symmetry g is applied first and i * ONES subtracted second (the two
     commute, but a fixed order keeps g reproducible).  The inverse transform
-    apply(g.inverse, reduced + i * ONES) recovers the input exactly.  m, validated
-    on entry unless `validate` minted it, certifies the result: g keeps lines
-    and distinct entries, and the shift lowers every line sum by 3i.
+    apply(g.inverse, reduced + i * ONES) recovers the input exactly.  m is
+    validated on entry unless `validate` minted it, and the reduced square is
+    minted by `validate`, so the consumers take it as it is.
     """
     magic = m if getattr(m, "_minted", False) else validate(m.square)
     g = canonical_symmetry(magic)
     i = min(magic.entries)
-    grid = Square(tuple(value - i for value in apply(g, magic.square).entries))
-    s = magic.s - i
-    reduced = MagicSquare(square=grid, magic_sum=magic.magic_sum - 3 * i, s=s)
-    return ReducedMagicSquare(square=reduced, r=grid.c3, s=s), i, g
+    reduced = validate(Square(tuple(value - i for value in apply(g, magic.square).entries)))
+    return ReducedMagicSquare(square=reduced, r=reduced.square.c3, s=reduced.s), i, g
 

@@ -24,12 +24,12 @@ from .core import (
     parse_square,
     validate,
 )
-from .decompose import Decomposition, Family, construct, decompose
+from .decompose import _INVERSE_IMAGES, Decomposition, Family, construct, decompose
 from .enumeration import (
     COUNT_MAX_S,
     MismatchError,
     iter_brute_grids,
-    iter_family_grids,
+    iter_family_points,
     reconcile,
 )
 
@@ -93,25 +93,43 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    stream = iter_brute_grids if args.source == "brute" else iter_family_grids
-    grids = stream(args.s)
-    # Both streams certify their grids themselves: the family grids by
+    # Both streams certify what they yield themselves: the family points by
     # construction, the brute grids by the sweep's nonnegativity, line-sum
-    # and distinctness checks.  Written chunk by chunk, with the bytes of
-    # printing every square (or one JSON array of them).  No entry of a square
-    # with center s exceeds 2s (opposite cells sum to 2s), and the first grid
-    # of either stream holds 2s and gets the `Square` entry checks, so a range
-    # error or a negative s raises in the first chunk, before anything is written.
+    # and distinctness checks.  Written chunk by chunk of 1,024 squares, with
+    # the bytes of printing every square (or one JSON array of them).  No
+    # entry of a square with center s exceeds 2s (opposite cells sum to 2s),
+    # and the first family point and the first brute grid hold 2s and get the
+    # `Square` entry checks, so a range error or a negative s raises in the
+    # first chunk, before anything is written.
+    json_format = args.format == "json"
+    if args.source == "brute":
+        grids = iter_brute_grids(args.s)
+        row = _JSON_ROW if json_format else _TEXT_ROW
+        chunks = iter(lambda: [row % grid for grid in islice(grids, _ENUMERATE_CHUNK)], [])
+    else:
+        # A lattice point's eight squares permute its nine entries, so each
+        # entry is written in decimal once and the images permute the strings.
+        # `base_grid` builds plain ints, whose `str` is what `%d` prints.
+        points = iter_family_points(args.s)
+        head, sep, tail = ("[", ",", "]") if json_format else ("", " ", "\n")
+        chunks = iter(
+            lambda: [
+                head + sep.join(image(names)) + tail
+                for base in islice(points, _ENUMERATE_CHUNK // len(_INVERSE_IMAGES))
+                for names in [tuple(map(str, base))]
+                for image in _INVERSE_IMAGES
+            ],
+            [],
+        )
     write = sys.stdout.write
-    row = _JSON_ROW if args.format == "json" else _TEXT_ROW
     opening = "["
-    while rows := [row % grid for grid in islice(grids, _ENUMERATE_CHUNK)]:
-        if args.format == "json":
+    for rows in chunks:
+        if json_format:
             write(opening + ",".join(rows))
             opening = ","
         else:
             write("".join(rows))
-    if args.format == "json":
+    if json_format:
         write("[]\n" if opening == "[" else "]\n")
     return 0
 

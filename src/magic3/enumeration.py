@@ -1,8 +1,9 @@
 """Enumerate all magic squares for a given magic parameter s, two ways.
 
-`iter_family_grids` expands the two affine families over every lattice
-solution of 4 + i + 3j + k = s and 5 + i + 3j + 2k = s and all eight
-symmetries.  `iter_brute_grids` is the independent oracle: it sweeps the two
+`iter_family_points` walks every lattice solution of 4 + i + 3j + k = s and
+5 + i + 3j + 2k = s and yields each one's base grid; `iter_family_grids`
+expands each point into its eight symmetric images, which permute the same
+nine entries.  `iter_brute_grids` is the independent oracle: it sweeps the two
 free cells (a1, a2), fills the rest of the grid from the line-sum equations,
 and keeps grids whose entries are pairwise distinct.  `reconcile` runs both
 plus the two counting devices and insists all four agree.
@@ -21,20 +22,21 @@ also repeats.
 
 Both grid streams certify what they yield without building a `Square` per
 grid.  Family grids are magic by construction, and each lattice point's base
-grid gets the `Square` entry checks.  The brute sweep checks each grid
-itself: all eight line sums equal to 3s (a MismatchError otherwise) and
-distinct entries, its a2 range keeps every entry nonnegative, and it gives
-its first grid the `Square` entry checks.  No entry of either stream exceeds
+grid gets the `Square` entry checks before the point is yielded.  The brute
+sweep checks each grid itself: all eight line sums equal to 3s (a
+MismatchError otherwise) and distinct entries, its a2 range keeps every
+entry nonnegative, and it gives its first grid the `Square` entry checks.  No entry of either stream exceeds
 2s, because opposite cells of a square with center s sum to 2s, and the
 first grid of each holds 2s, so an s past the 64-bit range fails on the
 first grid.  A negative s raises ValueError on the first item of every
 stream, and the `iter_*_squares` streams mint each certificate by `validate`.
 
-Output orders are deterministic: family expansion is lexicographic by
-(family, i, j, k, symmetry index), brute force by (a1, a2).  The grid
-streams hold one lattice point or one (a1, a2) pair at a time, so a consumer
-that does not keep what they yield (such as `magic3 enumerate`, which writes
-them out in fixed-size chunks) runs in memory that does not depend on s.
+Output orders are deterministic: family points are lexicographic by
+(family, i, j, k) and family grids by (family, i, j, k, symmetry index),
+brute force by (a1, a2).  The streams hold one lattice point or one
+(a1, a2) pair at a time, so a consumer that does not keep what they yield
+(such as `magic3 enumerate`, which writes the points' images and the brute
+grids out in fixed-size chunks) runs in memory that does not depend on s.
 """
 
 from __future__ import annotations
@@ -85,16 +87,25 @@ def iter_decompositions(s: int) -> Iterator[Decomposition]:
             yield Decomposition(family=family, i=i, j=j, k=k, symmetry=g)
 
 
-def iter_family_grids(s: int) -> Iterator[tuple[int, ...]]:
-    """Row-major grids of the family expansion, in output order.
+def iter_family_points(s: int) -> Iterator[tuple[int, ...]]:
+    """Base grid of each lattice point of the family expansion, in output order.
 
-    Each lattice point's base grid gets the `Square` entry checks, so an s
-    past the 64-bit range raises EntryRangeError as `Square` would on the
-    first image.  Its eight images permute those same nine entries.
+    Each base grid gets the `Square` entry checks, so an s past the 64-bit
+    range raises EntryRangeError as `Square` would on the first point.
     """
     for family, i, j, k in _family_solutions(s):
         base = base_grid(family, i, j, k)
         check_entries(base)
+        yield base
+
+
+def iter_family_grids(s: int) -> Iterator[tuple[int, ...]]:
+    """Row-major grids of the family expansion, in output order.
+
+    The eight images of each `iter_family_points` base grid, in symmetry
+    index order; each permutes the base grid's checked entries.
+    """
+    for base in iter_family_points(s):
         for image in _INVERSE_IMAGES:
             yield image(base)
 

@@ -1,10 +1,11 @@
 """The certificate boundary: `validate` mints, and the consumers trust only its mint.
 
 `canonical_symmetry`, `reduce` and `decompose` take a `MagicSquare` that
-`validate` returned as it is, as the `iter_*_squares` streams yield them,
-and validate any other one on entry: built by hand or copied by
+`validate` returned as it is, as the `iter_*_squares` streams and `reduce`
+yield them, and validate any other one on entry: built by hand or copied by
 `dataclasses.replace`.  So every square reaching their bodies has passed
-`validate` exactly once.
+`validate` exactly once.  `reduce` mints its reduced square by one more
+`validate` call, on its result.
 """
 
 import contextlib
@@ -62,6 +63,11 @@ def validate_calls(monkeypatch):
     return calls
 
 
+def mints(result):
+    """The `validate` calls a consumer makes on its own result: `reduce` mints its reduced square."""
+    return [result[0].entries] if isinstance(result, tuple) else []
+
+
 def run_main(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -74,7 +80,9 @@ class TestValidatedOnce:
     def test_cli_verb_validates_its_square_once(self, verb, validate_calls):
         rc, _ = run_main([verb, "8", "1", "6", "3", "5", "7", "4", "9", "2"])
         assert rc == 0
-        assert validate_calls == [(8, 1, 6, 3, 5, 7, 4, 9, 2)]
+        # The reduced square of this one is SEED_F1.
+        reduced = [SEED_F1.entries] if verb == "reduce" else []
+        assert validate_calls == [(8, 1, 6, 3, 5, 7, 4, 9, 2), *reduced]
 
     def test_selftest_validates_once_per_round_trip(self, validate_calls):
         selftest.run(4, echo=lambda line: None)
@@ -88,8 +96,8 @@ class TestMintedIsTrusted:
     def test_minted_certificate_is_not_validated_again(self, name, validate_calls):
         magic = validate(SEED_F2)
         validate_calls.clear()
-        CONSUMERS[name](magic)
-        assert validate_calls == []
+        result = CONSUMERS[name](magic)
+        assert validate_calls == mints(result)
 
     def test_round_trip_validates_in_construct_only(self, validate_calls):
         magic = construct(decompose(validate(SEED_F2)))
@@ -103,21 +111,30 @@ class TestMintedIsTrusted:
     def test_stream_certificate_is_not_validated_again(self, name, stream, validate_calls):
         magic = next(stream(5))
         validate_calls.clear()
-        CONSUMERS[name](magic)
-        assert validate_calls == []
+        result = CONSUMERS[name](magic)
+        assert validate_calls == mints(result)
+
+    @pytest.mark.parametrize("name", sorted(CONSUMERS))
+    def test_reduced_certificate_is_not_validated_again(self, name, validate_calls):
+        # The Lo Shu square reduces to SEED_F1, which `reduce` fixes.
+        reduced = reduce(validate(Square((8, 1, 6, 3, 5, 7, 4, 9, 2))))[0].square
+        assert getattr(reduced, "_minted", False)
+        validate_calls.clear()
+        result = CONSUMERS[name](reduced)
+        assert validate_calls == mints(result)
 
     @pytest.mark.parametrize("name", sorted(CONSUMERS))
     def test_unminted_certificate_is_validated_once(self, name, validate_calls):
         magic = MagicSquare(SEED_F2, 15, 5)
-        CONSUMERS[name](magic)
-        assert validate_calls == [magic.entries]
+        result = CONSUMERS[name](magic)
+        assert validate_calls == [magic.entries, *mints(result)]
 
     @pytest.mark.parametrize("name", sorted(CONSUMERS))
     def test_replace_copy_of_a_minted_certificate_is_validated(self, name, validate_calls):
         copy = replace(validate(SEED_F1))
         validate_calls.clear()
-        CONSUMERS[name](copy)
-        assert validate_calls == [SEED_F1.entries]
+        result = CONSUMERS[name](copy)
+        assert validate_calls == [SEED_F1.entries, *mints(result)]
 
 
 class TestForgeriesAreRejected:
@@ -172,4 +189,5 @@ class TestForgeriesAreRejected:
         expected = "".join(
             f"{name} NotMagicError\n" * 2 for name in ("canonical_symmetry", "reduce", "decompose")
         )
-        assert (result.returncode, result.stdout) == (0, expected + "6\n"), result.stderr
+        # Two forgeries per consumer, and `reduce` minting its result from `minted`.
+        assert (result.returncode, result.stdout) == (0, expected + "7\n"), result.stderr

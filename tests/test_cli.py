@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -19,7 +20,9 @@ from magic3 import (
     cli,
     enumeration,
     format_square,
+    iter_brute_grids,
     iter_brute_squares,
+    iter_family_grids,
     iter_family_squares,
     selftest,
     validate,
@@ -42,6 +45,20 @@ def main_stdout(argv: list[str]) -> tuple[int, str]:
     with contextlib.redirect_stdout(out):
         rc = cli.main(argv)
     return rc, out.getvalue()
+
+
+class FirstWrite(Exception):
+    """Raised by `FirstWriteStdout` to stop a command at its first write."""
+
+
+class FirstWriteStdout:
+    """A stdout that keeps the first text written to it and stops the writer there."""
+
+    text = None
+
+    def write(self, text: str) -> int:
+        self.text = text
+        raise FirstWrite
 
 
 def certified_full_sweep(s: int):
@@ -206,12 +223,31 @@ class TestEnumerate:
     @pytest.mark.parametrize("source", ["families", "brute"])
     def test_stream_matches_collected_rendering(self, source):
         collect = iter_brute_squares if source == "brute" else iter_family_squares
-        for s in range(0, 41):
+        # 230 and 269 are the ends of the benchmark's band of s.
+        for s in (*range(0, 41), 230, 269):
             squares = tuple(collect(s))
             text = "".join(format_square(m.square) + "\n" for m in squares)
             array = json.dumps([list(m.entries) for m in squares], separators=(",", ":")) + "\n"
             for fmt, expected in (("text", text), ("json", array)):
                 assert main_stdout(["enumerate", str(s), "--source", source, "--format", fmt]) == (0, expected)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("source", ["families", "brute"])
+    def test_first_chunk_at_the_largest_s(self, source, fmt):
+        # 2s = 2**64 - 2: twenty-digit entries, and the whole first chunk
+        # (128 lattice points of the family expansion).
+        s = 2**63 - 1
+        stream = iter_brute_grids if source == "brute" else iter_family_grids
+        grids = list(itertools.islice(stream(s), 1024))
+        if fmt == "text":
+            expected = "".join(format_square(Square(grid)) + "\n" for grid in grids)
+        else:
+            expected = json.dumps([list(grid) for grid in grids], separators=(",", ":"))[:-1]
+        out = FirstWriteStdout()
+        with contextlib.redirect_stdout(out), pytest.raises(FirstWrite):
+            cli.main(["enumerate", str(s), "--source", source, "--format", fmt])
+        assert max(grids[0]) == 2 * s
+        assert out.text == expected
 
     @pytest.mark.parametrize("source", ["families", "brute"])
     def test_entry_range_rejected_at_once(self, source):

@@ -18,6 +18,7 @@ from magic3 import (
     MismatchError,
     add,
     apply,
+    construct,
     count_closed,
     count_families,
     decompose,
@@ -30,7 +31,8 @@ from magic3 import (
     magic_gf,
     reconcile,
 )
-from magic3.enumeration import COUNT_MAX_S
+from magic3.decompose import _INVERSE_IMAGES
+from magic3.enumeration import COUNT_MAX_S, iter_family_points
 
 
 def naive_magic_grids(s):
@@ -129,6 +131,18 @@ class TestFamilyEnumeration:
             assert min(m.entries) == d.i
             assert max(m.entries) <= 2 * m.s
 
+    def test_grids_are_the_eight_images_of_each_point(self):
+        # `magic3 enumerate` renders the points; `reconcile` counts the grids.
+        for s in range(0, 41):
+            grids = list(iter_family_grids(s))
+            images = [image(base) for base in iter_family_points(s) for image in _INVERSE_IMAGES]
+            assert grids == images
+            assert grids == [construct(d).entries for d in iter_decompositions(s)]
+
+    def test_range_error_comes_with_the_first_point(self):
+        with pytest.raises(EntryRangeError, match=f"^entry {2**64} exceeds"):
+            next(iter_family_points(2**63))
+
     def test_monotone_nesting(self):
         for s in range(4, 11):
             grown = {add(m.square, ONES).entries for m in iter_family_squares(s)}
@@ -205,6 +219,7 @@ class TestBruteSweepChecks:
     "fn",
     [
         count_families,
+        iter_family_points,
         iter_family_grids,
         iter_brute_grids,
         iter_decompositions,
