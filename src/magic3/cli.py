@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage or parse failure, 2 domain rejection (the
 input square is not magic), 3 two routes disagreed (stderr then starts with
-"<verb> failed:").  All JSON goes to stdout, one object or array per
+"<verb> failed:"), 4 stdout was closed early or could not be written (stderr
+then holds one line).  All JSON goes to stdout, one object or array per
 invocation, with no trailing commentary.  Identical invocations produce
 byte-identical output.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import islice
 
@@ -60,27 +62,24 @@ def _square_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> None:
     magic = validate(parse_square(" ".join(args.square)))
     print(f"magic m={magic.magic_sum} s={magic.s}")
-    return 0
 
 
-def _cmd_reduce(args: argparse.Namespace) -> int:
+def _cmd_reduce(args: argparse.Namespace) -> None:
     magic = validate(parse_square(" ".join(args.square)))
     reduced, shift, g = reduce(magic)
     obj = {"reduced": list(reduced.entries), "i": shift, "symmetry": g.tag}
     print(json.dumps(obj, **_JSON_COMPACT))
-    return 0
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
+def _cmd_decompose(args: argparse.Namespace) -> None:
     d = decompose(validate(parse_square(" ".join(args.square))))
     print(json.dumps(d.to_json_obj(), **_JSON_COMPACT))
-    return 0
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
+def _cmd_construct(args: argparse.Namespace) -> None:
     d = Decomposition(
         family=Family(args.family),
         i=args.i,
@@ -89,10 +88,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         symmetry=DihedralElement(args.sym),
     )
     print(format_square(construct(d).square))
-    return 0
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> None:
     # Both streams certify what they yield themselves: the family points by
     # construction, the brute grids by the sweep's nonnegativity, line-sum
     # and distinctness checks.  Written chunk by chunk of 1,024 squares, with
@@ -131,10 +129,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             write("".join(rows))
     if json_format:
         write("[]\n" if opening == "[" else "]\n")
-    return 0
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: argparse.Namespace) -> None:
     report = reconcile(args.s, include_brute=not args.no_brute)
     obj = {
         "s": report.s,
@@ -144,12 +141,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
         "brute": report.brute,
     }
     print(json.dumps(obj, **_JSON_COMPACT))
-    return 0
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
+def _cmd_selftest(args: argparse.Namespace) -> None:
     selftest.run(args.max_s)
-    return 0
 
 
 def _build_parser() -> _Parser:
@@ -204,18 +199,28 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except MismatchError as exc:
-        print(f"{args.verb} failed: {exc}", file=sys.stderr)
-        if exc.square is not None:
-            print(f"counterexample: {' '.join(str(v) for v in exc.square)}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 1
-    except MagicSquareError as exc:
-        print(f"rejected: {exc}")
-        return 2
+        try:
+            args.func(args)
+            code = 0
+        except MismatchError as exc:
+            print(f"{args.verb} failed: {exc}", file=sys.stderr)
+            if exc.square is not None:
+                print(f"counterexample: {' '.join(str(v) for v in exc.square)}", file=sys.stderr)
+            code = 3
+        except ValueError as exc:
+            print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+            code = 1
+        except MagicSquareError as exc:
+            print(f"rejected: {exc}")
+            code = 2
+        # Flushed here, so that a closed or full stdout is caught below.
+        sys.stdout.flush()
+    except OSError as exc:
+        # Point stdout at the null device, so the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"{parser.prog}: error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
+        return 4
+    return code
 
 
 if __name__ == "__main__":

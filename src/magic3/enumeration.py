@@ -13,12 +13,16 @@ per (a1, a2), and keeps neither set.  Six equations (center s, a1 + c3 =
 a2 + c2 = a3 + c1 = b1 + b3 = 2s, row 1 = column 1 = 3s) make every line sum
 3s and force the grid from (a1, a2), so a grid that satisfies them is named
 by its cell.  Family grids move their cells from 0 to 1 and brute grids from
-1 to 2.  Each stream is walked once, on success and on failure alike, and a
-failure is named from the marks: the first repeated family grid, otherwise
-the smallest square in one stream and not the other, otherwise the first
-repeated brute grid.  A grid the six equations reject counts as a difference
-(or, without the brute-force stream, as a non-magic family grid), even if it
-also repeats.
+1 to 2.  Each stream is walked once, and a failure is named from the marks
+(see `reconcile`).
+
+The family grids are marked one lattice row (family, i) at a time.  Along a
+row every base-grid entry is affine in j, so each image's cells form one
+extended slice of the marks.  The six equations are linear and
+0 <= entry <= 2s convex, so a row whose two end base grids pass them passes
+at every point, and so does each image, as it maps lines onto lines (checked
+at import).  A row that fails, or whose slices hold a marked cell, is walked
+per grid, so a failure is named as a per-grid walk names it.
 
 Both grid streams certify what they yield without building a `Square` per
 grid.  Family grids are magic by construction, and each lattice point's base
@@ -41,9 +45,10 @@ grids out in fixed-size chunks) runs in memory that does not depend on s.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .core import (
+    _LINES,
     ELEMENTS,
     MagicSquare,
     MagicSquareError,
@@ -59,6 +64,18 @@ from .series import CountReport, _check_s, count_closed, expand, magic_gf
 COUNT_MAX_S = 8191
 
 
+def _check_images(images: tuple[Callable[..., tuple[int, ...]], ...]) -> None:
+    """Raise RuntimeError unless each image maps the eight lines onto the eight lines."""
+    lines = {frozenset(line) for _, line in _LINES}
+    for image in images:
+        cells = image(range(9))
+        if {frozenset(cells[c] for c in line) for line in lines} != lines:
+            raise RuntimeError(f"image {cells} does not map the eight lines onto the eight lines")
+
+
+_check_images(_INVERSE_IMAGES)
+
+
 class MismatchError(MagicSquareError):
     """Two counting or enumeration routes disagreed; never fires on a sound build."""
 
@@ -67,24 +84,27 @@ class MismatchError(MagicSquareError):
         self.square = square
 
 
-def _family_solutions(s: int) -> Iterator[tuple[Family, int, int, int]]:
-    """Lattice solutions (family, i, j, k) in lexicographic order."""
+def _family_rows(s: int) -> Iterator[tuple[Family, int, range, range]]:
+    """Nonempty lattice rows (family, i, js, ks), lexicographic; a row's points are zip(js, ks).
+
+    With rest = s - base_s - i, j steps by k_step from rest % k_step up to rest / 3.
+    """
     _check_s(s)
     for family in Family:
-        budget = s - family.base_s
+        budget, step = s - family.base_s, family.k_step
         for i in range(budget + 1):
             rest = budget - i
-            for j in range(rest // 3 + 1):
-                k, leftover = divmod(rest - 3 * j, family.k_step)
-                if leftover == 0:
-                    yield family, i, j, k
+            js = range(rest % step, rest // 3 + 1, step)
+            if js:
+                yield family, i, js, range((rest - 3 * js[0]) // step, -1, -3)
 
 
 def iter_decompositions(s: int) -> Iterator[Decomposition]:
     """Every decomposition with magic parameter s, in output order."""
-    for family, i, j, k in _family_solutions(s):
-        for g in ELEMENTS:
-            yield Decomposition(family=family, i=i, j=j, k=k, symmetry=g)
+    for family, i, js, ks in _family_rows(s):
+        for j, k in zip(js, ks):
+            for g in ELEMENTS:
+                yield Decomposition(family=family, i=i, j=j, k=k, symmetry=g)
 
 
 def iter_family_points(s: int) -> Iterator[tuple[int, ...]]:
@@ -93,10 +113,11 @@ def iter_family_points(s: int) -> Iterator[tuple[int, ...]]:
     Each base grid gets the `Square` entry checks, so an s past the 64-bit
     range raises EntryRangeError as `Square` would on the first point.
     """
-    for family, i, j, k in _family_solutions(s):
-        base = base_grid(family, i, j, k)
-        check_entries(base)
-        yield base
+    for family, i, js, ks in _family_rows(s):
+        for j, k in zip(js, ks):
+            base = base_grid(family, i, j, k)
+            check_entries(base)
+            yield base
 
 
 def iter_family_grids(s: int) -> Iterator[tuple[int, ...]]:
@@ -229,6 +250,47 @@ def _mark_cells(
     return count, repeat, stray
 
 
+def _mark_family_rows(
+    s: int, marks: bytearray
+) -> tuple[int, tuple[int, ...] | None, tuple[int, ...] | None]:
+    """`_mark_cells(iter_family_grids(s), s, marks, 0)`, one lattice row at a time.
+
+    Certifies each row by its two end base grids and marks one slice per image
+    (see the module docstring); a row that fails is cleared and walked per grid.
+    """
+    w, two_s, images = 2 * s + 1, 2 * s, _INVERSE_IMAGES
+    # The base-grid cells that each image reads its a1 and a2 from.
+    sources = [image(range(9))[:2] for image in images]
+    count, repeat, stray = 0, None, None
+    for family, i, js, ks in _family_rows(s):
+        n = len(js)
+        ends = (base_grid(family, i, js[0], ks[0]), base_grid(family, i, js[-1], ks[-1]))
+        spans: list[slice] = []
+        # A grid within [0, 2s] passes the six equations if they force it from its (a1, a2).
+        if all(
+            0 <= min(g) <= max(g) <= two_s and g == _forced_grid(s, g[0] * w + g[1]) for g in ends
+        ):
+            for p1, p2 in sources:
+                a, b = (g[p1] * w + g[p2] for g in ends)
+                step = abs(b - a) // (n - 1) if n > 1 else 1
+                span = slice(min(a, b), min(a, b) + n * step, step or 1)
+                if not step or marks[span].count(0) != n:
+                    break
+                marks[span] = b"\1" * n
+                spans.append(span)
+            else:
+                count += n * len(sources)
+                continue
+        for span in spans:
+            marks[span] = bytes(n)
+        grids = (image(base_grid(family, i, j, k)) for j, k in zip(js, ks) for image in images)
+        moved, first_repeat, smallest = _mark_cells(grids, s, marks, 0)
+        count += moved
+        repeat = first_repeat if repeat is None else repeat
+        stray = min((g for g in (stray, smallest) if g is not None), default=None)
+    return count, repeat, stray
+
+
 def _forced_grid(s: int, cell: int) -> tuple[int, ...]:
     """The grid that the six equations force from cell a1 * (2s + 1) + a2."""
     a1, a2 = divmod(cell, 2 * s + 1)
@@ -251,10 +313,13 @@ def reconcile(s: int, include_brute: bool = True) -> CountReport:
     b3 = 2s - b1.  So with 0 <= a1, a2 <= 2s, its cell a1 * (2s + 1) + a2
     stands for the whole grid, and cells sort as their grids do.  Each
     family grid moves its cell from 0 to 1, and each brute grid moves its
-    cell from 1 to 2.  No family cell found at 1 means no family grid
-    repeats; every brute cell found at 1 means every brute grid is a family
-    grid and none repeats; and no cell left at 1 then makes the two sets
-    equal.
+    cell from 1 to 2.  The family grids go one lattice row at a time: the
+    equations are linear and the entries affine in j along a row, so its two
+    end base grids certify all its points, and each image maps lines onto
+    lines, so its cells pass too and form one slice of the marks.  No family
+    cell found at 1 means no family grid repeats; every brute cell found at 1
+    means every brute grid is a family grid and none repeats; and no cell
+    left at 1 then makes the two sets equal.
 
     Each stream is walked once, and a failure is named from the marks alone.
     MismatchError names the first repeated family grid in stream order.
@@ -279,7 +344,7 @@ def reconcile(s: int, include_brute: bool = True) -> CountReport:
     closed = count_closed(s)
     series_count = expand(magic_gf(), s + 1)[s]
     marks = bytearray((2 * s + 1) ** 2)
-    families, repeat, stray = _mark_cells(iter_family_grids(s), s, marks, 0)
+    families, repeat, stray = _mark_family_rows(s, marks)
     if repeat is not None:
         raise MismatchError(f"family expansion repeated a square at s={s}", square=repeat)
     brute: int | None = None

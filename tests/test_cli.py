@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -399,3 +400,70 @@ class TestUsage:
         result = run_cli(*argv, timeout=10)
         assert (result.returncode, result.stdout) == (1, "")
         assert result.stderr == "magic3: error: s must be nonnegative, got -1\n"
+
+
+def without_unbuffered(env):
+    """`env` less PYTHONUNBUFFERED, so a child's stdout is block-buffered."""
+    return {k: v for k, v in env.items() if k != "PYTHONUNBUFFERED"}
+
+
+class TestClosedStdout:
+    """A reader that leaves early, or a full device, ends the run with exit 4
+    and one stderr line, not a traceback."""
+
+    BROKEN_PIPE = "magic3: error: cannot write to stdout: Broken pipe\n"
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        # The last one writes its `rejected: ...` line to stdout.
+        [["enumerate", "250"], ["count", "40"], ["verify", *"1 2 3 4 5 6 7 8 9".split()]],
+        ids=" ".join,
+    )
+    def test_pipe_closed_before_the_first_write(self, argv, buffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONUNBUFFERED": "1"}
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "magic3", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+                env=without_unbuffered(env) if buffered else env,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (4, self.BROKEN_PIPE)
+
+    def test_pipe_closed_after_the_first_bytes(self):
+        # As `magic3 enumerate 250 | head -c 20`: the output runs to about 1 MB.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "magic3", "enumerate", "250"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (4, self.BROKEN_PIPE)
+        assert head == b"499 0 251 2 250 498 "
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["enumerate", "30"], ["count", "12"]], ids=" ".join)
+    def test_full_device(self, argv):
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "magic3", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+                env=without_unbuffered(os.environ),
+            )
+        assert (result.returncode, result.stderr) == (
+            4,
+            "magic3: error: cannot write to stdout: No space left on device\n",
+        )

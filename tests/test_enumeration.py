@@ -3,6 +3,7 @@ import itertools
 import subprocess
 import sys
 import tracemalloc
+from operator import itemgetter
 
 import pytest
 
@@ -31,7 +32,7 @@ from magic3 import (
     magic_gf,
     reconcile,
 )
-from magic3.decompose import _INVERSE_IMAGES
+from magic3.decompose import _BASIS, _INVERSE_IMAGES, Family, base_grid
 from magic3.enumeration import COUNT_MAX_S, iter_family_points
 
 
@@ -269,27 +270,76 @@ def _patched(monkeypatch, name, edit):
     return list(real(6))
 
 
+def row_grids(rows):
+    """The grids of lattice rows (family, i, js, ks), point by point and image by image."""
+    return [
+        image(base_grid(family, i, j, k))
+        for family, i, js, ks in rows
+        for j, k in zip(js, ks)
+        for image in _INVERSE_IMAGES
+    ]
+
+
+# The point (F1, i=1, j=0, k=2) has s = 7: a row that `_family_rows(6)` should not
+# yield.  Its first image is the first grid at s = 6 plus ONES, center 7.
+EXTRA_ROW = (Family.F1, 1, range(0, 1), range(2, 3))
+
+
 class TestReconcileFailures:
     """A failure names the first repeated family grid in stream order, or the
-    smallest square of the set difference."""
+    smallest square of the set difference.
+
+    The family half is marked one lattice row at a time, so its faults are
+    injected where a row walk can meet them: in the row stream
+    `_family_rows`, in the (seed, GEN3, generator) table `_BASIS`, or in the
+    image table `_INVERSE_IMAGES`."""
 
     def test_repeated_family_grid_is_the_first_repeat_in_stream_order(self, monkeypatch):
-        grids = _patched(monkeypatch, "iter_family_grids", lambda g: g[:5] + [g[3], g[1]] + g[5:])
+        # Each point yields images 0-4, 3, 1, 5-7: the first repeat is image 3.
+        grids = list(iter_family_grids(6))
+        images = _INVERSE_IMAGES[:5] + (_INVERSE_IMAGES[3], _INVERSE_IMAGES[1]) + _INVERSE_IMAGES[5:]
+        monkeypatch.setattr(enumeration, "_INVERSE_IMAGES", images)
         with pytest.raises(MismatchError, match="family expansion repeated") as info:
             reconcile(6)
         assert info.value.square == grids[3]
 
+    def test_repeat_within_one_row_is_named_at_its_second_point(self, monkeypatch):
+        # With GEN3 = 3 * GEN1 on F1, a step in j (k falling by 3) moves no
+        # entry, so the row (F1, i=0) at s = 7 yields one base grid twice.
+        basis = tuple((se, 3 * ge, ge) for se, _, ge in _BASIS["F1"])
+        monkeypatch.setitem(_BASIS, "F1", basis)
+        grids = list(iter_family_grids(7))
+        assert grids[8] == grids[0] and len(set(grids[:8])) == 8
+        with pytest.raises(MismatchError, match="family expansion repeated a square at s=7") as info:
+            reconcile(7)
+        assert info.value.square == grids[0]
+
+    def test_repeat_across_rows_is_the_first_repeat_in_stream_order(self, monkeypatch):
+        rows = _patched(monkeypatch, "_family_rows", lambda r: r[:3] + [r[2], r[0]] + r[3:])
+        with pytest.raises(MismatchError, match="family expansion repeated") as info:
+            reconcile(6)
+        assert info.value.square == row_grids([rows[2]])[0]
+
+    def test_extra_family_row_is_named(self, monkeypatch):
+        grids = list(iter_family_grids(6))
+        _patched(monkeypatch, "_family_rows", lambda rows: rows + [EXTRA_ROW])
+        extra = row_grids([EXTRA_ROW])
+        assert extra[0] == tuple(v + 1 for v in grids[0])
+        with pytest.raises(MismatchError, match="square sets differ") as info:
+            reconcile(6)
+        assert info.value.square == min(extra)
+        assert str(info.value).endswith("comes from families")
+
     @pytest.mark.parametrize(
-        "name, edit, expected, side",
+        "edit, expected, side",
         [
-            ("iter_brute_grids", lambda g: g + [tuple(v + 1 for v in g[0])], "extra", "brute force"),
-            ("iter_brute_grids", lambda g: g[:9] + g[10:], "dropped", "families"),
-            ("iter_family_grids", lambda g: g + [tuple(v + 1 for v in g[0])], "extra", "families"),
-            ("iter_brute_grids", lambda g: g[:9] + g[10:] + [tuple(v + 1 for v in g[0])], "min", None),
+            (lambda g: g + [tuple(v + 1 for v in g[0])], "extra", "brute force"),
+            (lambda g: g[:9] + g[10:], "dropped", "families"),
+            (lambda g: g[:9] + g[10:] + [tuple(v + 1 for v in g[0])], "min", None),
         ],
     )
-    def test_set_difference_names_its_smallest_square(self, monkeypatch, name, edit, expected, side):
-        grids = _patched(monkeypatch, name, edit)
+    def test_set_difference_names_its_smallest_square(self, monkeypatch, edit, expected, side):
+        grids = _patched(monkeypatch, "iter_brute_grids", edit)
         extra, dropped = tuple(v + 1 for v in grids[0]), grids[9]
         square = {"extra": extra, "dropped": dropped, "min": min(extra, dropped)}[expected]
         with pytest.raises(MismatchError, match="square sets differ") as info:
@@ -319,24 +369,22 @@ def set_based_reconcile(s, include_brute=True):
     return CountReport(s, closed, series_count, len(family_set), brute)
 
 
-def edit_first(when, change):
-    """A grid-stream edit: `change` applied to the first grid that `when` holds for."""
-    def edit(grids):
-        n = next(n for n, g in enumerate(grids) if when(g))
-        return grids[:n] + [change(grids[n])] + grids[n + 1:]
-
-    return edit
-
-
-# Each edit keeps the grid's (a1, a2) and makes it not magic, and the edited
-# grid sorts before the true one.  Swapping b1 and b3 breaks column 1.
-# Swapping c2 and c3 keeps row 1 and column 1 but breaks a2 + c2 = 2s and
-# a1 + c3 = 2s.  Lowering the center by one keeps all of those.
-NON_MAGIC_EDITS = {
-    "b1-b3": edit_first(lambda g: g[5] < g[3], lambda g: g[:3] + (g[5], g[4], g[3]) + g[6:]),
-    "c2-c3": edit_first(lambda g: g[8] < g[7], lambda g: g[:7] + (g[8], g[7])),
-    "center": edit_first(lambda g: True, lambda g: g[:4] + (g[4] - 1,) + g[5:]),
+# Each edit makes every F1 grid not magic when put into F1's seed column of
+# `_BASIS`.  Swapping b1 and b3 breaks column 1; swapping c2 and c3 breaks
+# a2 + c2 = 2s and a1 + c3 = 2s in the base grid; lowering the center by one
+# keeps all of those.  The images move the swapped cells around the grid.
+SEED_EDITS = {
+    "b1-b3": lambda g: g[:3] + (g[5], g[4], g[3]) + g[6:],
+    "c2-c3": lambda g: g[:7] + (g[8], g[7]),
+    "center": lambda g: g[:4] + (g[4] - 1,) + g[5:],
 }
+
+
+def edit_seed(monkeypatch, family, edit):
+    """Put `edit` of the family's seed entries into `_BASIS`."""
+    basis = _BASIS[family]
+    seed = edit(tuple(se for se, _, _ in basis))
+    monkeypatch.setitem(_BASIS, family, tuple((se, sh, ge) for se, (_, sh, ge) in zip(seed, basis)))
 
 
 class TestReconcileMarks:
@@ -348,17 +396,23 @@ class TestReconcileMarks:
             assert reconcile(s, include_brute) == set_based_reconcile(s, include_brute)
 
     @pytest.mark.parametrize("include_brute", [True, False])
-    @pytest.mark.parametrize("edit", NON_MAGIC_EDITS.values(), ids=NON_MAGIC_EDITS.keys())
+    @pytest.mark.parametrize("edit", SEED_EDITS.values(), ids=SEED_EDITS.keys())
     def test_non_magic_family_grid_is_named(self, monkeypatch, edit, include_brute):
-        grids = _patched(monkeypatch, "iter_family_grids", edit)
-        edited = next(g for g, h in zip(edit(grids), grids) if g != h)
+        true = list(iter_family_grids(6))
+        edit_seed(monkeypatch, "F1", edit)
+        changed = [(g, h) for g, h in zip(iter_family_grids(6), true) if g != h]
+        assert len(changed) == 24
+        edited, lost = min(g for g, _ in changed), min(h for _, h in changed)
         if include_brute:
-            match = "square sets differ at s=6; first difference comes from families"
+            # The smaller of the smallest edited grid and the smallest true
+            # grid that no family grid matches any more.
+            square, side = min((edited, "families"), (lost, "brute force"))
+            match = f"square sets differ at s=6; first difference comes from {side}"
         else:
-            match = "family expansion gave a grid at s=6 that is not a magic square"
+            square, match = edited, "family expansion gave a grid at s=6 that is not a magic square"
         with pytest.raises(MismatchError, match=match) as info:
             reconcile(6, include_brute)
-        assert info.value.square == edited
+        assert info.value.square == square
 
     def test_repeated_brute_grid_is_caught(self, monkeypatch):
         grids = _patched(monkeypatch, "iter_brute_grids", lambda g: g[:5] + [g[3]] + g[5:])
@@ -376,29 +430,29 @@ class TestReconcileMarks:
     def test_non_magic_family_grid_is_named_before_its_repeat(
         self, monkeypatch, include_brute, match
     ):
-        bad = NON_MAGIC_EDITS["center"](list(iter_family_grids(6)))[0]
-        _patched(monkeypatch, "iter_family_grids", lambda g: [bad] + g + [bad])
+        # The extra row's grids have center 7, and the row comes twice.
+        _patched(monkeypatch, "_family_rows", lambda rows: [EXTRA_ROW] + rows + [EXTRA_ROW])
         with pytest.raises(MismatchError, match=match) as info:
             reconcile(6, include_brute)
-        assert info.value.square == bad
+        assert info.value.square == min(row_grids([EXTRA_ROW]))
 
     def test_failure_is_named_in_one_walk_per_stream_within_the_marks(self, monkeypatch):
         # A set of either stream's grids at s = 240 takes tens of MB; the
         # marks are (2s+1)**2 = 231,361 bytes.
         s = 240
-        real_family, real_brute = iter_family_grids, iter_brute_grids
+        real_rows, real_brute = enumeration._family_rows, iter_brute_grids
         dropped = next(itertools.islice(real_brute(s), 9, None))
         calls = {"families": 0, "brute": 0}
 
-        def family_stream(s):
+        def family_rows(s):
             calls["families"] += 1
-            return real_family(s)
+            return real_rows(s)
 
         def brute_stream_without_its_tenth_grid(s):
             calls["brute"] += 1
             return (grid for n, grid in enumerate(real_brute(s)) if n != 9)
 
-        monkeypatch.setattr(enumeration, "iter_family_grids", family_stream)
+        monkeypatch.setattr(enumeration, "_family_rows", family_rows)
         monkeypatch.setattr(enumeration, "iter_brute_grids", brute_stream_without_its_tenth_grid)
         tracemalloc.start()
         try:
@@ -416,10 +470,101 @@ class TestReconcileMarks:
         def unreachable(*args):
             raise AssertionError("reconcile did work before refusing s")
 
-        for name in ("count_closed", "expand", "iter_family_grids", "iter_brute_grids"):
+        for name in ("count_closed", "expand", "_family_rows", "iter_brute_grids"):
             monkeypatch.setattr(enumeration, name, unreachable)
         with pytest.raises(ValueError, match=f"at most {COUNT_MAX_S}, got {s}"):
             reconcile(s)
 
     def test_cap_is_the_largest_s_within_256_mib(self):
         assert (2 * COUNT_MAX_S + 1) ** 2 <= 2**28 < (2 * COUNT_MAX_S + 3) ** 2
+
+
+def per_grid_marks(s):
+    """(count, repeat, stray) and the marks of the per-grid walk over the family grids."""
+    marks = bytearray((2 * s + 1) ** 2)
+    return enumeration._mark_cells(iter_family_grids(s), s, marks, 0), marks
+
+
+def row_marks(s):
+    """(count, repeat, stray) and the marks of the row walk `reconcile` uses."""
+    marks = bytearray((2 * s + 1) ** 2)
+    return enumeration._mark_family_rows(s, marks), marks
+
+
+ROW_WALK_S = [*range(0, 61), 100, 230, 250, 251, 269]
+
+
+class TestRowWalk:
+    """The family half of `reconcile` marks one lattice row per slice of cells."""
+
+    def test_rows_are_the_lattice_points_in_stream_order(self):
+        for s in range(0, 21):
+            rows = list(enumeration._family_rows(s))
+            assert all(len(js) == len(ks) > 0 for _, _, js, ks in rows)
+            assert len({(family, i) for family, i, _, _ in rows}) == len(rows)
+            assert [(f, i, j, k) for f, i, js, ks in rows for j, k in zip(js, ks)] == [
+                (f, i, j, k)
+                for f in Family
+                for i, j, k in itertools.product(range(s + 1), repeat=3)
+                if f.base_s + i + 3 * j + f.k_step * k == s
+            ]
+
+    def test_row_walk_equals_the_per_grid_walk(self):
+        for s in ROW_WALK_S:
+            assert row_marks(s) == per_grid_marks(s), s
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rows: rows + [EXTRA_ROW],
+            lambda rows: rows[:3] + [rows[2], rows[0]] + rows[3:],
+            # (F1, i=1, j=-2, k=7) is (12, 1, 5, -1, 6, 13, 7, 11, 0): center 6,
+            # the six equations hold and its corners and a2 lie in [0, 12], so
+            # only the bounds reject it, for b1 = -1 and b3 = 13.
+            lambda rows: rows[:1] + [(Family.F1, 1, range(-2, -1), range(7, 8))] + rows[1:],
+        ],
+        ids=["extra", "repeated", "out-of-range"],
+    )
+    def test_row_walk_equals_the_per_grid_walk_on_a_faulty_row(self, monkeypatch, edit):
+        s = 6
+        rows = _patched(monkeypatch, "_family_rows", edit)
+        marks = bytearray((2 * s + 1) ** 2)
+        expected = enumeration._mark_cells(iter(row_grids(edit(rows))), s, marks, 0), marks
+        assert row_marks(s) == expected
+
+    def test_per_grid_fallback_never_runs_on_a_sound_build(self, monkeypatch):
+        real, family_walks = enumeration._mark_cells, []
+
+        def mark_cells(grids, s, marks, old):
+            if old == 0:
+                family_walks.append(s)
+            return real(grids, s, marks, old)
+
+        monkeypatch.setattr(enumeration, "_mark_cells", mark_cells)
+        for s in [*range(0, 61), 250]:
+            enumeration._mark_family_rows(s, bytearray((2 * s + 1) ** 2))
+        assert reconcile(2048, include_brute=False).families == count_closed(2048)
+        assert family_walks == []
+
+    def test_a_base_grid_that_is_not_affine_makes_the_walks_differ(self, monkeypatch):
+        # The row walk reads only a row's two end points; a base grid that
+        # bends at an inner point (j = 2) is what the equality test must catch.
+        def bent(family, i, j, k):
+            grid = base_grid(family, i, j, k)
+            return (grid[0] + 1,) + grid[1:] if j == 2 else grid
+
+        monkeypatch.setattr(enumeration, "base_grid", bent)
+        differ = [s for s in range(0, 31) if row_marks(s) != per_grid_marks(s)]
+        assert differ and min(differ) == 13
+
+    def test_images_map_lines_onto_lines(self):
+        enumeration._check_images(_INVERSE_IMAGES)
+
+    @pytest.mark.parametrize("g", range(8))
+    def test_an_image_with_one_pair_swapped_fails_the_check(self, g):
+        for a, b in itertools.combinations(range(9), 2):
+            cells = list(_INVERSE_IMAGES[g](range(9)))
+            cells[a], cells[b] = cells[b], cells[a]
+            images = _INVERSE_IMAGES[:g] + (itemgetter(*cells),) + _INVERSE_IMAGES[g + 1:]
+            with pytest.raises(RuntimeError, match="does not map the eight lines"):
+                enumeration._check_images(images)
