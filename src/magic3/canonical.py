@@ -26,9 +26,9 @@ from .core import (
     DihedralElement,
     MagicSquare,
     Square,
+    _certify,
     apply,
     permutation,
-    validate,
 )
 
 # Keyed by the cells of x that g's image reads its c3 and c1 from, derived from
@@ -72,11 +72,10 @@ def _orientation(e: tuple[int, ...]) -> tuple[int, DihedralElement]:
 def canonical_symmetry(m: MagicSquare) -> DihedralElement:
     """The unique dihedral element whose image of m has ordered corners.
 
-    m is validated on entry unless `validate` minted it.  The image has m's two
-    smallest corners at c3 and c1: as opposite corners sum to 2s, they are neighbours.
+    The image has m's two smallest corners at c3 and c1: as opposite corners
+    sum to 2s, they are neighbours.
     """
-    magic = m if getattr(m, "_minted", False) else validate(m.square)
-    return _orientation(magic.entries)[1]
+    return _orientation(m.square.entries)[1]
 
 
 def reduce(m: MagicSquare) -> tuple[ReducedMagicSquare, int, DihedralElement]:
@@ -84,13 +83,11 @@ def reduce(m: MagicSquare) -> tuple[ReducedMagicSquare, int, DihedralElement]:
 
     The symmetry g is applied first and i * ONES subtracted second (the two
     commute, but a fixed order keeps g reproducible).  The inverse transform
-    apply(g.inverse, reduced + i * ONES) recovers the input exactly.  m is
-    validated on entry unless `validate` minted it, and the reduced square is
-    minted by `validate`, so the consumers take it as it is.
+    apply(g.inverse, reduced + i * ONES) recovers the input exactly.  g's image
+    is magic, and less its minimum i it stays so with center s - i and no
+    negative entry, so the reduced square is minted without checking again.
     """
-    magic = m if getattr(m, "_minted", False) else validate(m.square)
-    g = canonical_symmetry(magic)
-    i = min(magic.entries)
-    reduced = validate(Square(tuple(value - i for value in apply(g, magic.square).entries)))
+    g = canonical_symmetry(m)
+    i = min(m.square.entries)
+    reduced = _certify(Square(tuple(value - i for value in apply(g, m.square).entries)), m.s - i)
     return ReducedMagicSquare(square=reduced, r=reduced.square.c3, s=reduced.s), i, g
-

@@ -91,14 +91,11 @@ def _cmd_construct(args: argparse.Namespace) -> None:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> None:
-    # Both streams certify what they yield themselves: the family points by
-    # construction, the brute grids by the sweep's nonnegativity, line-sum
-    # and distinctness checks.  Written chunk by chunk of 1,024 squares, with
-    # the bytes of printing every square (or one JSON array of them).  No
-    # entry of a square with center s exceeds 2s (opposite cells sum to 2s),
-    # and the first family point and the first brute grid hold 2s and get the
-    # `Square` entry checks, so a range error or a negative s raises in the
-    # first chunk, before anything is written.
+    # Both streams certify what they yield and check their first grid, which
+    # holds the largest entry, 2s (see `magic3.enumeration`).  So a range error
+    # or a negative s raises in the first chunk, before anything is written.
+    # Written 1,024 squares a chunk, with the bytes of printing every square
+    # (or one JSON array of them).
     json_format = args.format == "json"
     if args.source == "brute":
         grids = iter_brute_grids(args.s)

@@ -9,8 +9,8 @@ leave that range raises instead of wrapping.
 `validate` certifies the magic conditions.  A magic square has all eight line
 sums (three rows, three columns, both diagonals) equal to the magic sum m and
 all nine entries pairwise distinct.  The magic sum is always three times the
-center entry, so the parameter s = m / 3 is an integer.  Only `validate` mints
-a certificate; its consumers re-validate any other `MagicSquare` on entry.
+center entry, so the parameter s = m / 3 is an integer.  Every `MagicSquare`
+is certified; only `validate`, `construct` and `reduce` mint through `_certify`.
 
 The module also defines the six constant squares from which every magic
 square of order three is built:
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable
+from typing import Callable, Iterable
 
 ENTRY_MAX = 2**64 - 1
 # One square in the text format, nine integers joined by spaces.
@@ -225,16 +225,14 @@ class Square:
         return self.entries[8]
 
 
-class _Minted:
-    __slots__ = ("_minted",)
-
-
 @dataclass(frozen=True, slots=True, init=False)
-class MagicSquare(_Minted):
-    """A square certified by `validate`: equal line sums and distinct entries.
+class MagicSquare:
+    """A certified magic square: equal line sums and distinct entries.
 
-    Only `validate` sets its private `_minted` slot (not a field); `reduce`,
-    `canonical_symmetry` and `decompose` re-validate any other instance.
+    Building one, or a `dataclasses.replace` copy, raises as `validate` does, or
+    ValueError if magic_sum or s disagree with the square.  Only `validate`,
+    `construct` and `reduce`, having proved their squares magic, mint through
+    `_certify`, which checks nothing.
     """
 
     square: Square
@@ -242,6 +240,9 @@ class MagicSquare(_Minted):
     s: int
 
     def __init__(self, square: Square, magic_sum: int, s: int) -> None:
+        checked = validate(square)
+        if (magic_sum, s) != (checked.magic_sum, checked.s):
+            raise ValueError(f"the square has magic_sum {checked.magic_sum} and s {checked.s}")
         _SET_SQUARE(self, square)
         _SET_MAGIC_SUM(self, magic_sum)
         _SET_S(self, s)
@@ -254,6 +255,15 @@ class MagicSquare(_Minted):
 _SET_ENTRIES, _SET_SQUARE, _SET_MAGIC_SUM, _SET_S = (
     s.__set__ for s in (Square.entries, MagicSquare.square, MagicSquare.magic_sum, MagicSquare.s)
 )
+
+
+def _certify(square: Square, s: int) -> MagicSquare:
+    """The certificate of a square its caller has proved magic with center s; checks nothing."""
+    certificate = object.__new__(MagicSquare)
+    _SET_SQUARE(certificate, square)
+    _SET_MAGIC_SUM(certificate, 3 * s)
+    _SET_S(certificate, s)
+    return certificate
 
 
 def add(x: Square, y: Square) -> Square:
@@ -285,6 +295,18 @@ _LINES: tuple[tuple[str, tuple[int, int, int]], ...] = (
     ("main diagonal", (0, 4, 8)),
     ("anti-diagonal", (2, 4, 6)),
 )
+
+
+def _check_images(images: Iterable[Callable[..., tuple[int, ...]]]) -> None:
+    """Raise RuntimeError unless each image maps the eight lines onto the eight lines."""
+    lines = {frozenset(line) for _, line in _LINES}
+    for image in images:
+        cells = image(range(9))
+        if {frozenset(cells[c] for c in line) for line in lines} != lines:
+            raise RuntimeError(f"image {cells} does not map the eight lines onto the eight lines")
+
+
+_check_images(_IMAGE.values())  # `apply`, both mints and the row walk rely on it
 
 
 def validate(x: Square) -> MagicSquare:
@@ -320,9 +342,7 @@ def validate(x: Square) -> MagicSquare:
             if value in seen:
                 raise DuplicateEntriesError(value)
             seen.add(value)
-    certificate = MagicSquare(x, m, m // 3)
-    object.__setattr__(certificate, "_minted", True)
-    return certificate
+    return _certify(x, m // 3)
 
 
 def parse_square(text: str) -> Square:

@@ -39,8 +39,8 @@ from .core import (
     DihedralElement,
     MagicSquare,
     Square,
+    _certify,
     permutation,
-    validate,
 )
 
 # construct() undoes each recorded symmetry, in symmetry index order.
@@ -140,18 +140,19 @@ def base_grid(family: Family, i: int, j: int, k: int) -> tuple[int, ...]:
 
 
 def construct(d: Decomposition) -> MagicSquare:
-    """Build and certify the magic square of a decomposition.
+    """Build the magic square of a decomposition, minted without checking again.
 
-    The inverse symmetry returns the canonical-orientation base grid to the
-    orientation recorded by `decompose`, so construct(decompose(m)) == m.
+    Each base grid is magic with center s (`TestConeProof` in the tests), and so
+    are its images; `Square` checks the range.  The inverse symmetry restores
+    the orientation `decompose` recorded, so construct(decompose(m)) == m.
     """
     base = base_grid(d.family, d.i, d.j, d.k)
-    return validate(Square(_INVERSE_IMAGE[d.symmetry._value_](base)))
+    return _certify(Square(_INVERSE_IMAGE[d.symmetry._value_](base)), base[4])
 
 
 def decompose(m: MagicSquare) -> Decomposition:
-    """Decompose m (validated on entry unless minted); construct(decompose(m)) == m."""
-    e = (m if getattr(m, "_minted", False) else validate(m.square)).entries
+    """Decompose a magic square; construct(decompose(m)) == m."""
+    e = m.square.entries
     # g's image reads its c3 from m's smallest corner, so that corner is r + i.
     smallest_corner, g = _orientation(e)
     i = min(e)

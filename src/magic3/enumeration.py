@@ -21,19 +21,15 @@ row every base-grid entry is affine in j, so each image's cells form one
 extended slice of the marks.  The six equations are linear and
 0 <= entry <= 2s convex, so a row whose two end base grids pass them passes
 at every point, and so does each image, as it maps lines onto lines (checked
-at import).  A row that fails, or whose slices hold a marked cell, is walked
-per grid, so a failure is named as a per-grid walk names it.
+when `core` is imported).  A row that fails, or whose slices hold a marked
+cell, is walked per grid, so a failure is named as a per-grid walk names it.
 
 Both grid streams certify what they yield without building a `Square` per
-grid.  Family grids are magic by construction, and each lattice point's base
-grid gets the `Square` entry checks before the point is yielded.  The brute
-sweep checks each grid itself: all eight line sums equal to 3s (a
-MismatchError otherwise) and distinct entries, its a2 range keeps every
-entry nonnegative, and it gives its first grid the `Square` entry checks.  No entry of either stream exceeds
-2s, because opposite cells of a square with center s sum to 2s, and the
-first grid of each holds 2s, so an s past the 64-bit range fails on the
-first grid.  A negative s raises ValueError on the first item of every
-stream, and the `iter_*_squares` streams mint each certificate by `validate`.
+grid: family grids are magic by the cone argument `construct` rests on, and
+the brute sweep checks each grid itself.  No entry exceeds 2s, as opposite
+cells sum to 2s, and each stream's first grid holds 2s, so only that grid
+gets the `Square` entry checks.  A negative s raises ValueError on the first
+item of every stream, and the `iter_*_squares` streams mint by `validate`.
 
 Output orders are deterministic: family points are lexicographic by
 (family, i, j, k) and family grids by (family, i, j, k, symmetry index),
@@ -45,10 +41,9 @@ grids out in fixed-size chunks) runs in memory that does not depend on s.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .core import (
-    _LINES,
     ELEMENTS,
     MagicSquare,
     MagicSquareError,
@@ -62,18 +57,6 @@ from .series import CountReport, _check_s, count_closed, expand, magic_gf
 # `reconcile` keeps one byte per (a1, a2) pair, (2s + 1)**2 in all; this s is
 # the largest whose cell marks fit in 256 MiB.
 COUNT_MAX_S = 8191
-
-
-def _check_images(images: tuple[Callable[..., tuple[int, ...]], ...]) -> None:
-    """Raise RuntimeError unless each image maps the eight lines onto the eight lines."""
-    lines = {frozenset(line) for _, line in _LINES}
-    for image in images:
-        cells = image(range(9))
-        if {frozenset(cells[c] for c in line) for line in lines} != lines:
-            raise RuntimeError(f"image {cells} does not map the eight lines onto the eight lines")
-
-
-_check_images(_INVERSE_IMAGES)
 
 
 class MismatchError(MagicSquareError):
@@ -110,14 +93,15 @@ def iter_decompositions(s: int) -> Iterator[Decomposition]:
 def iter_family_points(s: int) -> Iterator[tuple[int, ...]]:
     """Base grid of each lattice point of the family expansion, in output order.
 
-    Each base grid gets the `Square` entry checks, so an s past the 64-bit
-    range raises EntryRangeError as `Square` would on the first point.
+    Only the first, (F1, 0, 0, s - 4), which holds 2s, gets the `Square` entry
+    checks: an s past the 64-bit range raises EntryRangeError as `Square` would.
     """
-    for family, i, js, ks in _family_rows(s):
-        for j, k in zip(js, ks):
-            base = base_grid(family, i, j, k)
-            check_entries(base)
-            yield base
+    points = (base_grid(f, i, j, k) for f, i, js, ks in _family_rows(s) for j, k in zip(js, ks))
+    first = next(points, None)
+    if first is not None:
+        check_entries(first)
+        yield first
+        yield from points
 
 
 def iter_family_grids(s: int) -> Iterator[tuple[int, ...]]:
@@ -209,8 +193,9 @@ def iter_brute_squares(s: int) -> Iterator[MagicSquare]:
 
 
 def count_families(s: int) -> int:
-    """Number of squares produced by the family expansion at parameter s."""
-    return sum(1 for _ in iter_family_grids(s))
+    """Number of squares produced by the family expansion at parameter s, counted by rows."""
+    next(iter_family_points(s), None)  # raises as the stream does on an s past the 64-bit range
+    return len(_INVERSE_IMAGES) * sum(len(js) for _, _, js, _ in _family_rows(s))
 
 
 def _mark_cells(

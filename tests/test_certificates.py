@@ -1,16 +1,15 @@
-"""The certificate boundary: `validate` mints, and the consumers trust only its mint.
+"""The certificate boundary: every `MagicSquare` is certified.
 
-`canonical_symmetry`, `reduce` and `decompose` take a `MagicSquare` that
-`validate` returned as it is, as the `iter_*_squares` streams and `reduce`
-yield them, and validate any other one on entry: built by hand or copied by
-`dataclasses.replace`.  So every square reaching their bodies has passed
-`validate` exactly once.  `reduce` mints its reduced square by one more
-`validate` call, on its result.
+Building a `MagicSquare` by hand, or copying one by `dataclasses.replace`,
+runs `validate`'s checks: a square that is not magic raises as `validate`
+does, and a magic_sum or s that disagrees with the square raises ValueError.
+So a forged certificate cannot be built.  Only `validate`, `construct` and
+`reduce` mint through `core._certify`, which checks nothing: `construct` by
+the cone argument of `test_decompose.py::TestConeProof`, `reduce` because a
+dihedral image of a magic square, less its minimum, is magic.  The consumers
+`canonical_symmetry`, `reduce` and `decompose` never call `validate`.
 """
 
-import contextlib
-import importlib
-import io
 import subprocess
 import sys
 from dataclasses import replace
@@ -20,14 +19,16 @@ import pytest
 from magic3 import (
     SEED_F1,
     SEED_F2,
-    DuplicateEntriesError,
+    Decomposition,
+    DihedralElement,
+    Family,
     MagicSquare,
+    MagicSquareError,
     NotMagicError,
     Square,
     canonical_symmetry,
     cli,
     construct,
-    count_closed,
     decompose,
     iter_brute_squares,
     iter_family_squares,
@@ -36,158 +37,163 @@ from magic3 import (
     validate,
 )
 
-# The package re-exports functions named like two of its modules.
-canonical_module = importlib.import_module("magic3.canonical")
-decompose_module = importlib.import_module("magic3.decompose")
-
 CONSUMERS = {"canonical_symmetry": canonical_symmetry, "reduce": reduce, "decompose": decompose}
 
+LO_SHU = Square((8, 1, 6, 3, 5, 7, 4, 9, 2))
 # Two smallest corners, 1 at a1 and 2 at c3, facing each other; row 2 sums to 27.
 OPPOSITE_CORNERS = Square((1, 9, 5, 9, 9, 9, 4, 9, 2))
 # Distinct entries whose smallest corners, 1 and 3, are neighbours; row 2 sums to 15.
 OFF_BY_ONE = Square((1, 2, 3, 4, 5, 6, 7, 8, 10))
 ZERO = Square((0,) * 9)
+FORGED = {"opposite corners": OPPOSITE_CORNERS, "off by one": OFF_BY_ONE, "zero": ZERO}
+
+# Each way a library caller comes by a certificate.
+SOURCES = {
+    "validate": lambda: validate(SEED_F2),
+    "construct": lambda: construct(Decomposition(Family.F2, 1, 2, 3, DihedralElement.R90)),
+    "family stream": lambda: next(iter_family_squares(5)),
+    "brute stream": lambda: next(iter_brute_squares(5)),
+    # The Lo Shu square reduces to SEED_F1.
+    "reduce": lambda: reduce(validate(LO_SHU))[0].square,
+    "hand-built": lambda: MagicSquare(SEED_F2, 15, 5),
+    "replace copy": lambda: replace(validate(SEED_F1)),
+}
 
 
 @pytest.fixture
 def validate_calls(monkeypatch):
-    """Every square passed to `validate` from the cli, canonical or decompose namespaces."""
+    """Every square passed to `core.validate` from the package, whichever module calls it."""
     calls = []
 
     def counting(x):
         calls.append(x.entries)
         return validate(x)
 
-    for module in (cli, canonical_module, decompose_module):
-        monkeypatch.setattr(module, "validate", counting)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "magic3" and getattr(module, "validate", None) is validate:
+            monkeypatch.setattr(module, "validate", counting)
     return calls
 
 
-def mints(result):
-    """The `validate` calls a consumer makes on its own result: `reduce` mints its reduced square."""
-    return [result[0].entries] if isinstance(result, tuple) else []
+def forged_error(grid):
+    """The exception type and message `validate` raises on a grid that is not magic."""
+    with pytest.raises(MagicSquareError) as info:
+        validate(grid)
+    return type(info.value), str(info.value)
 
 
-def run_main(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        rc = cli.main(argv)
-    return rc, out.getvalue()
+def raised(build):
+    """The exception type and message a call raises."""
+    with pytest.raises(Exception) as info:
+        build()
+    return type(info.value), str(info.value)
 
 
 class TestValidatedOnce:
     @pytest.mark.parametrize("verb", ["verify", "reduce", "decompose"])
-    def test_cli_verb_validates_its_square_once(self, verb, validate_calls):
-        rc, _ = run_main([verb, "8", "1", "6", "3", "5", "7", "4", "9", "2"])
-        assert rc == 0
-        # The reduced square of this one is SEED_F1.
-        reduced = [SEED_F1.entries] if verb == "reduce" else []
-        assert validate_calls == [(8, 1, 6, 3, 5, 7, 4, 9, 2), *reduced]
+    def test_cli_verb_validates_its_square_once(self, verb, validate_calls, capsys):
+        assert cli.main([verb, *map(str, LO_SHU.entries)]) == 0
+        assert validate_calls == [LO_SHU.entries]
 
-    def test_selftest_validates_once_per_round_trip(self, validate_calls):
+    def test_selftest_round_trips_validate_nothing(self, validate_calls):
         selftest.run(4, echo=lambda line: None)
-        # Only s = 4 has squares: the seed of F1 under the eight symmetries.
-        assert len(validate_calls) == sum(count_closed(s) for s in range(5)) == 8
-        assert len(set(validate_calls)) == 8
-
-
-class TestMintedIsTrusted:
-    @pytest.mark.parametrize("name", sorted(CONSUMERS))
-    def test_minted_certificate_is_not_validated_again(self, name, validate_calls):
-        magic = validate(SEED_F2)
-        validate_calls.clear()
-        result = CONSUMERS[name](magic)
-        assert validate_calls == mints(result)
-
-    def test_round_trip_validates_in_construct_only(self, validate_calls):
-        magic = construct(decompose(validate(SEED_F2)))
-        assert validate_calls == [SEED_F2.entries]
-        validate_calls.clear()
-        decompose(magic)
         assert validate_calls == []
 
-    @pytest.mark.parametrize("stream", [iter_family_squares, iter_brute_squares])
-    @pytest.mark.parametrize("name", sorted(CONSUMERS))
-    def test_stream_certificate_is_not_validated_again(self, name, stream, validate_calls):
-        magic = next(stream(5))
-        validate_calls.clear()
-        result = CONSUMERS[name](magic)
-        assert validate_calls == mints(result)
-
-    @pytest.mark.parametrize("name", sorted(CONSUMERS))
-    def test_reduced_certificate_is_not_validated_again(self, name, validate_calls):
-        # The Lo Shu square reduces to SEED_F1, which `reduce` fixes.
-        reduced = reduce(validate(Square((8, 1, 6, 3, 5, 7, 4, 9, 2))))[0].square
-        assert getattr(reduced, "_minted", False)
-        validate_calls.clear()
-        result = CONSUMERS[name](reduced)
-        assert validate_calls == mints(result)
-
-    @pytest.mark.parametrize("name", sorted(CONSUMERS))
-    def test_unminted_certificate_is_validated_once(self, name, validate_calls):
-        magic = MagicSquare(SEED_F2, 15, 5)
-        result = CONSUMERS[name](magic)
-        assert validate_calls == [magic.entries, *mints(result)]
-
-    @pytest.mark.parametrize("name", sorted(CONSUMERS))
-    def test_replace_copy_of_a_minted_certificate_is_validated(self, name, validate_calls):
-        copy = replace(validate(SEED_F1))
-        validate_calls.clear()
-        result = CONSUMERS[name](copy)
-        assert validate_calls == [SEED_F1.entries, *mints(result)]
-
-
-class TestForgeriesAreRejected:
     @pytest.mark.parametrize(
-        "name, grid, error",
+        "source, expected",
         [
-            ("canonical_symmetry", OPPOSITE_CORNERS, NotMagicError),
-            ("reduce", OPPOSITE_CORNERS, NotMagicError),
-            ("decompose", OPPOSITE_CORNERS, NotMagicError),
-            ("reduce", ZERO, DuplicateEntriesError),
-            ("decompose", ZERO, DuplicateEntriesError),
-            ("reduce", OFF_BY_ONE, NotMagicError),
-            ("decompose", OFF_BY_ONE, NotMagicError),
+            ("construct", []),
+            ("reduce", []),
+            ("hand-built", [SEED_F2.entries]),
+            ("replace copy", [SEED_F1.entries]),
         ],
     )
-    def test_hand_built_and_replaced_certificates(self, name, grid, error):
-        fn = CONSUMERS[name]
-        with pytest.raises(error):
-            fn(MagicSquare(grid, 15, 5))
-        with pytest.raises(error):
-            fn(replace(validate(SEED_F1), square=grid))
+    def test_only_a_hand_built_or_copied_certificate_is_validated(
+        self, source, expected, validate_calls
+    ):
+        SOURCES[source]()
+        assert validate_calls == expected
 
-    def test_canonical_symmetry_rejects_any_unminted_non_magic_grid(self):
-        # Its smallest corners are neighbours, so only validation can refuse it.
+
+class TestCertificatesAreTrusted:
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    @pytest.mark.parametrize("name", sorted(CONSUMERS))
+    def test_consumer_validates_nothing(self, name, source, validate_calls):
+        magic = SOURCES[source]()
+        validate_calls.clear()
+        CONSUMERS[name](magic)
+        assert validate_calls == []
+
+    def test_round_trip_validates_nothing(self, validate_calls):
+        magic = validate(SEED_F2)
+        assert construct(decompose(magic)) == magic
+        assert validate_calls == []
+
+    @pytest.mark.parametrize("name", sorted(CONSUMERS))
+    def test_a_bare_square_is_no_certificate(self, name):
+        with pytest.raises(AttributeError):
+            CONSUMERS[name](SEED_F1)
+
+
+class TestForgeriesCannotBeBuilt:
+    @pytest.mark.parametrize("grid", FORGED.values(), ids=FORGED.keys())
+    def test_built_and_replaced_forgeries_raise_as_validate_does(self, grid):
+        expected = forged_error(grid)
+        assert raised(lambda: MagicSquare(grid, 15, 5)) == expected
+        assert raised(lambda: MagicSquare(square=grid, magic_sum=15, s=5)) == expected
+        assert raised(lambda: replace(validate(SEED_F1), square=grid)) == expected
+
+    def test_neighbouring_smallest_corners_do_not_hide_a_bad_line(self):
+        # Its smallest corners are neighbours, so only the line sums refuse it.
         with pytest.raises(NotMagicError, match="row 2 sums to 15, expected 6"):
-            canonical_symmetry(MagicSquare(OFF_BY_ONE, 6, 2))
+            MagicSquare(OFF_BY_ONE, 6, 2)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: MagicSquare(SEED_F1, 12, 5),
+            lambda: MagicSquare(SEED_F1, 15, 4),
+            lambda: MagicSquare(SEED_F1, 15, 5),
+            lambda: replace(validate(SEED_F1), s=5),
+            lambda: replace(validate(SEED_F1), magic_sum=13),
+            lambda: replace(validate(SEED_F1), square=SEED_F2),
+        ],
+    )
+    def test_a_magic_sum_or_s_that_disagrees_raises_value_error(self, build):
+        with pytest.raises(ValueError, match=r"^the square has magic_sum 1[25] and s [45]$"):
+            build()
 
     def test_boundary_holds_under_optimize(self):
         code = (
-            "import importlib\n"
+            "import sys\n"
             "from dataclasses import replace\n"
             "import magic3 as M\n"
-            "C = importlib.import_module('magic3.canonical')\n"
-            "D = importlib.import_module('magic3.decompose')\n"
-            "calls = []\n"
+            "calls, real = [], M.validate\n"
             "def counting(x):\n"
             "    calls.append(x)\n"
-            "    return M.validate(x)\n"
-            "C.validate = D.validate = counting\n"
-            "minted = M.validate(M.SEED_F2)\n"
-            "bad = M.Square((1, 9, 5, 9, 9, 9, 4, 9, 2))\n"
+            "    return real(x)\n"
+            "for name, module in list(sys.modules.items()):\n"
+            "    if name.split('.')[0] == 'magic3' and getattr(module, 'validate', None) is real:\n"
+            "        module.validate = counting\n"
+            "minted = M.construct(M.Decomposition(M.Family.F2, 0, 0, 0, M.DihedralElement.ID))\n"
             "for fn in (M.canonical_symmetry, M.reduce, M.decompose):\n"
             "    fn(minted)\n"
-            "    for forged in (M.MagicSquare(bad, 15, 5), replace(minted, square=bad)):\n"
-            "        try:\n"
-            "            fn(forged)\n"
-            "        except M.MagicSquareError as exc:\n"
-            "            print(fn.__name__, type(exc).__name__)\n"
             "print(len(calls))\n"
+            f"for bad in {[grid.entries for grid in FORGED.values()]}:\n"
+            "    for build in (lambda: M.MagicSquare(M.Square(bad), 15, 5),\n"
+            "                  lambda: replace(minted, square=M.Square(bad))):\n"
+            "        try:\n"
+            "            build()\n"
+            "        except M.MagicSquareError as exc:\n"
+            "            print(type(exc).__name__, exc)\n"
+            "try:\n"
+            "    M.MagicSquare(M.SEED_F1, 12, 5)\n"
+            "except ValueError as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
         )
         result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
-        expected = "".join(
-            f"{name} NotMagicError\n" * 2 for name in ("canonical_symmetry", "reduce", "decompose")
-        )
-        # Two forgeries per consumer, and `reduce` minting its result from `minted`.
-        assert (result.returncode, result.stdout) == (0, expected + "7\n"), result.stderr
+        lines = [f"{error.__name__} {text}" for error, text in map(forged_error, FORGED.values())]
+        # The consumers make no call; two forgeries per grid, then the bad s.
+        expected = ["0", *(line for line in lines for _ in range(2))]
+        expected.append("ValueError the square has magic_sum 12 and s 4")
+        assert (result.returncode, result.stdout.splitlines()) == (0, expected), result.stderr

@@ -3,6 +3,8 @@ import itertools
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
+from math import gcd, lcm
 from operator import itemgetter
 
 import pytest
@@ -11,6 +13,7 @@ from magic3 import (
     ELEMENTS,
     enumeration,
     GEN1,
+    GEN3,
     ONES,
     SEED_F1,
     SEED_F2,
@@ -30,8 +33,11 @@ from magic3 import (
     iter_family_grids,
     iter_family_squares,
     magic_gf,
+    poly_mul,
     reconcile,
 )
+from magic3 import core
+from magic3.core import _LINES
 from magic3.decompose import _BASIS, _INVERSE_IMAGES, Family, base_grid
 from magic3.enumeration import COUNT_MAX_S, iter_family_points
 
@@ -143,6 +149,29 @@ class TestFamilyEnumeration:
     def test_range_error_comes_with_the_first_point(self):
         with pytest.raises(EntryRangeError, match=f"^entry {2**64} exceeds"):
             next(iter_family_points(2**63))
+        # The real first grid is checked: its first entry past the range is a1 = 2s - 1.
+        s = 2**63 + 1
+        with pytest.raises(EntryRangeError, match=f"^entry {2 * s - 1} exceeds"):
+            next(iter_family_points(s))
+
+    def test_only_the_first_point_gets_the_entry_checks(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(enumeration, "check_entries", checked.append)
+        points = list(iter_family_points(30))
+        assert checked == points[:1] and len(points) > 1
+        assert checked == [base_grid(Family.F1, 0, 0, 26)]
+
+    def test_count_is_the_number_of_family_grids(self):
+        for s in range(0, 61):
+            assert count_families(s) == sum(1 for _ in iter_family_grids(s)), s
+        assert count_families(COUNT_MAX_S) == count_closed(COUNT_MAX_S)
+
+    def test_count_past_the_range_raises_as_the_stream_does(self):
+        with pytest.raises(EntryRangeError) as stream:
+            next(iter_family_points(2**63))
+        with pytest.raises(EntryRangeError) as count:
+            count_families(2**63)
+        assert str(count.value) == str(stream.value)
 
     def test_monotone_nesting(self):
         for s in range(4, 11):
@@ -261,6 +290,100 @@ class TestReconcile:
     def test_mismatch_error_carries_square(self):
         err = MismatchError("boom", square=SEED_F1.entries)
         assert err.square == SEED_F1.entries
+
+
+def cell_forms():
+    """Each cell of `_forced_grid` as its (a1, a2, s) coefficients, read off at three points."""
+    def at(a1, a2, s):
+        return enumeration._forced_grid(s, a1 * (2 * s + 1) + a2)
+
+    origin, step_a1, step_a2 = at(0, 0, 1), at(1, 0, 1), at(0, 1, 1)
+    forms = [(x1 - c, x2 - c, c) for c, x1, x2 in zip(origin, step_a1, step_a2)]
+    # The forms are linear: they give the grid at a fourth point.
+    assert at(2, 3, 5) == tuple(2 * f1 + 3 * f2 + 5 * fs for f1, f2, fs in forms)
+    return forms
+
+
+def arrangement_lines(forms):
+    """The lines at s = 1 where a cell is 0 or two cells are equal.
+
+    Each is (alpha, beta, gamma) for alpha * a1 + beta * a2 + gamma = 0, in
+    lowest terms with its first nonzero of alpha and beta positive.  A form
+    without a1 or a2 is constant in the plane and makes no line.
+    """
+    rows = list(forms) + [
+        tuple(p - q for p, q in zip(f, g)) for f, g in itertools.combinations(forms, 2)
+    ]
+    lines = set()
+    for alpha, beta, gamma in rows:
+        if alpha or beta:
+            n = gcd(alpha, beta, gamma) * (1 if (alpha or beta) > 0 else -1)
+            lines.add((alpha // n, beta // n, gamma // n))
+    return lines
+
+
+class TestAgreementForEveryS:
+    """The four counts agree for every s: each is a quasi-polynomial of degree <= 2 and period 6.
+
+    Two quasi-polynomials in s of degree at most 2 whose periods divide 6
+    agree for every s >= 1 once they agree at three values of each residue
+    class mod 6, as at s = 1..18; s = 0 is checked as it is.
+
+    * Series: `magic_gf()` is num / den with den = (1 - t)(1 - t^2)(1 - t^3)
+      and deg num = 5 < 6 = deg den.  Its poles are roots of unity of order
+      dividing 6, and t = 1 is a pole of order 3, so its coefficients are a
+      quasi-polynomial of period dividing 6 and degree <= 2 for every s >= 0.
+    * Closed form: (6s^2 - 20s + 3 - 3(-1)^s + 8(s mod 3)) / 3 is one by its
+      text: degree 2, period 6 from its parity branch and s mod 3.
+    * Families: 8 * (#{i + 3j + k = s - 4} + #{i + 3j + 2k = s - 5}), the s
+      steps of ONES, GEN3 and each family's generator.  Each term has the
+      series 8 t^base_s / ((1 - t)(1 - t^3)(1 - t^k_step)): proper, as
+      base_s < 1 + 3 + k_step, with poles of order dividing lcm(1, 3, k_step),
+      a divisor of 6, and t = 1 of order 3.  So the same holds for every s >= 0.
+    * Brute: the sweep counts the lattice points (a1, a2) of sP off every line
+      where two cells are equal, P being where the nine cells, linear forms in
+      (a1, a2, s) read off `_forced_grid`, are all nonnegative at s = 1.  That
+      is an inside-out polytope (M. Beck, T. Zaslavsky, Adv. Math. 205,
+      2006): closed P less the lines is a disjoint union of relatively open
+      polygons, segments and points whose vertices are crossings of the
+      facet and equality lines in P.  Each counts as a quasi-polynomial in
+      s >= 1 of degree <= 2 whose period divides the lcm of its vertices'
+      denominators, and that lcm divides 6.
+    """
+
+    def test_crossings_in_the_polygon_have_denominators_dividing_six(self):
+        forms = cell_forms()
+        lines = arrangement_lines(forms)
+        crossings = set()
+        for (a, b, c), (d, e, f) in itertools.combinations(sorted(lines), 2):
+            if det := a * e - b * d:
+                x, y = Fraction(b * f - e * c, det), Fraction(d * c - a * f, det)
+                if all(f1 * x + f2 * y + fs >= 0 for f1, f2, fs in forms):
+                    crossings.add((x, y))
+        assert 6 % lcm(*(v.denominator for point in crossings for v in point)) == 0
+        # The 45 forms give 16 distinct lines, and 17 of their crossings lie in P.
+        assert (len(lines), len(crossings)) == (16, 17)
+
+    def test_series_and_families_have_degree_two_and_period_dividing_six(self):
+        f = magic_gf()
+        one_minus = [(1,) + (0,) * (n - 1) + (-1,) for n in (1, 2, 3)]
+        assert f.denominator == poly_mul(poly_mul(one_minus[0], one_minus[1]), one_minus[2])
+        assert len(f.numerator) < len(f.denominator)
+
+        def s_step(x):
+            (step,) = {sum(x.entries[c] for c in cells) for _, cells in _LINES}
+            return step // 3
+
+        for family in Family:
+            steps = (s_step(ONES), s_step(GEN3), s_step(family.generator))
+            assert steps == (1, 3, family.k_step)
+            assert 6 % lcm(*steps) == 0 and family.base_s < sum(steps)
+
+    def test_the_four_counts_agree_up_to_eighteen(self):
+        series = expand(magic_gf(), 19)
+        for s in range(19):
+            brute = sum(1 for _ in iter_brute_grids(s))
+            assert count_closed(s) == series[s] == count_families(s) == brute, s
 
 
 def _patched(monkeypatch, name, edit):
@@ -557,8 +680,10 @@ class TestRowWalk:
         differ = [s for s in range(0, 31) if row_marks(s) != per_grid_marks(s)]
         assert differ and min(differ) == 13
 
-    def test_images_map_lines_onto_lines(self):
-        enumeration._check_images(_INVERSE_IMAGES)
+    def test_images_are_the_ones_core_checks_at_import(self):
+        # `core` checks `_PERM`'s images; the row walk reads these.
+        assert {image(range(9)) for image in _INVERSE_IMAGES} == set(core._PERM.values())
+        core._check_images(_INVERSE_IMAGES)
 
     @pytest.mark.parametrize("g", range(8))
     def test_an_image_with_one_pair_swapped_fails_the_check(self, g):
@@ -567,4 +692,4 @@ class TestRowWalk:
             cells[a], cells[b] = cells[b], cells[a]
             images = _INVERSE_IMAGES[:g] + (itemgetter(*cells),) + _INVERSE_IMAGES[g + 1:]
             with pytest.raises(RuntimeError, match="does not map the eight lines"):
-                enumeration._check_images(images)
+                core._check_images(images)

@@ -21,74 +21,41 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-def _mark_uses(path):
-    """(file, enclosing function or class, kind) for each node naming the `_minted` slot."""
+def _calls(path):
+    """(file, enclosing function or "", called name, call source) for each call in a file."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    # Breadth-first, so a nested function's name overwrites its parent's.
+    scope = {
+        node: function.name
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+    }
     for node in ast.walk(tree):
-        if not (
-            (isinstance(node, ast.Constant) and node.value == "_minted")
-            or (isinstance(node, ast.Attribute) and node.attr == "_minted")
-            or (isinstance(node, ast.Name) and node.id == "_minted")
-        ):
-            continue
-        parent = parents[node]
-        # Only getattr(m, "_minted", default), used as a value, reads the mark;
-        # getattr(cls, "_minted").__set__ and the rest count as writes.
-        is_read = (
-            isinstance(parent, ast.Call)
-            and getattr(parent.func, "id", None) == "getattr"
-            and len(parent.args) == 3
-            and not isinstance(parents[parent], ast.Attribute)
-        )
-        kind = "read" if is_read else "write"
-        scope, statement = "", parent
-        while statement in parents:
-            if isinstance(statement, ast.Assign) and [
-                getattr(target, "id", None) for target in statement.targets
-            ] == ["__slots__"]:
-                kind = "declaration"
-            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)) and not scope:
-                scope = statement.name
-            statement = parents[statement]
-        yield path.name, scope, kind
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            yield path.name, scope.get(node, ""), name, ast.unparse(node)
 
 
-def test_certificate_mark_is_written_only_in_validate():
-    # `canonical_symmetry`, `reduce` and `decompose` trust a `MagicSquare`
-    # without validating it again only when it carries this mark, so no code
-    # but `core.validate` may set it.
-    uses = sorted(use for path in SOURCES for use in _mark_uses(path))
-    assert uses == [
-        ("canonical.py", "canonical_symmetry", "read"),
-        ("canonical.py", "reduce", "read"),
-        ("core.py", "_Minted", "declaration"),
-        ("core.py", "validate", "write"),
-        ("decompose.py", "decompose", "read"),
+def test_only_validate_construct_and_reduce_mint_through_certify():
+    # Building a `MagicSquare` runs `validate`'s checks.  Only `_certify`
+    # skips them, by `object.__new__`, and only the three functions that have
+    # proved their squares magic call it; `canonical` and `decompose` trust
+    # every certificate and call no `validate`.
+    calls = [call for path in SOURCES for call in _calls(path)]
+    assert [(f, fn, source) for f, fn, name, source in calls if name == "__new__"] == [
+        ("core.py", "_certify", "object.__new__(MagicSquare)")
     ]
-
-
-def test_certificates_are_built_only_in_validate():
-    # Every other `MagicSquare` in the library comes out of `validate`; the
-    # square streams and `reduce` pass their grids through it rather than
-    # build their own.
-    calls = []
-    for path in SOURCES:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        # Breadth-first, so a nested function's name overwrites its parent's.
-        scope = {
-            node: function.name
-            for function in ast.walk(tree)
-            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for node in ast.walk(function)
-        }
-        calls += [
-            (path.name, scope.get(node, ""))
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and "MagicSquare" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-        ]
-    assert sorted(calls) == [("core.py", "validate")]
+    assert sorted((f, fn) for f, fn, name, _ in calls if name == "_certify") == [
+        ("canonical.py", "reduce"),
+        ("core.py", "validate"),
+        ("decompose.py", "construct"),
+    ]
+    assert [
+        (f, fn)
+        for f, fn, name, _ in calls
+        if name == "validate" and f in ("canonical.py", "decompose.py")
+    ] == []
 
 
 def test_public_names_are_the_imported_names():

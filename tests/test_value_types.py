@@ -20,6 +20,7 @@ from magic3 import (
     Family,
     MagicSquare,
     Square,
+    apply,
     parse_square,
     validate,
 )
@@ -43,7 +44,7 @@ CASES = {
         MagicSquare,
         (SEED_F1, 12, 4),
         {"square": SEED_F1, "magic_sum": 12, "s": 4},
-        ("s", 5),
+        ("square", apply(R90, SEED_F1)),
         f"MagicSquare(square={SEED_F1_REPR}, magic_sum=12, s=4)",
     ),
     "Decomposition": (
@@ -106,8 +107,8 @@ class TestValueTypeContract:
 
 
 class TestMagicSquareMint:
-    def test_minted_certificate_equals_a_hand_built_one(self):
-        # The mint is no field: eq, hash and repr ignore it.
+    def test_certificate_from_validate_equals_a_hand_built_one(self):
+        # `validate` mints through `_certify` and `__init__` checks: one value either way.
         minted, built = validate(SEED_F1), MagicSquare(SEED_F1, 12, 4)
         assert minted == built and hash(minted) == hash(built)
         assert repr(minted) == repr(built)
