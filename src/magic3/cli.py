@@ -213,8 +213,16 @@ def main(argv: list[str] | None = None) -> int:
         # Flushed here, so that a closed or full stdout is caught below.
         sys.stdout.flush()
     except OSError as exc:
-        # Point stdout at the null device, so the flush at exit stays quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # Point stdout's descriptor, if it has one, at the null device, so the
+        # flush at exit stays quiet.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            pass
+        else:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
         print(f"{parser.prog}: error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
         return 4
     return code

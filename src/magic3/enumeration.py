@@ -4,9 +4,14 @@
 5 + i + 3j + 2k = s and yields each one's base grid; `iter_family_grids`
 expands each point into its eight symmetric images, which permute the same
 nine entries.  `iter_brute_grids` is the independent oracle: it sweeps the two
-free cells (a1, a2), fills the rest of the grid from the line-sum equations,
-and keeps grids whose entries are pairwise distinct.  `reconcile` runs both
-plus the two counting devices and insists all four agree.
+free cells (a1, a2) one a1 row at a time, fills the rest of the grid from the
+line-sum equations, certifies each row by its two end grids, and leaves out
+the grids where two cells are equal.  Every cell is affine in a2 along a row,
+so each of the 8 lines where two cells are equal holds all along it or
+crosses it once at most: the row's lattice points less those on the lines
+(the inside-out polytope picture of M. Beck, T. Zaslavsky, Adv. Math. 205,
+2006).  `reconcile` runs both plus the two counting devices and insists all
+four agree.
 
 `reconcile` compares the two enumerations in (2s + 1)**2 bytes, one cell mark
 per (a1, a2), and keeps neither set.  Six equations (center s, a1 + c3 =
@@ -26,22 +31,25 @@ cell, is walked per grid, so a failure is named as a per-grid walk names it.
 
 Both grid streams certify what they yield without building a `Square` per
 grid: family grids are magic by the cone argument `construct` rests on, and
-the brute sweep checks each grid itself.  No entry exceeds 2s, as opposite
-cells sum to 2s, and each stream's first grid holds 2s, so only that grid
-gets the `Square` entry checks.  A negative s raises ValueError on the first
-item of every stream, and the `iter_*_squares` streams mint by `validate`.
+the brute sweep checks each row's two end grids.  No entry exceeds 2s, as
+opposite cells sum to 2s, and each stream's first grid holds 2s, so only that
+grid gets the `Square` entry checks.  A negative s raises ValueError on the
+first item of every stream, and the `iter_*_squares` streams mint by
+`validate`.
 
 Output orders are deterministic: family points are lexicographic by
 (family, i, j, k) and family grids by (family, i, j, k, symmetry index),
-brute force by (a1, a2).  The streams hold one lattice point or one
-(a1, a2) pair at a time, so a consumer that does not keep what they yield
-(such as `magic3 enumerate`, which writes the points' images and the brute
-grids out in fixed-size chunks) runs in memory that does not depend on s.
+brute force by (a1, a2).  The streams hold one lattice point or one a1 row
+(six ranges and at most 7 cuts) at a time, so a consumer that does not keep
+what they yield (such as `magic3 enumerate`, which writes the points' images
+and the brute grids out in fixed-size chunks) runs in memory that does not
+depend on s.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from itertools import chain, islice, repeat
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     ELEMENTS,
@@ -134,17 +142,30 @@ def iter_brute_grids(s: int) -> Iterator[tuple[int, ...]]:
         c1 = a1 + a2 - s >= 0       <=>  a2 >= s - a1
         b3 = 2a1 + a2 - 2s >= 0     <=>  a2 >= 2s - 2a1
 
-    and a1, a2 >= 0, c3 = 2s - a1 >= 0 and the center s hold throughout.
-    Along one a1 row, a2 and the five cells it forces each move by one per
-    step, so they are stepped together as ranges that start and stop at
-    their equations' values for the first and last a2.
+    and a1, a2 >= 0, c3 = 2s - a1 >= 0 and the center s hold throughout; so
+    every a1 in [0, 2s] has a row of n = high - low + 1 >= 1 pairs.  Along
+    one a1 row, a2 and the five cells it forces each move by one per step, so
+    they are stepped together as ranges that start and stop at their
+    equations' values for the first and last a2, and a1, s and c3 are fixed.
 
-    Every grid yielded is certified without a `Square` or `validate`:
+    Each row is certified once, by `_brute_rows`, and no grid is tested on
+    its own:
 
-    * a grid whose eight line sums are not all m raises MismatchError
-      carrying it.  Each line is summed less its cell that is fixed for the
-      whole a1 row (a1, s or c3), whose part of m is subtracted once per row;
-    * a grid with a repeated value is dropped;
+    * every stepped cell must have n values, and the two end grids of the
+      row, read through the same `zip` that yields the row, must have all
+      eight line sums m; otherwise MismatchError, carrying the failing end
+      grid for a line sum, before any grid of the row is yielded.  Every
+      cell is affine in a2 along the row and the line sums are linear, so
+      the two ends certify every grid between them;
+    * two cells are equal somewhere in a grid exactly when one of the eight
+      pairs in `_CELL_PAIRS` is, and each pair's difference is read off the
+      two ends.  A difference that is the same at both ends is constant, so
+      its cells are equal all along the row or nowhere, and a row with such
+      an equal pair is dropped (only a1 = s does this).  Any other difference
+      is zero at one a2 at most, which is cut from the row when it is an
+      integer in it, so a row loses at most 7 grids;
+    * the row's grids are one `zip` of the stepped ranges and of repeats of
+      the fixed cells, and `islice` passes over the cuts;
     * the first grid gets the `Square` entry checks, so an s past the 64-bit
       range raises EntryRangeError as `Square` would on it.  No later grid
       can fail them.  Opposite cells sum to 2s (a1 + c3 = a2 + c2 =
@@ -155,36 +176,90 @@ def iter_brute_grids(s: int) -> Iterator[tuple[int, ...]]:
       are distinct for every s >= 4.  Below s = 4 there are no grids.
     """
     _check_s(s)
+    grids = chain.from_iterable(
+        islice(row, skip, stop) for row, n, cuts in _brute_rows(s) for skip, stop in _runs(n, cuts)
+    )
+    first = next(grids, None)
+    if first is not None:
+        check_entries(first)
+        yield first
+        yield from grids
+
+
+# One pair of cells on each line of the (a1, a2) plane where two cells of a
+# forced grid are equal: a2 = s, a1 = a2, a1 = s, a3 = s, a2 = a3, b1 = s,
+# a1 = b1 and a3 = b3.  Each of the 36 pairs is equal on one of these 8 lines
+# (`test_enumeration.py` reads them off the cell forms), so the nine entries of
+# a grid are distinct when these eight pairs are.
+_CELL_PAIRS = ((1, 4), (0, 1), (0, 4), (2, 4), (1, 2), (3, 4), (0, 3), (2, 5))
+
+
+def _brute_rows(s: int) -> Iterator[tuple[Iterator[tuple[int, ...]], int, Sequence[int]]]:
+    """Each a1 row of the brute-force sweep as (grids, n, cuts), in a1 order.
+
+    grids is a `zip` of the row's n grids: a range of n values for each cell
+    that a2 steps, and a repeat for a1, s and c3, which are fixed along the
+    row.  cuts are the sorted offsets into the row of the grids with a
+    repeated value.  Raises MismatchError for a stepped cell without n
+    values, or an end grid with a line sum other than 3s (see
+    `iter_brute_grids`).
+    """
     m = 3 * s
-    unchecked = True
     for a1 in range(2 * s + 1):
-        c3 = 2 * s - a1
         low = max(0, s - a1, 2 * s - 2 * a1)
         high = min(2 * s, 3 * s - a1, 4 * s - 2 * a1)
-        m_less_a1, m_less_c3, m_less_s = m - a1, m - c3, m - s
-        for a2, a3, c1, b1, b3, c2 in zip(
-            range(low, high + 1),
-            range(3 * s - a1 - low, 3 * s - a1 - high - 1, -1),
-            range(a1 + low - s, a1 + high - s + 1),
-            range(4 * s - 2 * a1 - low, 4 * s - 2 * a1 - high - 1, -1),
-            range(2 * a1 + low - 2 * s, 2 * a1 + high - 2 * s + 1),
-            range(2 * s - low, 2 * s - high - 1, -1),
-        ):
-            grid = (a1, a2, a3, b1, s, b3, c1, c2, c3)
-            # Rows 1 and 3, columns 1 and 3, then the four lines through the center.
+        n = high - low + 1
+        a2 = range(low, high + 1)
+        a3 = range(3 * s - a1 - low, 3 * s - a1 - high - 1, -1)
+        b1 = range(4 * s - 2 * a1 - low, 4 * s - 2 * a1 - high - 1, -1)
+        b3 = range(2 * a1 + low - 2 * s, 2 * a1 + high - 2 * s + 1)
+        c1 = range(a1 + low - s, a1 + high - s + 1)
+        c2 = range(2 * s - low, 2 * s - high - 1, -1)
+        c3 = 2 * s - a1
+        if not len(a2) == len(a3) == len(b1) == len(b3) == len(c1) == len(c2) == n:
+            raise MismatchError(
+                f"brute-force row a1={a1} at s={s} has a stepped cell without {n} values"
+            )
+        first, last = zip(
+            (a1, a1), (a2[0], a2[-1]), (a3[0], a3[-1]), (b1[0], b1[-1]), (s, s),
+            (b3[0], b3[-1]), (c1[0], c1[-1]), (c2[0], c2[-1]), (c3, c3),
+        )
+        for g in first, last:
+            # Rows, columns, then diagonals.
             if not (
-                m_less_a1 == a2 + a3 == b1 + c1
-                and m_less_c3 == c1 + c2 == a3 + b3
-                and m_less_s == b1 + b3 == a2 + c2 == a1 + c3 == a3 + c1
+                g[0] + g[1] + g[2] == g[3] + g[4] + g[5] == g[6] + g[7] + g[8]
+                == g[0] + g[3] + g[6] == g[1] + g[4] + g[7] == g[2] + g[5] + g[8]
+                == g[0] + g[4] + g[8] == g[2] + g[4] + g[6] == m
             ):
                 raise MismatchError(
-                    f"brute-force grid at s={s} has a line sum other than {m}", square=grid
+                    f"brute-force grid at s={s} has a line sum other than {m}", square=g
                 )
-            if len(set(grid)) == 9:
-                if unchecked:
-                    check_entries(grid)
-                    unchecked = False
-                yield grid
+        row = zip(repeat(a1), a2, a3, b1, repeat(s), b3, c1, c2, repeat(c3))
+        # Each pair's difference is affine along the row, d0 at offset 0 and
+        # d1 at n - 1: zero everywhere or nowhere if d0 == d1, and otherwise
+        # only at d0 * (n - 1) / (d0 - d1).
+        cuts: set[int] = set()
+        for p, q in _CELL_PAIRS:
+            d0, d1 = first[q] - first[p], last[q] - last[p]
+            if d0 != d1:
+                offset, rest = divmod(d0 * (n - 1), d0 - d1)
+                if not rest and 0 <= offset < n:
+                    cuts.add(offset)
+            elif not d0:
+                yield row, n, range(n)
+                break
+        else:
+            yield row, n, sorted(cuts)
+
+
+def _runs(n: int, cuts: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """`islice` bounds that, applied in turn to one iterator of n items, skip the sorted cuts."""
+    at = start = 0
+    for stop in chain(cuts, (n,)):
+        if start < stop:
+            yield start - at, stop - at
+            at = stop
+        start = stop + 1
 
 
 def iter_brute_squares(s: int) -> Iterator[MagicSquare]:

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import itertools
 import json
@@ -402,6 +403,16 @@ class TestUsage:
         assert result.stderr == "magic3: error: s must be nonnegative, got -1\n"
 
 
+class BrokenPipeStdout:
+    """A stdout with no file descriptor that fails every write as a closed pipe does."""
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def flush(self) -> None:
+        pass
+
+
 def without_unbuffered(env):
     """`env` less PYTHONUNBUFFERED, so a child's stdout is block-buffered."""
     return {k: v for k, v in env.items() if k != "PYTHONUNBUFFERED"}
@@ -450,6 +461,26 @@ class TestClosedStdout:
         proc.stderr.close()
         assert (proc.wait(timeout=60), err) == (4, self.BROKEN_PIPE)
         assert head == b"499 0 251 2 250 498 "
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("stdout", ["closed pipe", "no descriptor"])
+    def test_in_process_exit_keeps_the_open_descriptors(self, stdout):
+        open_fds = len(os.listdir("/proc/self/fd"))
+        if stdout == "closed pipe":
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            out = open(write_end, "w")
+        else:
+            out = BrokenPipeStdout()
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.main(["count", "12"])
+        finally:
+            if stdout == "closed pipe":
+                out.close()
+        assert (rc, err.getvalue()) == (4, self.BROKEN_PIPE)
+        assert len(os.listdir("/proc/self/fd")) == open_fds
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("argv", [["enumerate", "30"], ["count", "12"]], ids=" ".join)

@@ -5,7 +5,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, sub
 
 import pytest
 
@@ -87,6 +87,21 @@ def full_brute_sweep(s):
             if min(grid) >= 0 and len(set(grid)) == 9:
                 found.append(grid)
     return found
+
+
+def brute_row_bounds(s, a1):
+    """The a2 range of the row a1 in `iter_brute_grids(s)`, as its docstring derives it."""
+    return range(max(0, s - a1, 2 * s - 2 * a1), min(2 * s, 3 * s - a1, 4 * s - 2 * a1) + 1)
+
+
+def per_grid_brute_sweep(s):
+    """The pairs that `iter_brute_grids(s)` sweeps, each grid kept if len(set(grid)) == 9."""
+    for a1 in range(2 * s + 1):
+        for a2 in brute_row_bounds(s, a1):
+            b1 = 4 * s - 2 * a1 - a2
+            grid = (a1, a2, 3 * s - a1 - a2, b1, s, 2 * s - b1, a1 + a2 - s, 2 * s - a2, 2 * s - a1)
+            if len(set(grid)) == 9:
+                yield grid
 
 
 class TestFamilyEnumeration:
@@ -203,15 +218,54 @@ class TestBruteForce:
         for s in range(0, 31):
             assert set(iter_brute_grids(s)) == set(iter_family_grids(s))
 
+    def test_crossing_pairs_hold_one_pair_on_each_equality_line(self):
+        # Two cells of a forced grid are equal on the line of their forms'
+        # difference; no pair is equal everywhere, and the 36 pairs make 8 lines.
+        forms = cell_forms()
+        rows = {
+            (p, q): equality_form(forms[p], forms[q])
+            for p, q in itertools.combinations(range(9), 2)
+        }
+        assert all(alpha or beta for alpha, beta, _ in rows.values())
+        lines = {line(*row) for row in rows.values()}
+        pairs = enumeration._CELL_PAIRS
+        assert len(lines) == len(pairs) == 8
+        assert {line(*rows[pair]) for pair in pairs} == lines
 
-def slipped_zip(*ranges):
-    """`zip`, with the last value of each tuple one too high.
+    def test_row_sweep_matches_the_per_grid_filter(self):
+        for s in [*range(61), 100, 230, 250, 269]:
+            assert list(iter_brute_grids(s)) == list(per_grid_brute_sweep(s)), s
+
+    def test_cut_pairs_are_the_pairs_swept_less_the_closed_count(self):
+        # A row of n pairs either loses all n (two cells with one slope are
+        # equal) or its crossings; what is left is the count, count_closed(s).
+        for s in range(201):
+            rows = list(enumeration._brute_rows(s))
+            swept = [len(brute_row_bounds(s, a1)) for a1 in range(2 * s + 1)]
+            assert [n for _, n, _ in rows] == swept
+            assert sum(len(cuts) for _, _, cuts in rows) == sum(swept) - count_closed(s), s
+
+
+def slipped_zip(*cells):
+    """`zip`, with the eighth value of each tuple one too high.
 
     Put in place of `zip` in the enumeration module, it gives the brute sweep
-    a c2 one past its line-sum value, as a slip in its stepped range would.
+    grids whose c2 is one past its line-sum value, as a slip in its stepped
+    range would.
     """
-    for values in zip(*ranges):
-        yield values[:-1] + (values[-1] + 1,)
+    for values in zip(*cells):
+        yield values[:7] + (values[7] + 1,) + values[8:]
+
+
+def short_range(*args):
+    """`range`, less the last value of a range of more than one that steps down to 0.
+
+    Put in place of `range` in the enumeration module, it gives the brute
+    sweep one stepped cell one value shorter than the others: at s = 10 the
+    first is c2 in the row a1 = 1, whose a2 runs 18..20 and c2 2..0.
+    """
+    cell = range(*args)
+    return cell[:-1] if cell.step < 0 and len(cell) > 1 and cell[-1] == 0 else cell
 
 
 # The first pair at s = 10, (a1, a2) = (0, 20), with c2 = 0 slipped to 1: row 3
@@ -231,6 +285,15 @@ class TestBruteSweepChecks:
             next(iter_brute_grids(10))
         assert info.value.square == SLIPPED_GRID
         assert sum(SLIPPED_GRID[6:9]) == sum(SLIPPED_GRID[1::3]) == 31
+
+    def test_short_stepped_cell_is_caught_before_any_grid(self, monkeypatch):
+        # The row a1 = 1 holds the sweep's first grid, (1, 18, 11, 20, 10, 0, 9, 2, 19).
+        monkeypatch.setattr(enumeration, "range", short_range, raising=False)
+        yielded = []
+        with pytest.raises(MismatchError) as info:
+            yielded.extend(iter_brute_grids(10))
+        assert str(info.value) == "brute-force row a1=1 at s=10 has a stepped cell without 3 values"
+        assert (yielded, info.value.square) == ([], None)
 
     def test_slipped_line_sum_is_caught_under_optimize(self):
         code = inspect.getsource(slipped_zip) + (
@@ -311,15 +374,19 @@ def arrangement_lines(forms):
     lowest terms with its first nonzero of alpha and beta positive.  A form
     without a1 or a2 is constant in the plane and makes no line.
     """
-    rows = list(forms) + [
-        tuple(p - q for p, q in zip(f, g)) for f, g in itertools.combinations(forms, 2)
-    ]
-    lines = set()
-    for alpha, beta, gamma in rows:
-        if alpha or beta:
-            n = gcd(alpha, beta, gamma) * (1 if (alpha or beta) > 0 else -1)
-            lines.add((alpha // n, beta // n, gamma // n))
-    return lines
+    rows = list(forms) + [equality_form(f, g) for f, g in itertools.combinations(forms, 2)]
+    return {line(*row) for row in rows if row[0] or row[1]}
+
+
+def equality_form(f, g):
+    """The form that vanishes where the cells of forms f and g are equal."""
+    return tuple(p - q for p, q in zip(f, g))
+
+
+def line(alpha, beta, gamma):
+    """alpha * a1 + beta * a2 + gamma = 0 in lowest terms, its first nonzero of alpha, beta > 0."""
+    n = gcd(alpha, beta, gamma) * (1 if (alpha or beta) > 0 else -1)
+    return (alpha // n, beta // n, gamma // n)
 
 
 class TestAgreementForEveryS:
@@ -366,8 +433,7 @@ class TestAgreementForEveryS:
 
     def test_series_and_families_have_degree_two_and_period_dividing_six(self):
         f = magic_gf()
-        one_minus = [(1,) + (0,) * (n - 1) + (-1,) for n in (1, 2, 3)]
-        assert f.denominator == poly_mul(poly_mul(one_minus[0], one_minus[1]), one_minus[2])
+        assert f.denominator == poly_mul(poly_mul(one_minus(1), one_minus(2)), one_minus(3))
         assert len(f.numerator) < len(f.denominator)
 
         def s_step(x):
@@ -384,6 +450,78 @@ class TestAgreementForEveryS:
         for s in range(19):
             brute = sum(1 for _ in iter_brute_grids(s))
             assert count_closed(s) == series[s] == count_families(s) == brute, s
+
+
+def poly_add(a, b):
+    """Sum of two integer polynomials in coefficient form."""
+    n = max(len(a), len(b))
+    return tuple(x + y for x, y in zip(a + (0,) * (n - len(a)), b + (0,) * (n - len(b))))
+
+
+def one_minus(n):
+    """1 - t^n."""
+    return (1,) + (0,) * (n - 1) + (-1,)
+
+
+class TestLargestEntryGrading:
+    """The squares whose largest entry is M number count_closed(M // 2), for every M.
+
+    Each square is one of the eight images of one base grid seed + i * ONES +
+    j * GEN3 + k * generator, and an image permutes the base grid's entries.
+    On each family one cell of the base grid is the largest on the whole cone
+    (i, j, k >= 0): it exceeds every other cell by a form with a positive
+    constant and no negative coefficient.  So the largest entry is that cell's
+    form M0 + a*i + b*j + c*k, and the squares by largest entry have the series
+    8 t^M0 / ((1 - t^a)(1 - t^b)(1 - t^c)), summed over the two families.  That
+    sum is (1 + t) * magic_gf(t^2), whose t^M coefficient is the t^(M // 2)
+    coefficient of magic_gf(), count_closed(M // 2) by
+    `TestAgreementForEveryS`.  The brute sweep is checked against it directly.
+    """
+
+    def largest_entry_forms(self):
+        forms = {}
+        for family in Family:
+            origin = base_grid(family, 0, 0, 0)
+            steps = [base_grid(family, *unit) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+            cells = [(c, *(step[n] - c for step in steps)) for n, c in enumerate(origin)]
+            (top,) = [
+                f
+                for f in cells
+                if all(f == g or (f[0] > g[0] and min(map(sub, f[1:], g[1:])) >= 0) for g in cells)
+            ]
+            forms[family] = top
+        return forms
+
+    def test_largest_entry_forms(self):
+        # In the canonical orientation the largest entry is c2 = 2s - i.
+        assert self.largest_entry_forms() == {Family.F1: (8, 1, 6, 2), Family.F2: (10, 1, 6, 4)}
+
+    def test_series_by_largest_entry_is_one_plus_t_times_magic_gf_of_t_squared(self):
+        terms = []
+        for m0, *rates in self.largest_entry_forms().values():
+            den = (1,)
+            for rate in rates:
+                den = poly_mul(den, one_minus(rate))
+            terms.append(((0,) * m0 + (8,), den))
+        (p1, q1), (p2, q2) = terms
+        num, den = poly_add(poly_mul(p1, q2), poly_mul(p2, q1)), poly_mul(q1, q2)
+
+        def of_t_squared(poly):
+            return tuple(c for a in poly for c in (a, 0))[:-1]
+
+        f = magic_gf()
+        lhs_num, lhs_den = poly_mul((1, 1), of_t_squared(f.numerator)), of_t_squared(f.denominator)
+        assert poly_mul(lhs_num, den) == poly_mul(num, lhs_den)
+
+    def test_brute_grids_by_largest_entry(self):
+        # Distinct entries about the center s put the largest above s, so
+        # every square with largest entry M <= 40 has s < 40.
+        tally = [0] * 41
+        for s in range(40):
+            for grid in iter_brute_grids(s):
+                if max(grid) <= 40:
+                    tally[max(grid)] += 1
+        assert tally == [count_closed(m // 2) for m in range(41)]
 
 
 def _patched(monkeypatch, name, edit):

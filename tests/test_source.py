@@ -73,3 +73,25 @@ def test_public_names_are_the_imported_names():
     assert names == sorted(set(names))
     assert [name for name in names if not hasattr(magic3, name)] == []
     assert set(names) == imported
+
+
+def test_brute_sweep_uses_nothing_from_decompose():
+    # The brute-force oracle checks the family expansion, so it reads none of
+    # the names that `enumeration` imports from `decompose`.
+    path = Path(magic3.enumeration.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    from_decompose = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "decompose"
+        for alias in node.names
+    }
+    sweep = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("iter_brute_grids", "_brute_rows", "_runs")
+    ]
+    used = {node.id for function in sweep for node in ast.walk(function) if isinstance(node, ast.Name)}
+    assert len(sweep) == 3 and "base_grid" in from_decompose
+    assert used & from_decompose == set()
