@@ -223,7 +223,9 @@ def main(argv: list[str] | None = None) -> int:
             null = os.open(os.devnull, os.O_WRONLY)
             os.dup2(null, fd)
             os.close(null)
-        print(f"{parser.prog}: error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
+        # An OSError raised without an errno has no strerror.
+        reason = exc.strerror or type(exc).__name__
+        print(f"{parser.prog}: error: cannot write to stdout: {reason}", file=sys.stderr)
         return 4
     return code
 

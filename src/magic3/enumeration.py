@@ -4,22 +4,21 @@
 5 + i + 3j + 2k = s and yields each one's base grid; `iter_family_grids`
 expands each point into its eight symmetric images, which permute the same
 nine entries.  `iter_brute_grids` is the independent oracle: it sweeps the two
-free cells (a1, a2) one a1 row at a time, fills the rest of the grid from the
-line-sum equations, certifies each row by its two end grids, and leaves out
-the grids where two cells are equal.  Every cell is affine in a2 along a row,
-so each of the 8 lines where two cells are equal holds all along it or
-crosses it once at most: the row's lattice points less those on the lines
-(the inside-out polytope picture of M. Beck, T. Zaslavsky, Adv. Math. 205,
-2006).  `reconcile` runs both plus the two counting devices and insists all
-four agree.
+free cells (a1, a2) one a1 row at a time and fills the rest of the grid from
+the line-sum equations, and it yields each row's lattice points less those
+on the 8 lines where two cells are equal (the inside-out polytope picture of
+M. Beck, T. Zaslavsky, Adv. Math. 205, 2006).  `reconcile` runs both plus
+the two counting devices and insists all four agree.
 
-`reconcile` compares the two enumerations in (2s + 1)**2 bytes, one cell mark
-per (a1, a2), and keeps neither set.  Six equations (center s, a1 + c3 =
-a2 + c2 = a3 + c1 = b1 + b3 = 2s, row 1 = column 1 = 3s) make every line sum
-3s and force the grid from (a1, a2), so a grid that satisfies them is named
-by its cell.  Family grids move their cells from 0 to 1 and brute grids from
-1 to 2.  Each stream is walked once, and a failure is named from the marks
-(see `reconcile`).
+Six equations, center s, a1 + c3 = a2 + c2 = a3 + c1 = b1 + b3 = 2s and
+row 1 = column 1 = 3s, make every line sum 3s: row 2, column 2 and both
+diagonals are opposite pairs plus s, and row 3 and column 3 are 6s less row
+1 and less column 1.  They force the grid from (a1, a2) (`_forced_grid`), so
+with 0 <= a1, a2 <= 2s a grid that passes them is named by its cell
+a1 * (2s + 1) + a2, and cells sort as their grids do.  `reconcile` compares
+the two enumerations in (2s + 1)**2 bytes, one mark per cell, and keeps
+neither set: each family grid moves its cell from 0 to 1, and then each a1
+row of marks must be 1 exactly at the cells the brute-force sweep yields.
 
 The family grids are marked one lattice row (family, i) at a time.  Along a
 row every base-grid entry is affine in j, so each image's cells form one
@@ -31,19 +30,19 @@ cell, is walked per grid, so a failure is named as a per-grid walk names it.
 
 Both grid streams certify what they yield without building a `Square` per
 grid: family grids are magic by the cone argument `construct` rests on, and
-the brute sweep checks each row's two end grids.  No entry exceeds 2s, as
-opposite cells sum to 2s, and each stream's first grid holds 2s, so only that
-grid gets the `Square` entry checks.  A negative s raises ValueError on the
-first item of every stream, and the `iter_*_squares` streams mint by
-`validate`.
+the brute sweep checks each row's two end grids (see `iter_brute_grids`).
+No entry exceeds 2s, as opposite cells sum to 2s, and each stream's first
+grid holds 2s, so only that grid gets the `Square` entry checks.  A negative
+s raises ValueError on the first item of every stream, and the
+`iter_*_squares` streams mint by `validate`.
 
 Output orders are deterministic: family points are lexicographic by
 (family, i, j, k) and family grids by (family, i, j, k, symmetry index),
 brute force by (a1, a2).  The streams hold one lattice point or one a1 row
-(six ranges and at most 7 cuts) at a time, so a consumer that does not keep
-what they yield (such as `magic3 enumerate`, which writes the points' images
-and the brute grids out in fixed-size chunks) runs in memory that does not
-depend on s.
+(nine ranges or repeats and at most 7 cuts) at a time, so a consumer that
+does not keep what they yield (such as `magic3 enumerate`, which writes the
+points' images and the brute grids out in fixed-size chunks) runs in memory
+that does not depend on s.
 """
 
 from __future__ import annotations
@@ -132,9 +131,9 @@ def iter_brute_grids(s: int) -> Iterator[tuple[int, ...]]:
     """Certified brute-force sweep over (a1, a2); every other cell is forced by line sums.
 
     With magic sum m = 3s the center is forced to s, and the remaining cells
-    follow from the row, column, and diagonal equations.  The a2 range is
-    exactly where every cell is nonnegative, so no grid is tested for signs.
-    Each bound of it is one forced cell's own equation:
+    follow from the row, column, and diagonal equations (`_forced_grid`).
+    The a2 range is exactly where every cell is nonnegative, so no grid is
+    tested for signs.  Each bound of it is one forced cell's own equation:
 
         c2 = 2s - a2 >= 0           <=>  a2 <= 2s
         a3 = 3s - a1 - a2 >= 0      <=>  a2 <= 3s - a1
@@ -143,20 +142,21 @@ def iter_brute_grids(s: int) -> Iterator[tuple[int, ...]]:
         b3 = 2a1 + a2 - 2s >= 0     <=>  a2 >= 2s - 2a1
 
     and a1, a2 >= 0, c3 = 2s - a1 >= 0 and the center s hold throughout; so
-    every a1 in [0, 2s] has a row of n = high - low + 1 >= 1 pairs.  Along
-    one a1 row, a2 and the five cells it forces each move by one per step, so
-    they are stepped together as ranges that start and stop at their
-    equations' values for the first and last a2, and a1, s and c3 are fixed.
+    every a1 in [0, 2s] has a row of n = high - low + 1 >= 1 pairs.
 
     Each row is certified once, by `_brute_rows`, and no grid is tested on
     its own:
 
-    * every stepped cell must have n values, and the two end grids of the
-      row, read through the same `zip` that yields the row, must have all
-      eight line sums m; otherwise MismatchError, carrying the failing end
-      grid for a line sum, before any grid of the row is yielded.  Every
-      cell is affine in a2 along the row and the line sums are linear, so
-      the two ends certify every grid between them;
+    * its two end grids are the forced grids at a2 = low and a2 = high, and
+      each cell of the row steps by one between its two end values, as a
+      range, or is a repeat where they are equal.  Every stepped cell must
+      have n values and both end grids all eight line sums m; otherwise
+      MismatchError, carrying the failing end grid for a line sum, before
+      any grid of the row is yielded.  Every cell is then affine in a2
+      along the row, as every forced cell is, so the grid at offset k is the
+      forced grid of the cell a1 * (2s + 1) + low + k: the cells the sweep
+      yields strictly increase, and no grid repeats.  The line sums are
+      linear, so the two ends certify every grid between them;
     * two cells are equal somewhere in a grid exactly when one of the eight
       pairs in `_CELL_PAIRS` is, and each pair's difference is read off the
       two ends.  A difference that is the same at both ends is constant, so
@@ -164,20 +164,21 @@ def iter_brute_grids(s: int) -> Iterator[tuple[int, ...]]:
       an equal pair is dropped (only a1 = s does this).  Any other difference
       is zero at one a2 at most, which is cut from the row when it is an
       integer in it, so a row loses at most 7 grids;
-    * the row's grids are one `zip` of the stepped ranges and of repeats of
-      the fixed cells, and `islice` passes over the cuts;
+    * the row's grids are one `zip` of the cells' ranges and repeats, and
+      `islice` passes over the cuts (`_runs`);
     * the first grid gets the `Square` entry checks, so an s past the 64-bit
       range raises EntryRangeError as `Square` would on it.  No later grid
-      can fail them.  Opposite cells sum to 2s (a1 + c3 = a2 + c2 =
-      a3 + c1 = b1 + b3 = 2s) and every cell is nonnegative, so no entry
-      exceeds 2s.  The first grid holds 2s: at a1 = 0 the only pair is
-      a2 = 2s, whose a3 = s repeats the center, and at a1 = 1 the first pair
-      a2 = 2s - 2 gives (1, 2s-2, s+1, 2s, s, 0, s-1, 2, 2s-1), whose entries
-      are distinct for every s >= 4.  Below s = 4 there are no grids.
+      can fail them: every cell is nonnegative and no entry exceeds 2s.  The
+      first grid holds 2s: at a1 = 0 the only pair is a2 = 2s, whose a3 = s
+      repeats the center, and at a1 = 1 the first pair a2 = 2s - 2 gives
+      (1, 2s-2, s+1, 2s, s, 0, s-1, 2, 2s-1), whose entries are distinct for
+      every s >= 4.  Below s = 4 there are no grids.
     """
     _check_s(s)
     grids = chain.from_iterable(
-        islice(row, skip, stop) for row, n, cuts in _brute_rows(s) for skip, stop in _runs(n, cuts)
+        islice(row, skip, stop)
+        for _, row, n, cuts in _brute_rows(s)
+        for skip, stop in _runs(n, cuts)
     )
     first = next(grids, None)
     if first is not None:
@@ -194,36 +195,34 @@ def iter_brute_grids(s: int) -> Iterator[tuple[int, ...]]:
 _CELL_PAIRS = ((1, 4), (0, 1), (0, 4), (2, 4), (1, 2), (3, 4), (0, 3), (2, 5))
 
 
-def _brute_rows(s: int) -> Iterator[tuple[Iterator[tuple[int, ...]], int, Sequence[int]]]:
-    """Each a1 row of the brute-force sweep as (grids, n, cuts), in a1 order.
+def _forced_grid(s: int, cell: int) -> tuple[int, ...]:
+    """The grid that the six equations force from cell a1 * (2s + 1) + a2."""
+    a1, a2 = divmod(cell, 2 * s + 1)
+    a3 = 3 * s - a1 - a2
+    c1 = 2 * s - a3
+    b1 = 3 * s - a1 - c1
+    return (a1, a2, a3, b1, s, 2 * s - b1, c1, 2 * s - a2, 2 * s - a1)
 
-    grids is a `zip` of the row's n grids: a range of n values for each cell
-    that a2 steps, and a repeat for a1, s and c3, which are fixed along the
-    row.  cuts are the sorted offsets into the row of the grids with a
-    repeated value.  Raises MismatchError for a stepped cell without n
-    values, or an end grid with a line sum other than 3s (see
+
+def _brute_rows(s: int) -> Iterator[tuple[int, Iterator[tuple[int, ...]], int, Sequence[int]]]:
+    """Each a1 row of the brute-force sweep as (cell, grids, n, cuts), in a1 order.
+
+    cell is the (a1, a2) cell of the row's first grid, and grids is a `zip`
+    of the row's n grids.  cuts are the sorted offsets into the row of the
+    grids with a repeated value.  Raises MismatchError for a stepped cell
+    without n values, or an end grid with a line sum other than 3s (see
     `iter_brute_grids`).
     """
-    m = 3 * s
-    for a1 in range(2 * s + 1):
+    w, m = 2 * s + 1, 3 * s
+    for a1 in range(w):
         low = max(0, s - a1, 2 * s - 2 * a1)
-        high = min(2 * s, 3 * s - a1, 4 * s - 2 * a1)
-        n = high - low + 1
-        a2 = range(low, high + 1)
-        a3 = range(3 * s - a1 - low, 3 * s - a1 - high - 1, -1)
-        b1 = range(4 * s - 2 * a1 - low, 4 * s - 2 * a1 - high - 1, -1)
-        b3 = range(2 * a1 + low - 2 * s, 2 * a1 + high - 2 * s + 1)
-        c1 = range(a1 + low - s, a1 + high - s + 1)
-        c2 = range(2 * s - low, 2 * s - high - 1, -1)
-        c3 = 2 * s - a1
-        if not len(a2) == len(a3) == len(b1) == len(b3) == len(c1) == len(c2) == n:
+        n = min(2 * s, 3 * s - a1, 4 * s - 2 * a1) - low + 1
+        cell = a1 * w + low
+        first, last = _forced_grid(s, cell), _forced_grid(s, cell + n - 1)
+        if {abs(y - x) for x, y in zip(first, last)} - {0, n - 1}:
             raise MismatchError(
                 f"brute-force row a1={a1} at s={s} has a stepped cell without {n} values"
             )
-        first, last = zip(
-            (a1, a1), (a2[0], a2[-1]), (a3[0], a3[-1]), (b1[0], b1[-1]), (s, s),
-            (b3[0], b3[-1]), (c1[0], c1[-1]), (c2[0], c2[-1]), (c3, c3),
-        )
         for g in first, last:
             # Rows, columns, then diagonals.
             if not (
@@ -234,7 +233,10 @@ def _brute_rows(s: int) -> Iterator[tuple[Iterator[tuple[int, ...]], int, Sequen
                 raise MismatchError(
                     f"brute-force grid at s={s} has a line sum other than {m}", square=g
                 )
-        row = zip(repeat(a1), a2, a3, b1, repeat(s), b3, c1, c2, repeat(c3))
+        row = zip(*[
+            range(x, y + 1) if x < y else range(x, y - 1, -1) if x > y else repeat(x, n)
+            for x, y in zip(first, last)
+        ])
         # Each pair's difference is affine along the row, d0 at offset 0 and
         # d1 at n - 1: zero everywhere or nowhere if d0 == d1, and otherwise
         # only at d0 * (n - 1) / (d0 - d1).
@@ -246,10 +248,10 @@ def _brute_rows(s: int) -> Iterator[tuple[Iterator[tuple[int, ...]], int, Sequen
                 if not rest and 0 <= offset < n:
                     cuts.add(offset)
             elif not d0:
-                yield row, n, range(n)
+                yield cell, row, n, range(n)
                 break
         else:
-            yield row, n, sorted(cuts)
+            yield cell, row, n, sorted(cuts)
 
 
 def _runs(n: int, cuts: Iterable[int]) -> Iterator[tuple[int, int]]:
@@ -274,18 +276,15 @@ def count_families(s: int) -> int:
 
 
 def _mark_cells(
-    grids: Iterator[tuple[int, ...]], s: int, marks: bytearray, old: int
+    grids: Iterator[tuple[int, ...]], s: int, marks: bytearray
 ) -> tuple[int, tuple[int, ...] | None, tuple[int, ...] | None]:
-    """Move each grid's (a1, a2) cell of marks from `old` to `old + 1`.
+    """Move the cell of each grid that passes the six equations, 0 <= a1, a2 <= 2s, from 0 to 1.
 
-    A grid passes the six equations when its center is s, a1 + c3 =
-    a2 + c2 = a3 + c1 = b1 + b3 = 2s, row 1 and column 1 sum to 3s and
-    0 <= a1, a2 <= 2s; its cell is then a1 * (2s + 1) + a2.  Walks every
-    grid and returns (count, repeat, stray): the number of cells moved, the
-    first grid whose cell was already moved, and the smallest grid that
-    fails the equations or whose cell was at neither value.
+    Walks every grid and returns (count, repeat, stray): the number of cells
+    moved, the first grid whose cell was already 1, and the smallest grid
+    that fails the equations.
     """
-    w, two_s, three_s, new = 2 * s + 1, 2 * s, 3 * s, old + 1
+    w, two_s, three_s = 2 * s + 1, 2 * s, 3 * s
     count, repeat, stray = 0, None, None
     for grid in grids:
         a1, a2, a3, b1, b2, b3, c1, c2, c3 = grid
@@ -296,16 +295,12 @@ def _mark_cells(
             and 0 <= a1 <= two_s
             and 0 <= a2 <= two_s
         ):
-            mark = marks[cell := a1 * w + a2]
-            if mark == old:
-                marks[cell] = new
+            if not marks[cell := a1 * w + a2]:
+                marks[cell] = 1
                 count += 1
-                continue
-            if mark == new:
-                if repeat is None:
-                    repeat = grid
-                continue
-        if stray is None or grid < stray:
+            elif repeat is None:
+                repeat = grid
+        elif stray is None or grid < stray:
             stray = grid
     return count, repeat, stray
 
@@ -313,7 +308,7 @@ def _mark_cells(
 def _mark_family_rows(
     s: int, marks: bytearray
 ) -> tuple[int, tuple[int, ...] | None, tuple[int, ...] | None]:
-    """`_mark_cells(iter_family_grids(s), s, marks, 0)`, one lattice row at a time.
+    """`_mark_cells(iter_family_grids(s), s, marks)`, one lattice row at a time.
 
     Certifies each row by its two end base grids and marks one slice per image
     (see the module docstring); a row that fails is cleared and walked per grid.
@@ -344,53 +339,59 @@ def _mark_family_rows(
         for span in spans:
             marks[span] = bytes(n)
         grids = (image(base_grid(family, i, j, k)) for j, k in zip(js, ks) for image in images)
-        moved, first_repeat, smallest = _mark_cells(grids, s, marks, 0)
+        moved, first_repeat, smallest = _mark_cells(grids, s, marks)
         count += moved
         repeat = first_repeat if repeat is None else repeat
         stray = min((g for g in (stray, smallest) if g is not None), default=None)
     return count, repeat, stray
 
 
-def _forced_grid(s: int, cell: int) -> tuple[int, ...]:
-    """The grid that the six equations force from cell a1 * (2s + 1) + a2."""
-    a1, a2 = divmod(cell, 2 * s + 1)
-    a3 = 3 * s - a1 - a2
-    c1 = 2 * s - a3
-    b1 = 3 * s - a1 - c1
-    return (a1, a2, a3, b1, s, 2 * s - b1, c1, 2 * s - a2, 2 * s - a1)
+def _compare_brute_rows(s: int, marks: bytearray) -> tuple[int, int | None]:
+    """Compare each a1 row of marks with the cells that `iter_brute_grids(s)` yields in it.
+
+    A row's 2s + 1 marks must be 1 at the cells whose grids the sweep
+    yields, by the same `_runs`, and 0 elsewhere: one comparison per row.
+    Walks the whole sweep and returns the number of grids it yields and the
+    first cell where the marks differ, or None.
+    """
+    w = 2 * s + 1
+    count, differ = 0, None
+    for cell, _, n, cuts in _brute_rows(s):
+        start = cell - cell % w
+        if differ is None:
+            # Each run passes over `skip` grids and yields the next stop - skip.
+            runs = (bytes(skip) + b"\1" * (stop - skip) for skip, stop in _runs(n, cuts))
+            row = (bytes(cell - start) + b"".join(runs)).ljust(w, b"\0")
+            if marks[start : start + w] != row:
+                differ = start + next(k for k in range(w) if marks[start + k] != row[k])
+        count += n - len(cuts)
+    return count, differ
 
 
 def reconcile(s: int, include_brute: bool = True) -> CountReport:
     """Count magic squares four ways and insist on exact agreement.
 
     The two enumerated sets are compared in one bytearray of (2s + 1)**2 cell
-    marks, one per (a1, a2), whatever the number of squares.  A grid with
-    center s, a1 + c3 = a2 + c2 = a3 + c1 = b1 + b3 = 2s and row 1 = column 1
-    = 3s has every line sum 3s: row 2, column 2 and both diagonals are
-    opposite pairs plus s, and row 3 and column 3 are 6s less row 1 and less
-    column 1.  Such a grid is forced by (a1, a2): c3 = 2s - a1,
-    c2 = 2s - a2, a3 = 3s - a1 - a2, c1 = 2s - a3, b1 = 3s - a1 - c1 and
-    b3 = 2s - b1.  So with 0 <= a1, a2 <= 2s, its cell a1 * (2s + 1) + a2
-    stands for the whole grid, and cells sort as their grids do.  Each
-    family grid moves its cell from 0 to 1, and each brute grid moves its
-    cell from 1 to 2.  The family grids go one lattice row at a time: the
-    equations are linear and the entries affine in j along a row, so its two
-    end base grids certify all its points, and each image maps lines onto
-    lines, so its cells pass too and form one slice of the marks.  No family
-    cell found at 1 means no family grid repeats; every brute cell found at 1
-    means every brute grid is a family grid and none repeats; and no cell
-    left at 1 then makes the two sets equal.
+    marks, one per (a1, a2), whatever the number of squares (see the module
+    docstring).  Each family grid moves its cell from 0 to 1, so no family
+    cell found at 1 means no family grid repeats.  Each brute grid is the
+    forced grid of its cell, and the sweep yields each cell once (see
+    `iter_brute_grids`), so every a1 row of marks equal to the cells the
+    sweep yields in it makes the two sets equal, and the brute count is
+    what the rows yield.
 
     Each stream is walked once, and a failure is named from the marks alone.
     MismatchError names the first repeated family grid in stream order.
-    Otherwise, with the brute-force stream, it names the smallest of three
+    Otherwise, with the brute-force stream, it names the smaller of two
     candidates and the stream it comes from: the smallest family grid the
-    six equations reject, the lowest cell left at 1 (a family grid no brute
-    grid matched), and the smallest brute grid the equations reject or
-    whose cell was at 0 (no family grid matched it).  Otherwise it names the
-    first repeated brute grid.  Without the brute-force stream, it names the
-    smallest family grid the equations reject.  A rejected grid is named as
-    a difference or as not magic, even if it also repeats.
+    six equations reject, and the forced grid of the first cell where the
+    marks and the sweep differ, from families if the cell is marked (no
+    brute grid matched it) and from brute force if not (no family grid
+    matched it).  Without the brute-force stream, it names the smallest
+    family grid the equations reject.  A rejected grid is named as a
+    difference or as not magic, even if it also repeats.  A sweep row that
+    fails its certificate raises as `iter_brute_grids` does, whatever the
+    marks hold.
 
     Raises ValueError for a negative s, and for an s past COUNT_MAX_S, whose
     cell marks would pass 256 MiB; both before any work is done.
@@ -409,22 +410,17 @@ def reconcile(s: int, include_brute: bool = True) -> CountReport:
         raise MismatchError(f"family expansion repeated a square at s={s}", square=repeat)
     brute: int | None = None
     if include_brute:
-        brute, brute_repeat, brute_stray = _mark_cells(iter_brute_grids(s), s, marks, 1)
-        unmatched = marks.find(1)
-        candidates = (
-            (stray, "families"),
-            (None if unmatched < 0 else _forced_grid(s, unmatched), "families"),
-            (brute_stray, "brute force"),
-        )
-        first = min((c for c in candidates if c[0] is not None), default=None)
-        if first is not None:
-            square, side = first
+        brute, differ = _compare_brute_rows(s, marks)
+        candidates = [] if stray is None else [(stray, "families")]
+        if differ is not None:
+            side = "families" if marks[differ] else "brute force"
+            candidates.append((_forced_grid(s, differ), side))
+        if candidates:
+            square, side = min(candidates)
             raise MismatchError(
                 f"square sets differ at s={s}; first difference comes from {side}",
                 square=square,
             )
-        if brute_repeat is not None:
-            raise MismatchError(f"brute force repeated a square at s={s}", square=brute_repeat)
     if stray is not None:
         raise MismatchError(
             f"family expansion gave a grid at s={s} that is not a magic square "

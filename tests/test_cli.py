@@ -30,7 +30,7 @@ from magic3 import (
     validate,
 )
 from magic3.enumeration import COUNT_MAX_S
-from test_enumeration import slipped_zip
+from test_enumeration import slipped_forced_grid
 
 T1_TEXT = "7 0 5 2 4 6 3 8 1"
 T2_TEXT = "8 0 7 4 5 6 3 10 2"
@@ -324,7 +324,7 @@ class TestCount:
         assert peak < 2**20
 
     def test_mismatch_names_the_verb(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "zip", slipped_zip, raising=False)
+        monkeypatch.setattr(enumeration, "_forced_grid", slipped_forced_grid)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             rc, out = main_stdout(["count", "10"])
@@ -481,6 +481,17 @@ class TestClosedStdout:
                 out.close()
         assert (rc, err.getvalue()) == (4, self.BROKEN_PIPE)
         assert len(os.listdir("/proc/self/fd")) == open_fds
+
+    def test_error_without_an_errno_is_named_by_its_type(self):
+        class BareBrokenPipeStdout(BrokenPipeStdout):
+            def write(self, text: str) -> int:
+                raise BrokenPipeError()
+
+        err = io.StringIO()
+        with contextlib.redirect_stdout(BareBrokenPipeStdout()), contextlib.redirect_stderr(err):
+            rc = cli.main(["count", "12"])
+        assert rc == 4
+        assert err.getvalue() == "magic3: error: cannot write to stdout: BrokenPipeError\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("argv", [["enumerate", "30"], ["count", "12"]], ids=" ".join)

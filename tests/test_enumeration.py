@@ -39,7 +39,7 @@ from magic3 import (
 from magic3 import core
 from magic3.core import _LINES
 from magic3.decompose import _BASIS, _INVERSE_IMAGES, Family, base_grid
-from magic3.enumeration import COUNT_MAX_S, iter_family_points
+from magic3.enumeration import COUNT_MAX_S, _forced_grid, iter_family_points
 
 
 def naive_magic_grids(s):
@@ -240,32 +240,43 @@ class TestBruteForce:
         # A row of n pairs either loses all n (two cells with one slope are
         # equal) or its crossings; what is left is the count, count_closed(s).
         for s in range(201):
+            w = 2 * s + 1
             rows = list(enumeration._brute_rows(s))
-            swept = [len(brute_row_bounds(s, a1)) for a1 in range(2 * s + 1)]
-            assert [n for _, n, _ in rows] == swept
-            assert sum(len(cuts) for _, _, cuts in rows) == sum(swept) - count_closed(s), s
+            swept = [brute_row_bounds(s, a1) for a1 in range(w)]
+            assert [(cell, n) for cell, _, n, _ in rows] == [
+                (a1 * w + a2s.start, len(a2s)) for a1, a2s in enumerate(swept)
+            ]
+            cut = sum(len(cuts) for *_, cuts in rows)
+            assert cut == sum(map(len, swept)) - count_closed(s), s
+
+    def test_swept_cells_strictly_increase(self):
+        # So no brute grid repeats: `reconcile` has no repeat of the sweep to name.
+        for s in range(61):
+            cells = [a1 * (2 * s + 1) + a2 for a1, a2, *_ in iter_brute_grids(s)]
+            assert all(a < b for a, b in zip(cells, cells[1:])), s
 
 
-def slipped_zip(*cells):
-    """`zip`, with the eighth value of each tuple one too high.
+def slipped_forced_grid(s, cell):
+    """`_forced_grid`, with c2 one too high.
 
-    Put in place of `zip` in the enumeration module, it gives the brute sweep
-    grids whose c2 is one past its line-sum value, as a slip in its stepped
-    range would.
+    Put in place of `_forced_grid` in the enumeration module, it gives the
+    brute sweep end grids whose c2 is one past its line-sum value, as a slip
+    in the forced cells would.
     """
-    for values in zip(*cells):
-        yield values[:7] + (values[7] + 1,) + values[8:]
+    grid = _forced_grid(s, cell)
+    return grid[:7] + (grid[7] + 1,) + grid[8:]
 
 
-def short_range(*args):
-    """`range`, less the last value of a range of more than one that steps down to 0.
+def short_forced_grid(s, cell):
+    """`_forced_grid`, with b1 lower by half of 2s - a2, rounded down.
 
-    Put in place of `range` in the enumeration module, it gives the brute
-    sweep one stepped cell one value shorter than the others: at s = 10 the
-    first is c2 in the row a1 = 1, whose a2 runs 18..20 and c2 2..0.
+    Put in place of `_forced_grid` in the enumeration module, it gives the
+    brute sweep a stepped cell with fewer values than its row has grids: at
+    s = 10 the first is b1 in the row a1 = 1, whose a2 runs 18..20 and b1
+    19..18.  At a2 = 2s, as in the row a1 = 0, b1 is right.
     """
-    cell = range(*args)
-    return cell[:-1] if cell.step < 0 and len(cell) > 1 and cell[-1] == 0 else cell
+    grid = _forced_grid(s, cell)
+    return grid[:3] + (grid[3] - (2 * s - cell % (2 * s + 1)) // 2,) + grid[4:]
 
 
 # The first pair at s = 10, (a1, a2) = (0, 20), with c2 = 0 slipped to 1: row 3
@@ -280,7 +291,7 @@ class TestBruteSweepChecks:
             next(iter_brute_grids(2**63 + 1))
 
     def test_slipped_line_sum_is_caught(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "zip", slipped_zip, raising=False)
+        monkeypatch.setattr(enumeration, "_forced_grid", slipped_forced_grid)
         with pytest.raises(MismatchError, match="line sum other than 30") as info:
             next(iter_brute_grids(10))
         assert info.value.square == SLIPPED_GRID
@@ -288,7 +299,7 @@ class TestBruteSweepChecks:
 
     def test_short_stepped_cell_is_caught_before_any_grid(self, monkeypatch):
         # The row a1 = 1 holds the sweep's first grid, (1, 18, 11, 20, 10, 0, 9, 2, 19).
-        monkeypatch.setattr(enumeration, "range", short_range, raising=False)
+        monkeypatch.setattr(enumeration, "_forced_grid", short_forced_grid)
         yielded = []
         with pytest.raises(MismatchError) as info:
             yielded.extend(iter_brute_grids(10))
@@ -296,9 +307,11 @@ class TestBruteSweepChecks:
         assert (yielded, info.value.square) == ([], None)
 
     def test_slipped_line_sum_is_caught_under_optimize(self):
-        code = inspect.getsource(slipped_zip) + (
+        code = (
             "import magic3.enumeration as E\n"
-            "E.zip = slipped_zip\n"
+            "_forced_grid = E._forced_grid\n"
+            + inspect.getsource(slipped_forced_grid)
+            + "E._forced_grid = slipped_forced_grid\n"
             "try:\n"
             "    next(E.iter_brute_grids(10))\n"
             "except E.MismatchError as exc:\n"
@@ -531,6 +544,30 @@ def _patched(monkeypatch, name, edit):
     return list(real(6))
 
 
+def recut(monkeypatch, cut=(), uncut=()):
+    """Put in place a `_brute_rows` that also cuts the grids `cut` and no longer cuts `uncut`.
+
+    Each grid changes the cuts of the row that holds its (a1, a2) cell.
+    """
+    real = enumeration._brute_rows
+
+    def brute_rows(s):
+        w = 2 * s + 1
+        for cell, grids, n, cuts in real(s):
+            def offsets(named):
+                return {g[0] * w + g[1] - cell for g in named} & set(range(n))
+
+            yield cell, grids, n, sorted(set(cuts) - offsets(uncut) | offsets(cut))
+
+    monkeypatch.setattr(enumeration, "_brute_rows", brute_rows)
+
+
+def first_cut(s):
+    """The forced grid of the first cell the brute-force sweep cuts at s."""
+    cell, _, _, cuts = next(row for row in enumeration._brute_rows(s) if row[3])
+    return _forced_grid(s, cell + cuts[0])
+
+
 def row_grids(rows):
     """The grids of lattice rows (family, i, js, ks), point by point and image by image."""
     return [
@@ -553,7 +590,8 @@ class TestReconcileFailures:
     The family half is marked one lattice row at a time, so its faults are
     injected where a row walk can meet them: in the row stream
     `_family_rows`, in the (seed, GEN3, generator) table `_BASIS`, or in the
-    image table `_INVERSE_IMAGES`."""
+    image table `_INVERSE_IMAGES`.  The brute half is compared one sweep row
+    at a time, so its faults are injected in the row stream `_brute_rows`."""
 
     def test_repeated_family_grid_is_the_first_repeat_in_stream_order(self, monkeypatch):
         # Each point yields images 0-4, 3, 1, 5-7: the first repeat is image 3.
@@ -592,17 +630,16 @@ class TestReconcileFailures:
         assert str(info.value).endswith("comes from families")
 
     @pytest.mark.parametrize(
-        "edit, expected, side",
-        [
-            (lambda g: g + [tuple(v + 1 for v in g[0])], "extra", "brute force"),
-            (lambda g: g[:9] + g[10:], "dropped", "families"),
-            (lambda g: g[:9] + g[10:] + [tuple(v + 1 for v in g[0])], "min", None),
-        ],
+        "cut, uncut, side",
+        [(False, True, "brute force"), (True, False, "families"), (True, True, None)],
+        ids=["dropped cut", "extra cut", "both"],
     )
-    def test_set_difference_names_its_smallest_square(self, monkeypatch, edit, expected, side):
-        grids = _patched(monkeypatch, "iter_brute_grids", edit)
-        extra, dropped = tuple(v + 1 for v in grids[0]), grids[9]
-        square = {"extra": extra, "dropped": dropped, "min": min(extra, dropped)}[expected]
+    def test_set_difference_names_its_smallest_square(self, monkeypatch, cut, uncut, side):
+        # An extra cut drops the sweep's tenth grid; a dropped cut yields its
+        # first cut grid, (0, 12, 6, 12, 6, 0, 6, 0, 12), which repeats 6 and 12.
+        extra, dropped = first_cut(6), list(iter_brute_grids(6))[9]
+        recut(monkeypatch, cut=[dropped] * cut, uncut=[extra] * uncut)
+        square = min([extra] * uncut + [dropped] * cut)
         with pytest.raises(MismatchError, match="square sets differ") as info:
             reconcile(6)
         assert info.value.square == square
@@ -675,12 +712,6 @@ class TestReconcileMarks:
             reconcile(6, include_brute)
         assert info.value.square == square
 
-    def test_repeated_brute_grid_is_caught(self, monkeypatch):
-        grids = _patched(monkeypatch, "iter_brute_grids", lambda g: g[:5] + [g[3]] + g[5:])
-        with pytest.raises(MismatchError, match="brute force repeated a square at s=6") as info:
-            reconcile(6)
-        assert info.value.square == grids[3]
-
     @pytest.mark.parametrize(
         "include_brute, match",
         [
@@ -701,20 +732,21 @@ class TestReconcileMarks:
         # A set of either stream's grids at s = 240 takes tens of MB; the
         # marks are (2s+1)**2 = 231,361 bytes.
         s = 240
-        real_rows, real_brute = enumeration._family_rows, iter_brute_grids
-        dropped = next(itertools.islice(real_brute(s), 9, None))
+        dropped = next(itertools.islice(iter_brute_grids(s), 9, None))
+        recut(monkeypatch, cut=[dropped])
         calls = {"families": 0, "brute": 0}
 
-        def family_rows(s):
-            calls["families"] += 1
-            return real_rows(s)
+        def counted(name, stream):
+            real = getattr(enumeration, stream)
 
-        def brute_stream_without_its_tenth_grid(s):
-            calls["brute"] += 1
-            return (grid for n, grid in enumerate(real_brute(s)) if n != 9)
+            def walk(s):
+                calls[name] += 1
+                return real(s)
 
-        monkeypatch.setattr(enumeration, "_family_rows", family_rows)
-        monkeypatch.setattr(enumeration, "iter_brute_grids", brute_stream_without_its_tenth_grid)
+            monkeypatch.setattr(enumeration, stream, walk)
+
+        counted("families", "_family_rows")
+        counted("brute", "_brute_rows")
         tracemalloc.start()
         try:
             with pytest.raises(MismatchError, match="first difference comes from families") as info:
@@ -731,7 +763,7 @@ class TestReconcileMarks:
         def unreachable(*args):
             raise AssertionError("reconcile did work before refusing s")
 
-        for name in ("count_closed", "expand", "_family_rows", "iter_brute_grids"):
+        for name in ("count_closed", "expand", "_family_rows", "_brute_rows"):
             monkeypatch.setattr(enumeration, name, unreachable)
         with pytest.raises(ValueError, match=f"at most {COUNT_MAX_S}, got {s}"):
             reconcile(s)
@@ -743,7 +775,7 @@ class TestReconcileMarks:
 def per_grid_marks(s):
     """(count, repeat, stray) and the marks of the per-grid walk over the family grids."""
     marks = bytearray((2 * s + 1) ** 2)
-    return enumeration._mark_cells(iter_family_grids(s), s, marks, 0), marks
+    return enumeration._mark_cells(iter_family_grids(s), s, marks), marks
 
 
 def row_marks(s):
@@ -790,16 +822,15 @@ class TestRowWalk:
         s = 6
         rows = _patched(monkeypatch, "_family_rows", edit)
         marks = bytearray((2 * s + 1) ** 2)
-        expected = enumeration._mark_cells(iter(row_grids(edit(rows))), s, marks, 0), marks
+        expected = enumeration._mark_cells(iter(row_grids(edit(rows))), s, marks), marks
         assert row_marks(s) == expected
 
     def test_per_grid_fallback_never_runs_on_a_sound_build(self, monkeypatch):
         real, family_walks = enumeration._mark_cells, []
 
-        def mark_cells(grids, s, marks, old):
-            if old == 0:
-                family_walks.append(s)
-            return real(grids, s, marks, old)
+        def mark_cells(grids, s, marks):
+            family_walks.append(s)
+            return real(grids, s, marks)
 
         monkeypatch.setattr(enumeration, "_mark_cells", mark_cells)
         for s in [*range(0, 61), 250]:
@@ -831,3 +862,120 @@ class TestRowWalk:
             images = _INVERSE_IMAGES[:g] + (itemgetter(*cells),) + _INVERSE_IMAGES[g + 1:]
             with pytest.raises(RuntimeError, match="does not map the eight lines"):
                 core._check_images(images)
+
+
+def per_grid_brute_walk(s):
+    """(brute, named square, side) as `reconcile(s)` found them when it walked each brute grid.
+
+    The reference for the row comparison.  The family half is marked as
+    `reconcile` marks it; then each brute grid that passes the six equations
+    moves its cell from 1 to 2.  The smallest of three candidates is named
+    with its side: the smallest family grid the equations reject, the forced
+    grid of the lowest cell left at 1, and the smallest brute grid that the
+    equations reject or whose cell was at 0.  Otherwise a brute grid found
+    at 2 is named as a repeat, and otherwise the brute count is returned.
+    """
+    w, two_s = 2 * s + 1, 2 * s
+    marks = bytearray(w * w)
+    _, _, stray = enumeration._mark_family_rows(s, marks)
+    count, repeat, brute_stray = 0, None, None
+    for grid in iter_brute_grids(s):
+        a1, a2, a3, b1, b2, b3, c1, c2, c3 = grid
+        mark = None
+        if (
+            b2 == s
+            and a1 + c3 == a2 + c2 == a3 + c1 == b1 + b3 == two_s
+            and a1 + a2 + a3 == a1 + b1 + c1 == 3 * s
+            and 0 <= a1 <= two_s
+            and 0 <= a2 <= two_s
+        ):
+            mark = marks[a1 * w + a2]
+        if mark == 1:
+            marks[a1 * w + a2] = 2
+            count += 1
+        elif mark == 2:
+            repeat = repeat or grid
+        elif brute_stray is None or grid < brute_stray:
+            brute_stray = grid
+    unmatched = marks.find(1)
+    candidates = [
+        (stray, "families"),
+        (None if unmatched < 0 else _forced_grid(s, unmatched), "families"),
+        (brute_stray, "brute force"),
+    ]
+    named = min((c for c in candidates if c[0] is not None), default=None)
+    if named is not None:
+        return (None, *named)
+    if repeat is not None:
+        return None, repeat, "repeat"
+    return count, None, None
+
+
+def row_comparison(s):
+    """(brute, named square, side) of `reconcile(s)`: its count, or what its MismatchError names."""
+    try:
+        return reconcile(s).brute, None, None
+    except MismatchError as exc:
+        return None, exc.square, str(exc).partition("comes from ")[2]
+
+
+def fault_row(monkeypatch, s, a1, fault):
+    """Put in a `_brute_rows` with `fault` in its row a1 at s; False if that row cannot have it.
+
+    An extra cut cuts the row's first uncut grid, a dropped cut yields its
+    first cut grid, and a shifted row moves its cells and grids one a2 towards
+    the middle of the (a1, a2) square, within the a1 row of the marks.
+    """
+    real = enumeration._brute_rows
+    cell, _, n, cuts = list(real(s))[a1]
+    kept = [k for k in range(n) if k not in cuts]
+    if fault == "extra cut" and kept:
+        recut(monkeypatch, cut=[_forced_grid(s, cell + kept[0])])
+    elif fault == "dropped cut" and cuts:
+        recut(monkeypatch, uncut=[_forced_grid(s, cell + cuts[0])])
+    elif fault == "shifted row" and a1 != s:
+        at = cell + (1 if a1 > s else -1)
+
+        def brute_rows(s):
+            for row in real(s):
+                grids = map(_forced_grid, itertools.repeat(s), range(at, at + n))
+                yield (at, grids, n, cuts) if row[0] == cell else row
+
+        monkeypatch.setattr(enumeration, "_brute_rows", brute_rows)
+    else:
+        return False
+    return True
+
+
+class TestBruteRowComparison:
+    """`reconcile` compares each a1 row of the brute-force sweep with its marks at once."""
+
+    def test_names_what_the_per_grid_walk_names(self):
+        for s in ROW_WALK_S:
+            assert row_comparison(s) == per_grid_brute_walk(s), s
+
+    @pytest.mark.parametrize("fault", ["extra cut", "dropped cut", "shifted row"])
+    def test_names_what_the_per_grid_walk_names_on_a_faulty_row(self, monkeypatch, fault):
+        named = 0
+        for s in (6, 12, 25):
+            for a1 in range(2 * s + 1):
+                with monkeypatch.context() as patch:
+                    if not fault_row(patch, s, a1, fault):
+                        continue
+                    # `reconcile` needs no entry checks below COUNT_MAX_S; a
+                    # shifted first row would fail those of `iter_brute_grids`.
+                    patch.setattr(enumeration, "check_entries", lambda entries: None)
+                    expected = per_grid_brute_walk(s)
+                    assert row_comparison(s) == expected, (s, a1)
+                # A shifted row whose grids are all cut changes nothing.
+                named += expected[0] is None
+        assert named > 60
+
+    def test_builds_no_brute_grid_on_a_sound_build(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("reconcile walked grids one at a time")
+
+        for name in ("iter_brute_grids", "_mark_cells"):
+            monkeypatch.setattr(enumeration, name, unreachable)
+        for s in [*range(61), 250]:
+            assert reconcile(s).brute == count_closed(s)

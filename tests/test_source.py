@@ -75,6 +75,11 @@ def test_public_names_are_the_imported_names():
     assert set(names) == imported
 
 
+# The brute-force sweep, and the brute half of `reconcile` that compares it
+# with the family marks.
+SWEEP = ("iter_brute_grids", "_brute_rows", "_forced_grid", "_runs", "_compare_brute_rows")
+
+
 def test_brute_sweep_uses_nothing_from_decompose():
     # The brute-force oracle checks the family expansion, so it reads none of
     # the names that `enumeration` imports from `decompose`.
@@ -90,8 +95,8 @@ def test_brute_sweep_uses_nothing_from_decompose():
         node
         for node in tree.body
         if isinstance(node, ast.FunctionDef)
-        and node.name in ("iter_brute_grids", "_brute_rows", "_runs")
+        and node.name in SWEEP
     ]
     used = {node.id for function in sweep for node in ast.walk(function) if isinstance(node, ast.Name)}
-    assert len(sweep) == 3 and "base_grid" in from_decompose
+    assert len(sweep) == len(SWEEP) and "base_grid" in from_decompose
     assert used & from_decompose == set()
