@@ -25,8 +25,8 @@ row every base-grid entry is affine in j, so each image's cells form one
 extended slice of the marks.  The six equations are linear and
 0 <= entry <= 2s convex, so a row whose two end base grids pass them passes
 at every point, and so does each image, as it maps lines onto lines (checked
-when `core` is imported).  A row that fails, or whose slices hold a marked
-cell, is walked per grid, so a failure is named as a per-grid walk names it.
+when `core` is imported).  Each half of `reconcile` certifies one row at a
+time and names a failure from that row alone; no grid is walked on its own.
 
 Both grid streams certify what they yield without building a `Square` per
 grid: family grids are magic by the cone argument `construct` rests on, and
@@ -164,8 +164,8 @@ def iter_brute_grids(s: int) -> Iterator[tuple[int, ...]]:
       an equal pair is dropped (only a1 = s does this).  Any other difference
       is zero at one a2 at most, which is cut from the row when it is an
       integer in it, so a row loses at most 7 grids;
-    * the row's grids are one `zip` of the cells' ranges and repeats, and
-      `islice` passes over the cuts (`_runs`);
+    * the row's grids are one `zip` of the cells' ranges and repeats, built
+      from the two end grids, and `islice` passes over the cuts (`_runs`);
     * the first grid gets the `Square` entry checks, so an s past the 64-bit
       range raises EntryRangeError as `Square` would on it.  No later grid
       can fail them: every cell is nonnegative and no entry exceeds 2s.  The
@@ -177,7 +177,8 @@ def iter_brute_grids(s: int) -> Iterator[tuple[int, ...]]:
     _check_s(s)
     grids = chain.from_iterable(
         islice(row, skip, stop)
-        for _, row, n, cuts in _brute_rows(s)
+        for _, ends, n, cuts in _brute_rows(s)
+        for row in [zip(*map(_cell_values, *ends, repeat(n)))]
         for skip, stop in _runs(n, cuts)
     )
     first = next(grids, None)
@@ -204,26 +205,26 @@ def _forced_grid(s: int, cell: int) -> tuple[int, ...]:
     return (a1, a2, a3, b1, s, 2 * s - b1, c1, 2 * s - a2, 2 * s - a1)
 
 
-def _brute_rows(s: int) -> Iterator[tuple[int, Iterator[tuple[int, ...]], int, Sequence[int]]]:
-    """Each a1 row of the brute-force sweep as (cell, grids, n, cuts), in a1 order.
+def _brute_rows(s: int) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], int, Sequence[int]]]:
+    """Each a1 row of the brute-force sweep as (cell, ends, n, cuts), in a1 order.
 
-    cell is the (a1, a2) cell of the row's first grid, and grids is a `zip`
-    of the row's n grids.  cuts are the sorted offsets into the row of the
-    grids with a repeated value.  Raises MismatchError for a stepped cell
-    without n values, or an end grid with a line sum other than 3s (see
-    `iter_brute_grids`).
+    cell is the (a1, a2) cell of the row's first grid, and ends are the
+    row's first and last of its n grids.  cuts are the sorted offsets into
+    the row of the grids with a repeated value.  Raises MismatchError for a
+    stepped cell without n values, or an end grid with a line sum other than
+    3s (see `iter_brute_grids`).
     """
     w, m = 2 * s + 1, 3 * s
     for a1 in range(w):
         low = max(0, s - a1, 2 * s - 2 * a1)
         n = min(2 * s, 3 * s - a1, 4 * s - 2 * a1) - low + 1
         cell = a1 * w + low
-        first, last = _forced_grid(s, cell), _forced_grid(s, cell + n - 1)
+        ends = first, last = _forced_grid(s, cell), _forced_grid(s, cell + n - 1)
         if {abs(y - x) for x, y in zip(first, last)} - {0, n - 1}:
             raise MismatchError(
                 f"brute-force row a1={a1} at s={s} has a stepped cell without {n} values"
             )
-        for g in first, last:
+        for g in ends:
             # Rows, columns, then diagonals.
             if not (
                 g[0] + g[1] + g[2] == g[3] + g[4] + g[5] == g[6] + g[7] + g[8]
@@ -233,10 +234,6 @@ def _brute_rows(s: int) -> Iterator[tuple[int, Iterator[tuple[int, ...]], int, S
                 raise MismatchError(
                     f"brute-force grid at s={s} has a line sum other than {m}", square=g
                 )
-        row = zip(*[
-            range(x, y + 1) if x < y else range(x, y - 1, -1) if x > y else repeat(x, n)
-            for x, y in zip(first, last)
-        ])
         # Each pair's difference is affine along the row, d0 at offset 0 and
         # d1 at n - 1: zero everywhere or nowhere if d0 == d1, and otherwise
         # only at d0 * (n - 1) / (d0 - d1).
@@ -248,10 +245,15 @@ def _brute_rows(s: int) -> Iterator[tuple[int, Iterator[tuple[int, ...]], int, S
                 if not rest and 0 <= offset < n:
                     cuts.add(offset)
             elif not d0:
-                yield cell, row, n, range(n)
+                yield cell, ends, n, range(n)
                 break
         else:
-            yield cell, row, n, sorted(cuts)
+            yield cell, ends, n, sorted(cuts)
+
+
+def _cell_values(x: int, y: int, n: int) -> Iterable[int]:
+    """The n values of a cell along a row from x to y: a range of step one, or a repeat of x = y."""
+    return range(x, y + 1) if x < y else range(x, y - 1, -1) if x > y else repeat(x, n)
 
 
 def _runs(n: int, cuts: Iterable[int]) -> Iterator[tuple[int, int]]:
@@ -275,75 +277,50 @@ def count_families(s: int) -> int:
     return len(_INVERSE_IMAGES) * sum(len(js) for _, _, js, _ in _family_rows(s))
 
 
-def _mark_cells(
-    grids: Iterator[tuple[int, ...]], s: int, marks: bytearray
-) -> tuple[int, tuple[int, ...] | None, tuple[int, ...] | None]:
-    """Move the cell of each grid that passes the six equations, 0 <= a1, a2 <= 2s, from 0 to 1.
+def _mark_family_rows(s: int, marks: bytearray) -> int:
+    """Move the cell of every family grid from 0 to 1, one lattice row at a time; return their number.
 
-    Walks every grid and returns (count, repeat, stray): the number of cells
-    moved, the first grid whose cell was already 1, and the smallest grid
-    that fails the equations.
+    Each row is certified by its two end base grids and marked as one slice
+    per image (see the module docstring).  Raises MismatchError at the first
+    row whose end grid is not magic, or whose image slice does not step or
+    holds a marked cell (see `reconcile`).
     """
-    w, two_s, three_s = 2 * s + 1, 2 * s, 3 * s
-    count, repeat, stray = 0, None, None
-    for grid in grids:
-        a1, a2, a3, b1, b2, b3, c1, c2, c3 = grid
-        if (
-            b2 == s
-            and a1 + c3 == a2 + c2 == a3 + c1 == b1 + b3 == two_s
-            and a1 + a2 + a3 == a1 + b1 + c1 == three_s
-            and 0 <= a1 <= two_s
-            and 0 <= a2 <= two_s
-        ):
-            if not marks[cell := a1 * w + a2]:
-                marks[cell] = 1
-                count += 1
-            elif repeat is None:
-                repeat = grid
-        elif stray is None or grid < stray:
-            stray = grid
-    return count, repeat, stray
-
-
-def _mark_family_rows(
-    s: int, marks: bytearray
-) -> tuple[int, tuple[int, ...] | None, tuple[int, ...] | None]:
-    """`_mark_cells(iter_family_grids(s), s, marks)`, one lattice row at a time.
-
-    Certifies each row by its two end base grids and marks one slice per image
-    (see the module docstring); a row that fails is cleared and walked per grid.
-    """
-    w, two_s, images = 2 * s + 1, 2 * s, _INVERSE_IMAGES
+    w, two_s, three_s, images = 2 * s + 1, 2 * s, 3 * s, _INVERSE_IMAGES
     # The base-grid cells that each image reads its a1 and a2 from.
     sources = [image(range(9))[:2] for image in images]
-    count, repeat, stray = 0, None, None
+    count = 0
     for family, i, js, ks in _family_rows(s):
         n = len(js)
         ends = (base_grid(family, i, js[0], ks[0]), base_grid(family, i, js[-1], ks[-1]))
-        spans: list[slice] = []
-        # A grid within [0, 2s] passes the six equations if they force it from its (a1, a2).
-        if all(
-            0 <= min(g) <= max(g) <= two_s and g == _forced_grid(s, g[0] * w + g[1]) for g in ends
-        ):
-            for p1, p2 in sources:
-                a, b = (g[p1] * w + g[p2] for g in ends)
-                step = abs(b - a) // (n - 1) if n > 1 else 1
-                span = slice(min(a, b), min(a, b) + n * step, step or 1)
-                if not step or marks[span].count(0) != n:
-                    break
-                marks[span] = b"\1" * n
-                spans.append(span)
-            else:
-                count += n * len(sources)
-                continue
-        for span in spans:
-            marks[span] = bytes(n)
-        grids = (image(base_grid(family, i, j, k)) for j, k in zip(js, ks) for image in images)
-        moved, first_repeat, smallest = _mark_cells(grids, s, marks)
-        count += moved
-        repeat = first_repeat if repeat is None else repeat
-        stray = min((g for g in (stray, smallest) if g is not None), default=None)
-    return count, repeat, stray
+        for g in ends:
+            a1, a2, a3, b1, b2, b3, c1, c2, c3 = g
+            if not (
+                b2 == s
+                and a1 + c3 == a2 + c2 == a3 + c1 == b1 + b3 == two_s
+                and a1 + a2 + a3 == a1 + b1 + c1 == three_s
+                and 0 <= min(g) <= max(g) <= two_s
+            ):
+                raise MismatchError(
+                    f"family expansion gave a grid at s={s} that is not a magic square "
+                    f"with magic sum {three_s}",
+                    square=g,
+                )
+        for image, (p1, p2) in zip(images, sources):
+            a, b = (g[p1] * w + g[p2] for g in ends)
+            step = abs(b - a) // (n - 1) if n > 1 else 1
+            span = slice(min(a, b), min(a, b) + n * step, step or 1)
+            # The first marked offset into the slice, which runs from a to b
+            # if a <= b; a slice that does not step repeats the row's first grid.
+            at = marks[span].find(1) if step else 1
+            if at >= 0:
+                at = at if a <= b else n - 1 - at
+                raise MismatchError(
+                    f"family expansion repeated a square at s={s}",
+                    square=image(base_grid(family, i, js[at], ks[at])),
+                )
+            marks[span] = b"\1" * n
+        count += n * len(images)
+    return count
 
 
 def _compare_brute_rows(s: int, marks: bytearray) -> tuple[int, int | None]:
@@ -351,8 +328,9 @@ def _compare_brute_rows(s: int, marks: bytearray) -> tuple[int, int | None]:
 
     A row's 2s + 1 marks must be 1 at the cells whose grids the sweep
     yields, by the same `_runs`, and 0 elsewhere: one comparison per row.
-    Walks the whole sweep and returns the number of grids it yields and the
-    first cell where the marks differ, or None.
+    Walks the whole sweep, so every row's certificate is checked, and returns
+    the number of grids it yields and the first cell where the marks differ,
+    or None.
     """
     w = 2 * s + 1
     count, differ = 0, None
@@ -380,18 +358,18 @@ def reconcile(s: int, include_brute: bool = True) -> CountReport:
     sweep yields in it makes the two sets equal, and the brute count is
     what the rows yield.
 
-    Each stream is walked once, and a failure is named from the marks alone.
-    MismatchError names the first repeated family grid in stream order.
-    Otherwise, with the brute-force stream, it names the smaller of two
-    candidates and the stream it comes from: the smallest family grid the
-    six equations reject, and the forced grid of the first cell where the
-    marks and the sweep differ, from families if the cell is marked (no
-    brute grid matched it) and from brute force if not (no family grid
-    matched it).  Without the brute-force stream, it names the smallest
-    family grid the equations reject.  A rejected grid is named as a
-    difference or as not magic, even if it also repeats.  A sweep row that
-    fails its certificate raises as `iter_brute_grids` does, whatever the
-    marks hold.
+    Each stream is walked once, one row at a time, and a failure is named
+    from the marks and its own row.  The family half comes first, with or
+    without the brute-force stream, and stops at its first failing lattice
+    row.  MismatchError names the row's first end base grid that is not a
+    magic square with magic sum 3s and entries in [0, 2s]; otherwise, as a
+    repeat, the first image whose slice does not step or holds a marked
+    cell, at that cell's point of the row (the row's second point if the
+    slice does not step).  The brute half names the forced grid of the first
+    cell where the marks and the sweep differ, from families if the cell is
+    marked (no brute grid matched it) and from brute force if not (no family
+    grid matched it).  A sweep row that fails its certificate raises as
+    `iter_brute_grids` does, whatever the marks hold.
 
     Raises ValueError for a negative s, and for an s past COUNT_MAX_S, whose
     cell marks would pass 256 MiB; both before any work is done.
@@ -405,28 +383,16 @@ def reconcile(s: int, include_brute: bool = True) -> CountReport:
     closed = count_closed(s)
     series_count = expand(magic_gf(), s + 1)[s]
     marks = bytearray((2 * s + 1) ** 2)
-    families, repeat, stray = _mark_family_rows(s, marks)
-    if repeat is not None:
-        raise MismatchError(f"family expansion repeated a square at s={s}", square=repeat)
+    families = _mark_family_rows(s, marks)
     brute: int | None = None
     if include_brute:
         brute, differ = _compare_brute_rows(s, marks)
-        candidates = [] if stray is None else [(stray, "families")]
         if differ is not None:
             side = "families" if marks[differ] else "brute force"
-            candidates.append((_forced_grid(s, differ), side))
-        if candidates:
-            square, side = min(candidates)
             raise MismatchError(
                 f"square sets differ at s={s}; first difference comes from {side}",
-                square=square,
+                square=_forced_grid(s, differ),
             )
-    if stray is not None:
-        raise MismatchError(
-            f"family expansion gave a grid at s={s} that is not a magic square "
-            f"with magic sum {3 * s}",
-            square=stray,
-        )
     # Past the marks, brute (when counted) equals families.
     if len({closed, series_count, families}) != 1:
         raise MismatchError(

@@ -30,7 +30,8 @@ from magic3 import (
     validate,
 )
 from magic3.enumeration import COUNT_MAX_S
-from test_enumeration import slipped_forced_grid
+from magic3.decompose import Family, base_grid
+from test_enumeration import SEED_EDITS, edit_seed, slipped_forced_grid
 
 T1_TEXT = "7 0 5 2 4 6 3 8 1"
 T2_TEXT = "8 0 7 4 5 6 3 10 2"
@@ -333,6 +334,20 @@ class TestCount:
             "count failed: brute-force grid at s=10 has a line sum other than 30\n"
         )
 
+    def test_family_fault_is_named_before_the_brute_half(self, monkeypatch):
+        # With F1's center lowered by one, the first F1 row at s = 6, the
+        # point (i, j, k) = (0, 0, 2), fails at its base grid.
+        edit_seed(monkeypatch, "F1", SEED_EDITS["center"])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc, out = main_stdout(["count", "6"])
+        assert (rc, out) == (3, "")
+        assert err.getvalue() == (
+            "count failed: family expansion gave a grid at s=6 that is not a magic square "
+            "with magic sum 18\n"
+            f"counterexample: {' '.join(map(str, base_grid(Family.F1, 0, 0, 2)))}\n"
+        )
+
 
 class TestSelftest:
     def test_passes_quickly(self):
@@ -374,6 +389,18 @@ class TestSelftest:
         assert rc == 3
         assert out == "".join(f"s={s} count=0 ok\n" for s in range(4))
         assert "counterexample: 7 0 5 2 4 6 3 8 1" in err.getvalue()
+
+    def test_family_fault_stops_at_its_first_s(self, monkeypatch):
+        # The same fault as `TestCount`'s: every F1 grid has its center one
+        # low, so it shows at s = 4, the first s with an F1 point.
+        edit_seed(monkeypatch, "F1", SEED_EDITS["center"])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc, out = main_stdout(["selftest", "--max-s", "6"])
+        assert (rc, out) == (3, "".join(f"s={s} count=0 ok\n" for s in range(4)))
+        assert err.getvalue().startswith(
+            "selftest failed: family expansion gave a grid at s=4 that is not a magic square"
+        )
 
     def test_too_small_bound_is_usage_error(self):
         result = run_cli("selftest", "--max-s", "3")

@@ -243,8 +243,10 @@ class TestBruteForce:
             w = 2 * s + 1
             rows = list(enumeration._brute_rows(s))
             swept = [brute_row_bounds(s, a1) for a1 in range(w)]
-            assert [(cell, n) for cell, _, n, _ in rows] == [
-                (a1 * w + a2s.start, len(a2s)) for a1, a2s in enumerate(swept)
+            assert [(cell, ends, n) for cell, ends, n, _ in rows] == [
+                (cell, (_forced_grid(s, cell), _forced_grid(s, cell + len(a2s) - 1)), len(a2s))
+                for a1, a2s in enumerate(swept)
+                for cell in [a1 * w + a2s.start]
             ]
             cut = sum(len(cuts) for *_, cuts in rows)
             assert cut == sum(map(len, swept)) - count_closed(s), s
@@ -553,11 +555,11 @@ def recut(monkeypatch, cut=(), uncut=()):
 
     def brute_rows(s):
         w = 2 * s + 1
-        for cell, grids, n, cuts in real(s):
+        for cell, ends, n, cuts in real(s):
             def offsets(named):
                 return {g[0] * w + g[1] - cell for g in named} & set(range(n))
 
-            yield cell, grids, n, sorted(set(cuts) - offsets(uncut) | offsets(cut))
+            yield cell, ends, n, sorted(set(cuts) - offsets(uncut) | offsets(cut))
 
     monkeypatch.setattr(enumeration, "_brute_rows", brute_rows)
 
@@ -584,8 +586,8 @@ EXTRA_ROW = (Family.F1, 1, range(0, 1), range(2, 3))
 
 
 class TestReconcileFailures:
-    """A failure names the first repeated family grid in stream order, or the
-    smallest square of the set difference.
+    """A failure is named at the first failing lattice row of the family
+    expansion, or else at the first cell where the marks and the sweep differ.
 
     The family half is marked one lattice row at a time, so its faults are
     injected where a row walk can meet them: in the row stream
@@ -613,21 +615,26 @@ class TestReconcileFailures:
             reconcile(7)
         assert info.value.square == grids[0]
 
+    def test_repeat_in_a_falling_slice_is_named_at_its_first_marked_cell(self, monkeypatch):
+        # The identity's cells fall along the row (F1, i=0) at s = 13, whose
+        # points are j = 0..3.  A row of its first two points, put before it,
+        # marks the slice's top two cells, and the lower of them is j = 1.
+        def prefix(rows):
+            family, i, js, ks = rows[0]
+            return [(family, i, js[:2], ks[:2])] + rows
+
+        _patched(monkeypatch, "_family_rows", prefix)
+        grids = list(iter_family_grids(13))
+        with pytest.raises(MismatchError, match="family expansion repeated a square at s=13") as info:
+            reconcile(13)
+        assert info.value.square == base_grid(Family.F1, 0, 1, 6)
+        assert grids.count(info.value.square) == 2
+
     def test_repeat_across_rows_is_the_first_repeat_in_stream_order(self, monkeypatch):
         rows = _patched(monkeypatch, "_family_rows", lambda r: r[:3] + [r[2], r[0]] + r[3:])
         with pytest.raises(MismatchError, match="family expansion repeated") as info:
             reconcile(6)
         assert info.value.square == row_grids([rows[2]])[0]
-
-    def test_extra_family_row_is_named(self, monkeypatch):
-        grids = list(iter_family_grids(6))
-        _patched(monkeypatch, "_family_rows", lambda rows: rows + [EXTRA_ROW])
-        extra = row_grids([EXTRA_ROW])
-        assert extra[0] == tuple(v + 1 for v in grids[0])
-        with pytest.raises(MismatchError, match="square sets differ") as info:
-            reconcile(6)
-        assert info.value.square == min(extra)
-        assert str(info.value).endswith("comes from families")
 
     @pytest.mark.parametrize(
         "cut, uncut, side",
@@ -685,6 +692,47 @@ def edit_seed(monkeypatch, family, edit):
     monkeypatch.setitem(_BASIS, family, tuple((se, sh, ge) for se, (_, sh, ge) in zip(seed, basis)))
 
 
+def forced_in_bounds(grid, s):
+    """Whether a grid passes the six equations and 0 <= entry <= 2s, as each square with sum 3s does."""
+    a1, a2, a3, b1, b2, b3, c1, c2, c3 = grid
+    return (
+        b2 == s
+        and a1 + c3 == a2 + c2 == a3 + c1 == b1 + b3 == 2 * s
+        and a1 + a2 + a3 == a1 + b1 + c1 == 3 * s
+        and 0 <= min(grid) <= max(grid) <= 2 * s
+    )
+
+
+def edit_rows(edit):
+    """A fault that puts `edit` of the lattice rows in place of `_family_rows`."""
+    return lambda monkeypatch: _patched(monkeypatch, "_family_rows", edit)
+
+
+NOT_MAGIC = "family expansion gave a grid at s=6 that is not a magic square with magic sum 18"
+
+# (F1, i=1, j=-2, k=7) is (12, 1, 5, -1, 6, 13, 7, 11, 0): center 6, the six
+# equations hold and its corners and a2 lie in [0, 12], so only the bounds
+# reject it, for b1 = -1 and b3 = 13.
+OUT_OF_RANGE_ROW = (Family.F1, 1, range(-2, -1), range(7, 8))
+
+# Faults in the family expansion at s = 6, each with the message it raises.
+FAMILY_FAULTS = {
+    "extra row": (edit_rows(lambda rows: rows + [EXTRA_ROW]), NOT_MAGIC),
+    "repeated row": (
+        edit_rows(lambda rows: rows[:3] + [rows[2], rows[0]] + rows[3:]),
+        "family expansion repeated a square at s=6",
+    ),
+    "out-of-range row": (
+        edit_rows(lambda rows: rows[:1] + [OUT_OF_RANGE_ROW] + rows[1:]), NOT_MAGIC
+    ),
+    "extra row twice": (edit_rows(lambda rows: [EXTRA_ROW] + rows + [EXTRA_ROW]), NOT_MAGIC),
+    **{
+        f"seed {name}": (lambda monkeypatch, edit=edit: edit_seed(monkeypatch, "F1", edit), NOT_MAGIC)
+        for name, edit in SEED_EDITS.items()
+    },
+}
+
+
 class TestReconcileMarks:
     """`reconcile` compares the two streams by (a1, a2) cell marks."""
 
@@ -694,39 +742,33 @@ class TestReconcileMarks:
             assert reconcile(s, include_brute) == set_based_reconcile(s, include_brute)
 
     @pytest.mark.parametrize("include_brute", [True, False])
-    @pytest.mark.parametrize("edit", SEED_EDITS.values(), ids=SEED_EDITS.keys())
-    def test_non_magic_family_grid_is_named(self, monkeypatch, edit, include_brute):
-        true = list(iter_family_grids(6))
-        edit_seed(monkeypatch, "F1", edit)
-        changed = [(g, h) for g, h in zip(iter_family_grids(6), true) if g != h]
-        assert len(changed) == 24
-        edited, lost = min(g for g, _ in changed), min(h for _, h in changed)
-        if include_brute:
-            # The smaller of the smallest edited grid and the smallest true
-            # grid that no family grid matches any more.
-            square, side = min((edited, "families"), (lost, "brute force"))
-            match = f"square sets differ at s=6; first difference comes from {side}"
-        else:
-            square, match = edited, "family expansion gave a grid at s=6 that is not a magic square"
-        with pytest.raises(MismatchError, match=match) as info:
-            reconcile(6, include_brute)
-        assert info.value.square == square
-
-    @pytest.mark.parametrize(
-        "include_brute, match",
-        [
-            (True, "square sets differ at s=6; first difference comes from families"),
-            (False, "family expansion gave a grid at s=6 that is not a magic square"),
-        ],
-    )
-    def test_non_magic_family_grid_is_named_before_its_repeat(
-        self, monkeypatch, include_brute, match
+    @pytest.mark.parametrize("fault", FAMILY_FAULTS.values(), ids=FAMILY_FAULTS.keys())
+    def test_family_fault_is_named_at_its_first_failing_row(
+        self, monkeypatch, fault, include_brute
     ):
-        # The extra row's grids have center 7, and the row comes twice.
-        _patched(monkeypatch, "_family_rows", lambda rows: [EXTRA_ROW] + rows + [EXTRA_ROW])
-        with pytest.raises(MismatchError, match=match) as info:
+        inject, message = fault
+        inject(monkeypatch)
+        grids = list(iter_family_grids(6))
+
+        def unreachable(*args):
+            raise AssertionError("the brute half ran after a family fault")
+
+        monkeypatch.setattr(enumeration, "_compare_brute_rows", unreachable)
+        with pytest.raises(MismatchError) as info:
             reconcile(6, include_brute)
-        assert info.value.square == min(row_grids([EXTRA_ROW]))
+        square = info.value.square
+        assert str(info.value) == message
+        assert square in grids
+        assert not forced_in_bounds(square, 6) or grids.count(square) > 1
+
+    def test_first_failing_end_grid_is_named_in_stream_order(self, monkeypatch):
+        # Not the smallest failing grid: that is an image in the out-of-range
+        # row, (0, 11, 7, 13, 6, -1, 5, 1, 12), and the extra row's smallest
+        # grid is an image too.
+        _patched(monkeypatch, "_family_rows", lambda rows: [EXTRA_ROW] + rows + [OUT_OF_RANGE_ROW])
+        with pytest.raises(MismatchError, match="not a magic square") as info:
+            reconcile(6)
+        assert info.value.square == base_grid(Family.F1, 1, 0, 2) == (12, 1, 8, 3, 7, 11, 6, 13, 2)
 
     def test_failure_is_named_in_one_walk_per_stream_within_the_marks(self, monkeypatch):
         # A set of either stream's grids at s = 240 takes tens of MB; the
@@ -772,14 +814,28 @@ class TestReconcileMarks:
         assert (2 * COUNT_MAX_S + 1) ** 2 <= 2**28 < (2 * COUNT_MAX_S + 3) ** 2
 
 
+def mark_cells(grids, s, marks):
+    """The per-grid walk of the family grids that `reconcile` once fell back to: the reference.
+
+    Moves the cell a1 * (2s + 1) + a2 of each grid that passes
+    `forced_in_bounds` from 0 to 1, and returns the number of cells moved.
+    """
+    w, count = 2 * s + 1, 0
+    for grid in grids:
+        if forced_in_bounds(grid, s) and not marks[cell := grid[0] * w + grid[1]]:
+            marks[cell] = 1
+            count += 1
+    return count
+
+
 def per_grid_marks(s):
-    """(count, repeat, stray) and the marks of the per-grid walk over the family grids."""
+    """The count and the marks of the per-grid walk over the family grids."""
     marks = bytearray((2 * s + 1) ** 2)
-    return enumeration._mark_cells(iter_family_grids(s), s, marks), marks
+    return mark_cells(iter_family_grids(s), s, marks), marks
 
 
 def row_marks(s):
-    """(count, repeat, stray) and the marks of the row walk `reconcile` uses."""
+    """The count and the marks of the row walk `reconcile` uses."""
     marks = bytearray((2 * s + 1) ** 2)
     return enumeration._mark_family_rows(s, marks), marks
 
@@ -806,44 +862,14 @@ class TestRowWalk:
         for s in ROW_WALK_S:
             assert row_marks(s) == per_grid_marks(s), s
 
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda rows: rows + [EXTRA_ROW],
-            lambda rows: rows[:3] + [rows[2], rows[0]] + rows[3:],
-            # (F1, i=1, j=-2, k=7) is (12, 1, 5, -1, 6, 13, 7, 11, 0): center 6,
-            # the six equations hold and its corners and a2 lie in [0, 12], so
-            # only the bounds reject it, for b1 = -1 and b3 = 13.
-            lambda rows: rows[:1] + [(Family.F1, 1, range(-2, -1), range(7, 8))] + rows[1:],
-        ],
-        ids=["extra", "repeated", "out-of-range"],
-    )
-    def test_row_walk_equals_the_per_grid_walk_on_a_faulty_row(self, monkeypatch, edit):
-        s = 6
-        rows = _patched(monkeypatch, "_family_rows", edit)
-        marks = bytearray((2 * s + 1) ** 2)
-        expected = enumeration._mark_cells(iter(row_grids(edit(rows))), s, marks), marks
-        assert row_marks(s) == expected
-
-    def test_per_grid_fallback_never_runs_on_a_sound_build(self, monkeypatch):
-        real, family_walks = enumeration._mark_cells, []
-
-        def mark_cells(grids, s, marks):
-            family_walks.append(s)
-            return real(grids, s, marks)
-
-        monkeypatch.setattr(enumeration, "_mark_cells", mark_cells)
-        for s in [*range(0, 61), 250]:
-            enumeration._mark_family_rows(s, bytearray((2 * s + 1) ** 2))
-        assert reconcile(2048, include_brute=False).families == count_closed(2048)
-        assert family_walks == []
-
     def test_a_base_grid_that_is_not_affine_makes_the_walks_differ(self, monkeypatch):
         # The row walk reads only a row's two end points; a base grid that
-        # bends at an inner point (j = 2) is what the equality test must catch.
+        # bends at an inner point is what the equality test must catch.  The
+        # points j = 2, k >= 3 are inner on every row (an end point with j = 2
+        # has k <= 2), so the row walk raises on no end grid.
         def bent(family, i, j, k):
             grid = base_grid(family, i, j, k)
-            return (grid[0] + 1,) + grid[1:] if j == 2 else grid
+            return (grid[0] + 1,) + grid[1:] if j == 2 and k >= 3 else grid
 
         monkeypatch.setattr(enumeration, "base_grid", bent)
         differ = [s for s in range(0, 31) if row_marks(s) != per_grid_marks(s)]
@@ -868,30 +894,21 @@ def per_grid_brute_walk(s):
     """(brute, named square, side) as `reconcile(s)` found them when it walked each brute grid.
 
     The reference for the row comparison.  The family half is marked as
-    `reconcile` marks it; then each brute grid that passes the six equations
-    moves its cell from 1 to 2.  The smallest of three candidates is named
-    with its side: the smallest family grid the equations reject, the forced
-    grid of the lowest cell left at 1, and the smallest brute grid that the
-    equations reject or whose cell was at 0.  Otherwise a brute grid found
-    at 2 is named as a repeat, and otherwise the brute count is returned.
+    `reconcile` marks it; then each brute grid that passes `forced_in_bounds`
+    moves its cell from 1 to 2.  The smaller of two candidates is named with
+    its side: the forced grid of the lowest cell left at 1, and the smallest
+    brute grid that fails `forced_in_bounds` or whose cell was at 0.
+    Otherwise a brute grid found at 2 is named as a repeat, and otherwise the
+    brute count is returned.
     """
-    w, two_s = 2 * s + 1, 2 * s
+    w = 2 * s + 1
     marks = bytearray(w * w)
-    _, _, stray = enumeration._mark_family_rows(s, marks)
+    enumeration._mark_family_rows(s, marks)
     count, repeat, brute_stray = 0, None, None
     for grid in iter_brute_grids(s):
-        a1, a2, a3, b1, b2, b3, c1, c2, c3 = grid
-        mark = None
-        if (
-            b2 == s
-            and a1 + c3 == a2 + c2 == a3 + c1 == b1 + b3 == two_s
-            and a1 + a2 + a3 == a1 + b1 + c1 == 3 * s
-            and 0 <= a1 <= two_s
-            and 0 <= a2 <= two_s
-        ):
-            mark = marks[a1 * w + a2]
+        mark = marks[grid[0] * w + grid[1]] if forced_in_bounds(grid, s) else None
         if mark == 1:
-            marks[a1 * w + a2] = 2
+            marks[grid[0] * w + grid[1]] = 2
             count += 1
         elif mark == 2:
             repeat = repeat or grid
@@ -899,7 +916,6 @@ def per_grid_brute_walk(s):
             brute_stray = grid
     unmatched = marks.find(1)
     candidates = [
-        (stray, "families"),
         (None if unmatched < 0 else _forced_grid(s, unmatched), "families"),
         (brute_stray, "brute force"),
     ]
@@ -938,8 +954,8 @@ def fault_row(monkeypatch, s, a1, fault):
 
         def brute_rows(s):
             for row in real(s):
-                grids = map(_forced_grid, itertools.repeat(s), range(at, at + n))
-                yield (at, grids, n, cuts) if row[0] == cell else row
+                ends = (_forced_grid(s, at), _forced_grid(s, at + n - 1))
+                yield (at, ends, n, cuts) if row[0] == cell else row
 
         monkeypatch.setattr(enumeration, "_brute_rows", brute_rows)
     else:
@@ -975,7 +991,6 @@ class TestBruteRowComparison:
         def unreachable(*args):
             raise AssertionError("reconcile walked grids one at a time")
 
-        for name in ("iter_brute_grids", "_mark_cells"):
-            monkeypatch.setattr(enumeration, name, unreachable)
+        monkeypatch.setattr(enumeration, "iter_brute_grids", unreachable)
         for s in [*range(61), 250]:
             assert reconcile(s).brute == count_closed(s)

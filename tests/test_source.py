@@ -100,3 +100,19 @@ def test_brute_sweep_uses_nothing_from_decompose():
     used = {node.id for function in sweep for node in ast.walk(function) if isinstance(node, ast.Name)}
     assert len(sweep) == len(SWEEP) and "base_grid" in from_decompose
     assert used & from_decompose == set()
+
+
+def test_family_marks_use_nothing_from_the_sweep():
+    # The family half of `reconcile` certifies its rows by the six equations
+    # written out, so a fault in the brute-force oracle cannot pass for, or
+    # hide, a fault in the family expansion.
+    path = Path(magic3.enumeration.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (marks,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_mark_family_rows"
+    ]
+    used = {node.id for node in ast.walk(marks) if isinstance(node, ast.Name)}
+    assert {"base_grid", "_family_rows"} <= used
+    assert used & {*SWEEP, "_CELL_PAIRS"} == set()
