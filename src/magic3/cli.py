@@ -14,12 +14,11 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 from . import selftest
 from .canonical import reduce
 from .core import (
-    _TEXT_FORMAT,
     DihedralElement,
     MagicSquareError,
     format_square,
@@ -30,8 +29,9 @@ from .decompose import _INVERSE_IMAGES, Decomposition, Family, construct, decomp
 from .enumeration import (
     COUNT_MAX_S,
     MismatchError,
-    iter_brute_grids,
-    iter_family_points,
+    _brute_runs,
+    _cell_values,
+    _family_pieces,
     reconcile,
 )
 
@@ -40,9 +40,12 @@ _JSON_COMPACT = {"separators": (",", ":")}
 # `enumerate` writes this many squares per write: enough that the per-write
 # cost vanishes, few enough that a pending chunk stays a few tens of kB.
 _ENUMERATE_CHUNK = 1024
-# One square as `format_square` and compact `json.dumps` render it.
-_TEXT_ROW = _TEXT_FORMAT + "\n"
-_JSON_ROW = "[" + ",".join(["%d"] * 9) + "]"
+# While 2s is below this bound, `enumerate` reads each value's decimal string
+# from one table of those of 0..2s, made once per call (at most about 3.7 MB):
+# at s = 250 that writes about twice the squares per second that `str` on each
+# value does.  From the bound on, it calls `str` on each value, so memory does
+# not grow with s.
+_NAME_TABLE_BOUND = 2**16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,41 +94,42 @@ def _cmd_construct(args: argparse.Namespace) -> None:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> None:
-    # Both streams certify what they yield and check their first grid, which
-    # holds the largest entry, 2s (see `magic3.enumeration`).  So a range error
-    # or a negative s raises in the first chunk, before anything is written.
+    # Renders the streams a row at a time (see `magic3.enumeration`).  Each
+    # cell of a row is a progression of values, so its decimal strings are one
+    # map over them, and `zip` and `join` build the lines with no Python step
+    # per square.  A lattice point's eight squares permute its nine entries,
+    # so the eight images permute one piece's nine columns of strings, and
+    # each entry is converted once for its eight squares.  Both streams check
+    # each row's two end grids, so every value is in 0..2s, the table's range.
+    # They also check their first grid, which holds the largest entry, 2s, so
+    # a range error or a negative s raises in the first chunk, before anything
+    # is written.
     # Written 1,024 squares a chunk, with the bytes of printing every square
     # (or one JSON array of them).
-    json_format = args.format == "json"
+    s, json_format = args.s, args.format == "json"
+    name = [str(v) for v in range(2 * s + 1)].__getitem__ if 2 * s < _NAME_TABLE_BOUND else str
+    join = ",".join if json_format else " ".join
     if args.source == "brute":
-        grids = iter_brute_grids(args.s)
-        row = _JSON_ROW if json_format else _TEXT_ROW
-        chunks = iter(lambda: [row % grid for grid in islice(grids, _ENUMERATE_CHUNK)], [])
+        runs = _brute_runs(s, lambda x, y, n: map(name, _cell_values(x, y, n)))
+        lines = map(join, chain.from_iterable(runs))
     else:
-        # A lattice point's eight squares permute its nine entries, so each
-        # entry is written in decimal once and the images permute the strings.
-        # `base_grid` builds plain ints, whose `str` is what `%d` prints.
-        points = iter_family_points(args.s)
-        head, sep, tail = ("[", ",", "]") if json_format else ("", " ", "\n")
-        chunks = iter(
-            lambda: [
-                head + sep.join(image(names)) + tail
-                for base in islice(points, _ENUMERATE_CHUNK // len(_INVERSE_IMAGES))
-                for names in [tuple(map(str, base))]
-                for image in _INVERSE_IMAGES
-            ],
-            [],
+        pieces = _family_pieces(s)
+        lines = chain.from_iterable(
+            chain.from_iterable(
+                zip(*[map(join, zip(*image(columns))) for image in _INVERSE_IMAGES])
+                for columns in ([list(map(name, column)) for column in piece] for piece in pieces)
+            )
         )
     write = sys.stdout.write
-    opening = "["
-    for rows in chunks:
+    opening = "[["
+    for chunk in iter(lambda: list(islice(lines, _ENUMERATE_CHUNK)), []):
         if json_format:
-            write(opening + ",".join(rows))
-            opening = ","
+            write(opening + "],[".join(chunk) + "]")
+            opening = ",["
         else:
-            write("".join(rows))
+            write("\n".join(chunk) + "\n")
     if json_format:
-        write("[]\n" if opening == "[" else "]\n")
+        write("[]\n" if opening == "[[" else "]\n")
 
 
 def _cmd_count(args: argparse.Namespace) -> None:

@@ -40,15 +40,18 @@ Output orders are deterministic: family points are lexicographic by
 (family, i, j, k) and family grids by (family, i, j, k, symmetry index),
 brute force by (a1, a2).  The streams hold one lattice point or one a1 row
 (nine ranges or repeats and at most 7 cuts) at a time, so a consumer that
-does not keep what they yield (such as `magic3 enumerate`, which writes the
-points' images and the brute grids out in fixed-size chunks) runs in memory
-that does not depend on s.
+does not keep what they yield runs in memory that does not depend on s.
+`magic3 enumerate` is one: it renders whole rows, each as nine columns of
+decimal strings, from `_brute_runs` and from `_family_pieces` (a lattice row
+cut into pieces of at most `_FAMILY_PIECE` points, built from the row's two
+end grids once they pass the family half's row check, `_family_row_ends`),
+and writes them in fixed-size chunks.
 """
 
 from __future__ import annotations
 
 from itertools import chain, islice, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     ELEMENTS,
@@ -64,6 +67,9 @@ from .series import CountReport, _check_s, count_closed, expand, magic_gf
 # `reconcile` keeps one byte per (a1, a2) pair, (2s + 1)**2 in all; this s is
 # the largest whose cell marks fit in 256 MiB.
 COUNT_MAX_S = 8191
+# `_family_pieces` cuts each lattice row into pieces of at most this many
+# points, so that the nine columns of one piece stay small whatever s is.
+_FAMILY_PIECE = 128
 
 
 class MismatchError(MagicSquareError):
@@ -97,18 +103,48 @@ def iter_decompositions(s: int) -> Iterator[Decomposition]:
                 yield Decomposition(family=family, i=i, j=j, k=k, symmetry=g)
 
 
+def _checked_family_rows(s: int) -> Iterator[tuple[Family, int, range, range]]:
+    """`_family_rows(s)`, with the `Square` entry checks on the first point's base grid.
+
+    That point, (F1, 0, 0, s - 4), holds 2s, so an s past the 64-bit range
+    raises EntryRangeError as `Square` would, before the first row is yielded.
+    """
+    rows = _family_rows(s)
+    first = next(rows, None)
+    if first is not None:
+        family, i, js, ks = first
+        check_entries(base_grid(family, i, js[0], ks[0]))
+        yield first
+        yield from rows
+
+
 def iter_family_points(s: int) -> Iterator[tuple[int, ...]]:
     """Base grid of each lattice point of the family expansion, in output order.
 
-    Only the first, (F1, 0, 0, s - 4), which holds 2s, gets the `Square` entry
-    checks: an s past the 64-bit range raises EntryRangeError as `Square` would.
+    Only the first gets the `Square` entry checks (`_checked_family_rows`).
     """
-    points = (base_grid(f, i, j, k) for f, i, js, ks in _family_rows(s) for j, k in zip(js, ks))
-    first = next(points, None)
-    if first is not None:
-        check_entries(first)
-        yield first
-        yield from points
+    return (base_grid(f, i, j, k) for f, i, js, ks in _checked_family_rows(s) for j, k in zip(js, ks))
+
+
+def _family_pieces(s: int) -> Iterator[list[Iterable[int]]]:
+    """The `iter_family_points(s)` base grids, in order, as nine columns per piece of a lattice row.
+
+    Each row is cut into pieces of at most `_FAMILY_PIECE` points.  Along a
+    row every base-grid entry is affine in j, so each column is a range that
+    steps from the row's first base grid towards its last, or a repeat.  Each
+    row is certified by its two end grids (`_family_row_ends`) before any
+    piece of it is yielded.
+    """
+    for family, i, js, ks in _checked_family_rows(s):
+        n = len(js)
+        first, last = _family_row_ends(s, family, i, js, ks)
+        steps = [(y - x) // max(n - 1, 1) for x, y in zip(first, last)]
+        for start in range(0, n, _FAMILY_PIECE):
+            m = min(_FAMILY_PIECE, n - start)
+            yield [
+                range(x + start * d, x + (start + m) * d, d) if d else repeat(x, m)
+                for x, d in zip(first, steps)
+            ]
 
 
 def iter_family_grids(s: int) -> Iterator[tuple[int, ...]]:
@@ -150,13 +186,15 @@ def iter_brute_grids(s: int) -> Iterator[tuple[int, ...]]:
     * its two end grids are the forced grids at a2 = low and a2 = high, and
       each cell of the row steps by one between its two end values, as a
       range, or is a repeat where they are equal.  Every stepped cell must
-      have n values and both end grids all eight line sums m; otherwise
-      MismatchError, carrying the failing end grid for a line sum, before
-      any grid of the row is yielded.  Every cell is then affine in a2
+      have n values, and both end grids all eight line sums m and every
+      entry in [0, 2s]; otherwise MismatchError, carrying the failing end
+      grid for a line sum or an entry, before any grid of the row is
+      yielded.  Every cell is then affine in a2
       along the row, as every forced cell is, so the grid at offset k is the
       forced grid of the cell a1 * (2s + 1) + low + k: the cells the sweep
       yields strictly increase, and no grid repeats.  The line sums are
-      linear, so the two ends certify every grid between them;
+      linear and the bounds convex, so the two ends certify every grid
+      between them;
     * two cells are equal somewhere in a grid exactly when one of the eight
       pairs in `_CELL_PAIRS` is, and each pair's difference is read off the
       two ends.  A difference that is the same at both ends is constant, so
@@ -174,18 +212,7 @@ def iter_brute_grids(s: int) -> Iterator[tuple[int, ...]]:
       (1, 2s-2, s+1, 2s, s, 0, s-1, 2, 2s-1), whose entries are distinct for
       every s >= 4.  Below s = 4 there are no grids.
     """
-    _check_s(s)
-    grids = chain.from_iterable(
-        islice(row, skip, stop)
-        for _, ends, n, cuts in _brute_rows(s)
-        for row in [zip(*map(_cell_values, *ends, repeat(n)))]
-        for skip, stop in _runs(n, cuts)
-    )
-    first = next(grids, None)
-    if first is not None:
-        check_entries(first)
-        yield first
-        yield from grids
+    return chain.from_iterable(_brute_runs(s))
 
 
 # One pair of cells on each line of the (a1, a2) plane where two cells of a
@@ -212,7 +239,7 @@ def _brute_rows(s: int) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], int,
     row's first and last of its n grids.  cuts are the sorted offsets into
     the row of the grids with a repeated value.  Raises MismatchError for a
     stepped cell without n values, or an end grid with a line sum other than
-    3s (see `iter_brute_grids`).
+    3s or an entry outside [0, 2s] (see `iter_brute_grids`).
     """
     w, m = 2 * s + 1, 3 * s
     for a1 in range(w):
@@ -233,6 +260,12 @@ def _brute_rows(s: int) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], int,
             ):
                 raise MismatchError(
                     f"brute-force grid at s={s} has a line sum other than {m}", square=g
+                )
+            # With every line sum 3s, the center is s and opposite cells sum
+            # to 2s, so no entry exceeds 2s when none is negative.
+            if min(g) < 0:
+                raise MismatchError(
+                    f"brute-force grid at s={s} has an entry outside [0, {2 * s}]", square=g
                 )
         # Each pair's difference is affine along the row, d0 at offset 0 and
         # d1 at n - 1: zero everywhere or nowhere if d0 == d1, and otherwise
@@ -256,6 +289,29 @@ def _cell_values(x: int, y: int, n: int) -> Iterable[int]:
     return range(x, y + 1) if x < y else range(x, y - 1, -1) if x > y else repeat(x, n)
 
 
+def _brute_runs(
+    s: int, column: Callable[[int, int, int], Iterable] = _cell_values
+) -> Iterator[Iterator[tuple]]:
+    """The grids of `iter_brute_grids(s)`, in order, as one `islice` per run between the cuts of a row.
+
+    Each certified a1 row is one `zip` of its nine columns, and its runs are
+    `islice`s of it in turn (`_runs`).  column(x, y, n) gives a cell's n
+    values from x to y, `_cell_values`, or what stands for each of them, such
+    as its decimal string.  The first grid gets the `Square` entry checks
+    before the first run is yielded; it is the forced grid of its cell, as
+    the row's certificate proves (see `iter_brute_grids`).
+    """
+    _check_s(s)
+    unchecked = True
+    for cell, ends, n, cuts in _brute_rows(s):
+        row = zip(*map(column, *ends, repeat(n)))
+        for skip, stop in _runs(n, cuts):
+            if unchecked:
+                check_entries(_forced_grid(s, cell + skip))
+                unchecked = False
+            yield islice(row, skip, stop)
+
+
 def _runs(n: int, cuts: Iterable[int]) -> Iterator[tuple[int, int]]:
     """`islice` bounds that, applied in turn to one iterator of n items, skip the sorted cuts."""
     at = start = 0
@@ -277,34 +333,58 @@ def count_families(s: int) -> int:
     return len(_INVERSE_IMAGES) * sum(len(js) for _, _, js, _ in _family_rows(s))
 
 
+def _family_row_ends(
+    s: int, family: Family, i: int, js: range, ks: range
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The first and last base grids of a lattice row, which certify every point of it.
+
+    Raises MismatchError naming the first of them that is not a magic square
+    with magic sum 3s and entries in [0, 2s] (the six equations written
+    out), or naming the last if an entry does not step between them by a
+    whole number over the row's n - 1 steps.  Past that, every point of the
+    row is an integer grid between the two and passes too (see the module
+    docstring).
+    """
+    two_s, three_s, n = 2 * s, 3 * s, len(js)
+    ends = first, last = base_grid(family, i, js[0], ks[0]), base_grid(family, i, js[-1], ks[-1])
+    for g in ends:
+        a1, a2, a3, b1, b2, b3, c1, c2, c3 = g
+        # Opposite cells sum to 2s, so no entry exceeds 2s when none is negative.
+        if not (
+            b2 == s
+            and a1 + c3 == a2 + c2 == a3 + c1 == b1 + b3 == two_s
+            and a1 + a2 + a3 == a1 + b1 + c1 == three_s
+            and min(g) >= 0
+        ):
+            raise MismatchError(
+                f"family expansion gave a grid at s={s} that is not a magic square "
+                f"with magic sum {three_s}",
+                square=g,
+            )
+    if n > 1 and any((y - x) % (n - 1) for x, y in zip(first, last)):
+        raise MismatchError(
+            f"family expansion gave a lattice row at s={s} whose entries do not step "
+            f"evenly over its {n} points",
+            square=last,
+        )
+    return ends
+
+
 def _mark_family_rows(s: int, marks: bytearray) -> int:
     """Move the cell of every family grid from 0 to 1, one lattice row at a time; return their number.
 
-    Each row is certified by its two end base grids and marked as one slice
-    per image (see the module docstring).  Raises MismatchError at the first
-    row whose end grid is not magic, or whose image slice does not step or
-    holds a marked cell (see `reconcile`).
+    Each row is certified by its two end base grids (`_family_row_ends`) and
+    marked as one slice per image (see the module docstring).  Raises
+    MismatchError at the first row whose ends fail, or whose image slice
+    does not step or holds a marked cell (see `reconcile`).
     """
-    w, two_s, three_s, images = 2 * s + 1, 2 * s, 3 * s, _INVERSE_IMAGES
+    w, images = 2 * s + 1, _INVERSE_IMAGES
     # The base-grid cells that each image reads its a1 and a2 from.
     sources = [image(range(9))[:2] for image in images]
     count = 0
     for family, i, js, ks in _family_rows(s):
         n = len(js)
-        ends = (base_grid(family, i, js[0], ks[0]), base_grid(family, i, js[-1], ks[-1]))
-        for g in ends:
-            a1, a2, a3, b1, b2, b3, c1, c2, c3 = g
-            if not (
-                b2 == s
-                and a1 + c3 == a2 + c2 == a3 + c1 == b1 + b3 == two_s
-                and a1 + a2 + a3 == a1 + b1 + c1 == three_s
-                and 0 <= min(g) <= max(g) <= two_s
-            ):
-                raise MismatchError(
-                    f"family expansion gave a grid at s={s} that is not a magic square "
-                    f"with magic sum {three_s}",
-                    square=g,
-                )
+        ends = _family_row_ends(s, family, i, js, ks)
         for image, (p1, p2) in zip(images, sources):
             a, b = (g[p1] * w + g[p2] for g in ends)
             step = abs(b - a) // (n - 1) if n > 1 else 1
@@ -362,8 +442,9 @@ def reconcile(s: int, include_brute: bool = True) -> CountReport:
     from the marks and its own row.  The family half comes first, with or
     without the brute-force stream, and stops at its first failing lattice
     row.  MismatchError names the row's first end base grid that is not a
-    magic square with magic sum 3s and entries in [0, 2s]; otherwise, as a
-    repeat, the first image whose slice does not step or holds a marked
+    magic square with magic sum 3s and entries in [0, 2s], or its last if an
+    entry does not step between them by a whole number (`_family_row_ends`);
+    otherwise, as a repeat, the first image whose slice does not step or holds a marked
     cell, at that cell's point of the row (the row's second point if the
     slice does not step).  The brute half names the forced grid of the first
     cell where the marks and the sweep differ, from families if the cell is

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -31,7 +32,14 @@ from magic3 import (
 )
 from magic3.enumeration import COUNT_MAX_S
 from magic3.decompose import Family, base_grid
-from test_enumeration import SEED_EDITS, edit_seed, slipped_forced_grid
+from test_enumeration import (
+    SEED_EDITS,
+    ZERO_SUM,
+    edit_seed,
+    plus,
+    shifted_forced_grid,
+    slipped_forced_grid,
+)
 
 T1_TEXT = "7 0 5 2 4 6 3 8 1"
 T2_TEXT = "8 0 7 4 5 6 3 10 2"
@@ -96,6 +104,40 @@ class NullWriter:
 
     def flush(self) -> None:
         pass
+
+
+class WriteLog:
+    """A stdout that keeps each text written to it."""
+
+    def __init__(self) -> None:
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def collected_rendering(source: str, s: int) -> list[tuple[str, str]]:
+    """(format, stdout) of `enumerate s` as the collected `iter_*_squares(s)` render it."""
+    collect = iter_brute_squares if source == "brute" else iter_family_squares
+    squares = tuple(collect(s))
+    text = "".join(format_square(m.square) + "\n" for m in squares)
+    array = json.dumps([list(m.entries) for m in squares], separators=(",", ":")) + "\n"
+    return [("text", text), ("json", array)]
+
+
+def first_write_peak_bytes(s: int, source: str) -> int:
+    """tracemalloc peak of `enumerate s` up to its first write, where it is stopped."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(FirstWriteStdout()), pytest.raises(FirstWrite):
+            cli.main(["enumerate", str(s), "--source", source])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def enumerate_peak_bytes(s: int, source: str) -> int:
@@ -225,14 +267,45 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("source", ["families", "brute"])
     def test_stream_matches_collected_rendering(self, source):
-        collect = iter_brute_squares if source == "brute" else iter_family_squares
         # 230 and 269 are the ends of the benchmark's band of s.
         for s in (*range(0, 41), 230, 269):
-            squares = tuple(collect(s))
-            text = "".join(format_square(m.square) + "\n" for m in squares)
-            array = json.dumps([list(m.entries) for m in squares], separators=(",", ":")) + "\n"
-            for fmt, expected in (("text", text), ("json", array)):
+            for fmt, expected in collected_rendering(source, s):
                 assert main_stdout(["enumerate", str(s), "--source", source, "--format", fmt]) == (0, expected)
+
+    @pytest.mark.parametrize("source", ["families", "brute"])
+    def test_str_names_past_the_table_bound(self, source, monkeypatch):
+        # Unpatched, only s = 2**63 - 1 among the tested s calls `str` on each
+        # value; with the bound at 10, every s from 5 on does.
+        monkeypatch.setattr(cli, "_NAME_TABLE_BOUND", 10)
+        for s in (*range(0, 41), 230):
+            for fmt, expected in collected_rendering(source, s):
+                assert main_stdout(["enumerate", str(s), "--source", source, "--format", fmt]) == (0, expected)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("source", ["families", "brute"])
+    def test_every_write_but_the_last_holds_one_chunk(self, source, fmt):
+        # 6,800 squares at s = 60: six full chunks and 656 squares; none at 3.
+        for s, squares in ((60, 6800), (3, 0)):
+            out = WriteLog()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["enumerate", str(s), "--source", source, "--format", fmt]) == 0
+            writes = out.writes
+            if fmt == "json":
+                closing = writes.pop()
+                assert closing == ("]\n" if squares else "[]\n")
+            rows = [len(re.findall(r"\[\d" if fmt == "json" else "\n", w)) for w in writes]
+            assert rows == [1024] * (squares // 1024) + [squares % 1024] * (squares % 1024 > 0)
+
+    @pytest.mark.parametrize("source", ["families", "brute"])
+    def test_memory_is_bounded_at_the_table_bound(self, source):
+        # The table of 0..2s holds 2**16 strings at most; from the bound on,
+        # no table is made, so the first chunk costs what it costs at small s.
+        first_write_peak_bytes(4, source)  # first-call set-up, not counted
+        small = first_write_peak_bytes(60, source)
+        below = first_write_peak_bytes(cli._NAME_TABLE_BOUND // 2 - 1, source)
+        above = first_write_peak_bytes(cli._NAME_TABLE_BOUND // 2, source)
+        assert below < 5 * 2**20
+        assert above <= small + 0.5 * 2**20
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("source", ["families", "brute"])
@@ -259,6 +332,30 @@ class TestEnumerate:
         result = run_cli("enumerate", str(2**63), "--source", source, timeout=10)
         assert result.returncode == 2
         assert result.stdout == f"rejected: entry {2**64} exceeds the unsigned 64-bit range\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("source", ["families", "brute"])
+    def test_entry_out_of_range_fails_before_a_write(self, monkeypatch, source, fmt):
+        # ZERO_SUM added to F2's seed, or to each forced grid, keeps every
+        # grid magic, but at s = 5 (families) or 6 (brute) one row's first
+        # grid holds -1, which is not in the table of the strings of 0..2s.
+        # Its row's end check fails before the first chunk is written, and no
+        # square is written with another's string.
+        if source == "families":
+            edit_seed(monkeypatch, "F2", lambda seed: plus(seed, ZERO_SUM))
+            s, failure = 5, "family expansion gave a grid at s=5 that is not a magic square with magic sum 15"
+            square = (9, -1, 7, 3, 5, 7, 3, 11, 1)
+        else:
+            monkeypatch.setattr(enumeration, "_forced_grid", shifted_forced_grid)
+            s, failure = 6, "brute-force grid at s=6 has an entry outside [0, 12]"
+            square = (7, -1, 12, 11, 6, 1, 0, 13, 5)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc, out = main_stdout(["enumerate", str(s), "--source", source, "--format", fmt])
+        assert (rc, out) == (3, "")
+        assert err.getvalue() == (
+            f"enumerate failed: {failure}\ncounterexample: {' '.join(map(str, square))}\n"
+        )
 
     @pytest.mark.parametrize("s", [*range(0, 41), 230])
     def test_brute_source_matches_the_validated_full_sweep(self, s):

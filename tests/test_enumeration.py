@@ -281,6 +281,11 @@ def short_forced_grid(s, cell):
     return grid[:3] + (grid[3] - (2 * s - cell % (2 * s + 1)) // 2,) + grid[4:]
 
 
+def shifted_forced_grid(s, cell):
+    """`_forced_grid` plus ZERO_SUM: every line sum holds, and a2 = 0 becomes -1."""
+    return plus(_forced_grid(s, cell), ZERO_SUM)
+
+
 # The first pair at s = 10, (a1, a2) = (0, 20), with c2 = 0 slipped to 1: row 3
 # and column 2 sum to 31.  It has a repeated entry, so only a line-sum check
 # that runs before the distinctness test stops it.
@@ -307,6 +312,19 @@ class TestBruteSweepChecks:
             yielded.extend(iter_brute_grids(10))
         assert str(info.value) == "brute-force row a1=1 at s=10 has a stepped cell without 3 values"
         assert (yielded, info.value.square) == ([], None)
+
+    def test_entry_out_of_range_is_caught_before_its_row(self, monkeypatch):
+        # ZERO_SUM keeps every line sum, so only the bounds see the shifted
+        # first grid of the row a1 = 6 at s = 6, whose a2 = 0 falls to -1.
+        monkeypatch.setattr(enumeration, "_forced_grid", shifted_forced_grid)
+        square = shifted_forced_grid(6, 6 * 13)
+        assert square[1] == -1
+        for walk in (lambda: list(iter_brute_grids(6)), lambda: reconcile(6)):
+            with pytest.raises(MismatchError) as info:
+                walk()
+            assert (str(info.value), info.value.square) == (
+                "brute-force grid at s=6 has an entry outside [0, 12]", square
+            )
 
     def test_slipped_line_sum_is_caught_under_optimize(self):
         code = (
@@ -685,6 +703,16 @@ SEED_EDITS = {
 }
 
 
+# Every line of this pattern sums to 0 and its center is 0, so a grid plus
+# it passes the six equations whenever the grid does.
+ZERO_SUM = (1, -1, 0, -1, 0, 1, 0, 1, -1)
+
+
+def plus(grid, pattern):
+    """The entrywise sum of a grid and a pattern."""
+    return tuple(g + p for g, p in zip(grid, pattern))
+
+
 def edit_seed(monkeypatch, family, edit):
     """Put `edit` of the family's seed entries into `_BASIS`."""
     basis = _BASIS[family]
@@ -874,6 +902,23 @@ class TestRowWalk:
         monkeypatch.setattr(enumeration, "base_grid", bent)
         differ = [s for s in range(0, 31) if row_marks(s) != per_grid_marks(s)]
         assert differ and min(differ) == 13
+
+    def test_an_end_grid_off_the_row_is_caught_by_its_step(self, monkeypatch):
+        # The last point of each row of three or more points (k < 3, j >= 2)
+        # is moved by -ZERO_SUM: magic and in range, so only the step check
+        # sees that the row (F1, i=0) at s = 10, j = 0..2, is not affine.
+        def bent(family, i, j, k):
+            grid = base_grid(family, i, j, k)
+            return plus(grid, [-z for z in ZERO_SUM]) if k < 3 and j >= 2 else grid
+
+        monkeypatch.setattr(enumeration, "base_grid", bent)
+        square = bent(Family.F1, 0, 2, 0)
+        assert forced_in_bounds(square, 10) and square != base_grid(Family.F1, 0, 2, 0)
+        message = "family expansion gave a lattice row at s=10 whose entries do not step evenly over its 3 points"
+        for walk in (lambda: list(enumeration._family_pieces(10)), lambda: reconcile(10, False)):
+            with pytest.raises(MismatchError) as info:
+                walk()
+            assert (str(info.value), info.value.square) == (message, square)
 
     def test_images_are_the_ones_core_checks_at_import(self):
         # `core` checks `_PERM`'s images; the row walk reads these.
