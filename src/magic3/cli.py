@@ -26,25 +26,18 @@ from .core import (
     validate,
 )
 from .decompose import _INVERSE_IMAGES, Decomposition, Family, construct, decompose
-from .enumeration import (
-    COUNT_MAX_S,
-    MismatchError,
-    _brute_runs,
-    _cell_values,
-    _family_pieces,
-    reconcile,
-)
+from .enumeration import COUNT_MAX_S, MismatchError, _brute_runs, _family_pieces, reconcile
 
 _JSON_COMPACT = {"separators": (",", ":")}
 
 # `enumerate` writes this many squares per write: enough that the per-write
 # cost vanishes, few enough that a pending chunk stays a few tens of kB.
 _ENUMERATE_CHUNK = 1024
-# While 2s is below this bound, `enumerate` reads each value's decimal string
-# from one table of those of 0..2s, made once per call (at most about 3.7 MB):
-# at s = 250 that writes about twice the squares per second that `str` on each
-# value does.  From the bound on, it calls `str` on each value, so memory does
-# not grow with s.
+# While 2s is below this bound, `enumerate` slices each column of decimal
+# strings from one table of those of 0..2s, made once per call (at most
+# 4.09 MB, 3.90 MiB, at 2s = 2**16 - 2): at s = 250 that writes about twice
+# the squares per second that `str` on each value does.  From the bound on,
+# it calls `str` on each value, so memory does not grow with s.
 _NAME_TABLE_BOUND = 2**16
 
 
@@ -54,6 +47,22 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _int_arg(text: str) -> int:
+    """An argparse type: an integer in ASCII digits 0-9 with an optional leading "-".
+
+    The square grammar's digits, so `int`'s "+8", " 8", "1_0" and non-ASCII
+    digits are refused; a "-" is kept so that a negative value gets its
+    domain message.
+    """
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # `int` refuses more than 4,300 digits
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _square_arg(parser: argparse.ArgumentParser) -> None:
@@ -93,31 +102,48 @@ def _cmd_construct(args: argparse.Namespace) -> None:
     print(format_square(construct(d).square))
 
 
+def _column_names(table: list[str] | None, first: int, step: int, m: int) -> list[str]:
+    """The decimal strings of the m values first, first + step, ...
+
+    One slice of table, the strings of 0..2s, or a repeat of one of them if
+    step is 0; with no table (past `_NAME_TABLE_BOUND`), `str` of each value.
+    """
+    if not step:
+        return [str(first) if table is None else table[first]] * m
+    stop = first + m * step
+    if table is None:
+        return list(map(str, range(first, stop, step)))
+    # A column that falls to 0 stops at None: a stop of -1 would count from the end.
+    return table[first : stop if stop >= 0 else None : step]
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> None:
-    # Renders the streams a row at a time (see `magic3.enumeration`).  Each
-    # cell of a row is a progression of values, so its decimal strings are one
-    # map over them, and `zip` and `join` build the lines with no Python step
-    # per square.  A lattice point's eight squares permute its nine entries,
-    # so the eight images permute one piece's nine columns of strings, and
-    # each entry is converted once for its eight squares.  Both streams check
-    # each row's two end grids, so every value is in 0..2s, the table's range.
+    # Renders the streams a piece of a row at a time (see `magic3.enumeration`).
+    # Each cell of a piece is an arithmetic progression of values in 0..2s, so
+    # its decimal strings are one slice of the table of those of 0..2s, or a
+    # repeat, and `zip` and `join` build the lines with no Python step per
+    # square.  A lattice point's eight squares permute its nine entries, so
+    # the eight images permute one piece's nine columns of strings, and each
+    # entry is converted once for its eight squares.  Both streams check each
+    # row's two end grids, so every value is in 0..2s, the table's range.
     # They also check their first grid, which holds the largest entry, 2s, so
     # a range error or a negative s raises in the first chunk, before anything
     # is written.
     # Written 1,024 squares a chunk, with the bytes of printing every square
     # (or one JSON array of them).
     s, json_format = args.s, args.format == "json"
-    name = [str(v) for v in range(2 * s + 1)].__getitem__ if 2 * s < _NAME_TABLE_BOUND else str
+    table = [str(v) for v in range(2 * s + 1)] if 2 * s < _NAME_TABLE_BOUND else None
     join = ",".join if json_format else " ".join
     if args.source == "brute":
-        runs = _brute_runs(s, lambda x, y, n: map(name, _cell_values(x, y, n)))
+        runs = _brute_runs(s, lambda first, step, m: _column_names(table, first, step, m))
         lines = map(join, chain.from_iterable(runs))
     else:
-        pieces = _family_pieces(s)
         lines = chain.from_iterable(
             chain.from_iterable(
                 zip(*[map(join, zip(*image(columns))) for image in _INVERSE_IMAGES])
-                for columns in ([list(map(name, column)) for column in piece] for piece in pieces)
+                for columns in (
+                    [_column_names(table, x, d, m) for x, d in cells] for cells, m in _family_pieces(s)
+                )
             )
         )
     write = sys.stdout.write
@@ -166,14 +192,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("construct", help="rebuild a square from family coordinates")
     p.add_argument("--family", required=True, choices=[f.value for f in Family])
-    p.add_argument("--i", required=True, type=int)
-    p.add_argument("--j", required=True, type=int)
-    p.add_argument("--k", required=True, type=int)
+    p.add_argument("--i", required=True, type=_int_arg)
+    p.add_argument("--j", required=True, type=_int_arg)
+    p.add_argument("--k", required=True, type=_int_arg)
     p.add_argument("--sym", default="id", choices=[g.tag for g in DihedralElement])
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("enumerate", help="all magic squares with magic sum 3s")
-    p.add_argument("s", type=int)
+    p.add_argument("s", type=_int_arg)
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.add_argument("--source", default="families", choices=["families", "brute"])
     p.set_defaults(func=_cmd_enumerate)
@@ -185,12 +211,12 @@ def _build_parser() -> _Parser:
         f"Compares the two enumerations in (2s+1)**2 bytes of cell marks; s above {COUNT_MAX_S} "
         "(256 MiB) is refused.",
     )
-    p.add_argument("s", type=int)
+    p.add_argument("s", type=_int_arg)
     p.add_argument("--no-brute", action="store_true", help="skip the brute-force oracle")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("selftest", help="run the consistency drill")
-    p.add_argument("--max-s", type=int, default=12)
+    p.add_argument("--max-s", type=_int_arg, default=12)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

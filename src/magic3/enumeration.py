@@ -38,14 +38,17 @@ s raises ValueError on the first item of every stream, and the
 
 Output orders are deterministic: family points are lexicographic by
 (family, i, j, k) and family grids by (family, i, j, k, symmetry index),
-brute force by (a1, a2).  The streams hold one lattice point or one a1 row
-(nine ranges or repeats and at most 7 cuts) at a time, so a consumer that
-does not keep what they yield runs in memory that does not depend on s.
-`magic3 enumerate` is one: it renders whole rows, each as nine columns of
-decimal strings, from `_brute_runs` and from `_family_pieces` (a lattice row
-cut into pieces of at most `_FAMILY_PIECE` points, built from the row's two
-end grids once they pass the family half's row check, `_family_row_ends`),
-and writes them in fixed-size chunks.
+brute force by (a1, a2).  The streams hold one lattice point or one piece of
+an a1 row (nine ranges or repeats and at most 7 cuts) at a time, so a
+consumer that does not keep what they yield runs in memory that does not
+depend on s.  `magic3 enumerate` is one.  It renders pieces of rows, whose
+nine cells are each a first value and a step: pieces of at most
+`_BRUTE_PIECE` grids of a certified a1 row from `_brute_runs`, with the cuts
+that fall inside each, and pieces of at most `_FAMILY_PIECE` points of a
+lattice row from `_family_pieces`, built from the row's two end grids once
+they pass the family half's row check (`_family_row_ends`).  Each cell of a
+piece is then one slice, or a repeat, of a table of decimal strings, and
+the lines are written in fixed-size chunks.
 """
 
 from __future__ import annotations
@@ -70,6 +73,10 @@ COUNT_MAX_S = 8191
 # `_family_pieces` cuts each lattice row into pieces of at most this many
 # points, so that the nine columns of one piece stay small whatever s is.
 _FAMILY_PIECE = 128
+# `_brute_runs` cuts each a1 row into pieces of at most this many grids, so
+# that the nine columns of one piece stay small whatever s is, and the work
+# per piece is spread over many grids: up to s = 511 every row is one piece.
+_BRUTE_PIECE = 1024
 
 
 class MismatchError(MagicSquareError):
@@ -126,25 +133,21 @@ def iter_family_points(s: int) -> Iterator[tuple[int, ...]]:
     return (base_grid(f, i, j, k) for f, i, js, ks in _checked_family_rows(s) for j, k in zip(js, ks))
 
 
-def _family_pieces(s: int) -> Iterator[list[Iterable[int]]]:
-    """The `iter_family_points(s)` base grids, in order, as nine columns per piece of a lattice row.
+def _family_pieces(s: int) -> Iterator[tuple[list[tuple[int, int]], int]]:
+    """The `iter_family_points(s)` base grids, in order, as pieces of a lattice row.
 
-    Each row is cut into pieces of at most `_FAMILY_PIECE` points.  Along a
-    row every base-grid entry is affine in j, so each column is a range that
-    steps from the row's first base grid towards its last, or a repeat.  Each
-    row is certified by its two end grids (`_family_row_ends`) before any
-    piece of it is yielded.
+    Each row is cut into pieces of at most `_FAMILY_PIECE` points.  A piece
+    is (cells, m): along a row every base-grid entry is affine in j, so each
+    of the nine cells is (first, step), and the piece's point at offset t
+    holds first + t * step there, for t < m.  Each row is certified by its
+    two end grids (`_family_row_ends`) before any piece of it is yielded.
     """
     for family, i, js, ks in _checked_family_rows(s):
         n = len(js)
         first, last = _family_row_ends(s, family, i, js, ks)
         steps = [(y - x) // max(n - 1, 1) for x, y in zip(first, last)]
         for start in range(0, n, _FAMILY_PIECE):
-            m = min(_FAMILY_PIECE, n - start)
-            yield [
-                range(x + start * d, x + (start + m) * d, d) if d else repeat(x, m)
-                for x, d in zip(first, steps)
-            ]
+            yield [(x + start * d, d) for x, d in zip(first, steps)], min(_FAMILY_PIECE, n - start)
 
 
 def iter_family_grids(s: int) -> Iterator[tuple[int, ...]]:
@@ -202,8 +205,10 @@ def iter_brute_grids(s: int) -> Iterator[tuple[int, ...]]:
       an equal pair is dropped (only a1 = s does this).  Any other difference
       is zero at one a2 at most, which is cut from the row when it is an
       integer in it, so a row loses at most 7 grids;
-    * the row's grids are one `zip` of the cells' ranges and repeats, built
-      from the two end grids, and `islice` passes over the cuts (`_runs`);
+    * the row is cut into pieces of at most `_BRUTE_PIECE` grids.  A
+      piece's grids are one `zip` of the cells' ranges and repeats, built
+      from the row's first end grid, and `islice` passes over the cuts inside
+      the piece (`_runs`, see `_brute_runs`);
     * the first grid gets the `Square` entry checks, so an s past the 64-bit
       range raises EntryRangeError as `Square` would on it.  No later grid
       can fail them: every cell is nonnegative and no entry exceeds 2s.  The
@@ -284,32 +289,41 @@ def _brute_rows(s: int) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], int,
             yield cell, ends, n, sorted(cuts)
 
 
-def _cell_values(x: int, y: int, n: int) -> Iterable[int]:
-    """The n values of a cell along a row from x to y: a range of step one, or a repeat of x = y."""
-    return range(x, y + 1) if x < y else range(x, y - 1, -1) if x > y else repeat(x, n)
+def _cell_values(first: int, step: int, m: int) -> Iterable[int]:
+    """The m values first, first + step, ... of a cell: a range, or a repeat of first if step is 0."""
+    return range(first, first + m * step, step) if step else repeat(first, m)
 
 
 def _brute_runs(
     s: int, column: Callable[[int, int, int], Iterable] = _cell_values
 ) -> Iterator[Iterator[tuple]]:
-    """The grids of `iter_brute_grids(s)`, in order, as one `islice` per run between the cuts of a row.
+    """The grids of `iter_brute_grids(s)`, in order, as one `islice` per run between the cuts of a piece.
 
-    Each certified a1 row is one `zip` of its nine columns, and its runs are
-    `islice`s of it in turn (`_runs`).  column(x, y, n) gives a cell's n
-    values from x to y, `_cell_values`, or what stands for each of them, such
-    as its decimal string.  The first grid gets the `Square` entry checks
-    before the first run is yielded; it is the forced grid of its cell, as
-    the row's certificate proves (see `iter_brute_grids`).
+    Each certified a1 row that yields a grid is cut into pieces of at most
+    `_BRUTE_PIECE` offsets.  In a piece of m grids each of the nine cells
+    starts at its value in the piece's first grid and steps by -1, 0 or +1,
+    and column(first, step, m) gives its m values, `_cell_values`, or what
+    stands for each of them, such as its decimal string.  The piece's grids
+    are one `zip` of its nine columns, and its runs are `islice`s of it in
+    turn (`_runs`) past the cuts that fall inside it.  The first grid gets
+    the `Square` entry checks before the first piece is built; it is the
+    forced grid of its cell, as the row's certificate proves (see
+    `iter_brute_grids`).
     """
     _check_s(s)
     unchecked = True
-    for cell, ends, n, cuts in _brute_rows(s):
-        row = zip(*map(column, *ends, repeat(n)))
-        for skip, stop in _runs(n, cuts):
-            if unchecked:
-                check_entries(_forced_grid(s, cell + skip))
-                unchecked = False
-            yield islice(row, skip, stop)
+    for cell, (first, last), n, cuts in _brute_rows(s):
+        if len(cuts) == n:
+            continue
+        if unchecked:
+            check_entries(_forced_grid(s, cell + next(_runs(n, cuts))[0]))
+            unchecked = False
+        steps = [(y > x) - (y < x) for x, y in zip(first, last)]
+        for start in range(0, n, _BRUTE_PIECE):
+            m = min(_BRUTE_PIECE, n - start)
+            grids = zip(*[column(x + start * d, d, m) for x, d in zip(first, steps)])
+            for skip, stop in _runs(m, [c - start for c in cuts if start <= c < start + m]):
+                yield islice(grids, skip, stop)
 
 
 def _runs(n: int, cuts: Iterable[int]) -> Iterator[tuple[int, int]]:

@@ -281,6 +281,55 @@ class TestEnumerate:
             for fmt, expected in collected_rendering(source, s):
                 assert main_stdout(["enumerate", str(s), "--source", source, "--format", fmt]) == (0, expected)
 
+    @pytest.mark.parametrize("source", ["families", "brute"])
+    def test_pieces_of_three(self, source, monkeypatch):
+        # With pieces of three, every row longer than three spans several
+        # pieces, and cuts fall on each offset of a piece (checked below), so
+        # a run that crosses a piece edge or a cut that is dropped shows.
+        monkeypatch.setattr(enumeration, "_BRUTE_PIECE", 3)
+        monkeypatch.setattr(enumeration, "_FAMILY_PIECE", 3)
+        offsets = {c % 3 for s in range(0, 41) for _, _, n, cuts in enumeration._brute_rows(s) if len(cuts) < n for c in cuts}
+        assert offsets == {0, 1, 2}
+        for s in (*range(0, 41), 230):
+            for fmt, expected in collected_rendering(source, s):
+                assert main_stdout(["enumerate", str(s), "--source", source, "--format", fmt]) == (0, expected)
+
+    @pytest.mark.parametrize("source", ["families", "brute"])
+    def test_no_column_is_longer_than_a_piece(self, source, monkeypatch):
+        # At s = 600 the longest a1 rows hold 1,201 grids and the longest
+        # lattice rows 199 points, so whole rows would make longer columns;
+        # the first write comes before any such row, so the memory tests above
+        # cannot see this.
+        piece = enumeration._BRUTE_PIECE if source == "brute" else enumeration._FAMILY_PIECE
+        column_names, sizes = cli._column_names, []
+
+        def recording(table, first, step, m):
+            sizes.append(m)
+            return column_names(table, first, step, m)
+
+        monkeypatch.setattr(cli, "_column_names", recording)
+        with contextlib.redirect_stdout(NullWriter()):
+            assert cli.main(["enumerate", "600", "--source", source]) == 0
+        assert max(sizes) == piece
+
+    def test_column_names_are_slices_of_the_table(self):
+        # Every column that fits in 0..2s at s = 5 with a step from -4 to 4
+        # (rows of either source step by -2 to 2): ascending, descending to 0
+        # (which a stop of -1 would empty), to 1 or to 2, repeated, and of one
+        # value; the same strings from the table as from `str`.
+        table = [str(v) for v in range(11)]
+        cases = [
+            (first, step, m)
+            for first in range(11)
+            for step in range(-4, 5)
+            for m in range(1, 12)
+            if 0 <= first + (m - 1) * step <= 10
+        ]
+        for first, step, m in cases:
+            expected = [str(first + t * step) for t in range(m)]
+            assert cli._column_names(table, first, step, m) == expected
+            assert cli._column_names(None, first, step, m) == expected
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("source", ["families", "brute"])
     def test_every_write_but_the_last_holds_one_chunk(self, source, fmt):
@@ -525,6 +574,44 @@ class TestUsage:
         result = run_cli(*argv, timeout=10)
         assert (result.returncode, result.stdout) == (1, "")
         assert result.stderr == "magic3: error: s must be nonnegative, got -1\n"
+
+
+# Forms that `int` reads as 8 or 10 and the ASCII-digit grammar refuses.
+OFF_GRAMMAR_INTEGERS = ["1_0", "\u0668", "+8", " 8", "8 "]
+# Each integer argument of each verb, "{}" standing for its text.
+INTEGER_ARGUMENTS = [
+    ["count", "{}"],
+    ["enumerate", "{}"],
+    ["selftest", "--max-s", "{}"],
+    ["construct", "--family", "F1", "--i", "{}", "--j", "0", "--k", "0"],
+    ["construct", "--family", "F1", "--i", "0", "--j", "{}", "--k", "0"],
+    ["construct", "--family", "F1", "--i", "0", "--j", "0", "--k", "{}"],
+]
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("text", OFF_GRAMMAR_INTEGERS)
+    @pytest.mark.parametrize("argv", INTEGER_ARGUMENTS, ids=" ".join)
+    def test_off_grammar_integer_is_usage_error(self, argv, text):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as info:
+            cli.main([text if a == "{}" else a for a in argv])
+        assert (info.value.code, out.getvalue()) == (1, "")
+        assert err.getvalue().endswith(f": invalid int value: {text!r}\n")
+
+    @pytest.mark.parametrize("argv", INTEGER_ARGUMENTS, ids=" ".join)
+    def test_ascii_digits_with_leading_zeros_are_read(self, argv):
+        # The grammar is that of squares: leading zeros are digits like any other.
+        assert main_stdout([("0008" if a == "{}" else a) for a in argv]) == main_stdout(
+            [("8" if a == "{}" else a) for a in argv]
+        )
+
+    def test_more_digits_than_int_reads_is_usage_error(self):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as info:
+            cli.main(["count", "9" * 5000])
+        assert (info.value.code, out.getvalue()) == (1, "")
+        assert "invalid int value" in err.getvalue()
 
 
 class BrokenPipeStdout:
