@@ -54,13 +54,14 @@ def _int_arg(text: str) -> int:
 
     The square grammar's digits, so `int`'s "+8", " 8", "1_0" and non-ASCII
     digits are refused; a "-" is kept so that a negative value gets its
-    domain message.
+    domain message.  Leading zeros are stripped first, as `parse_square`
+    does, so they do not count toward `int`'s limit of 4,300 digits.
     """
-    digits = text[1:] if text[:1] == "-" else text
+    sign, digits = ("-", text[1:]) if text[:1] == "-" else ("", text)
     if digits.isascii() and digits.isdigit():
         try:
-            return int(text)
-        except ValueError:  # `int` refuses more than 4,300 digits
+            return int(sign + (digits.lstrip("0") or "0"))
+        except ValueError:  # `int` refuses more than 4,300 significant digits
             pass
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 

@@ -11,6 +11,8 @@ sums (three rows, three columns, both diagonals) equal to the magic sum m and
 all nine entries pairwise distinct.  The magic sum is always three times the
 center entry, so the parameter s = m / 3 is an integer.  Every `MagicSquare`
 is certified; only `validate`, `construct` and `reduce` mint through `_certify`.
+Likewise only `parse_square` and `construct`, whose entries are exact ints in
+range by construction, mint a `Square` through `_square` without its checks.
 
 The module also defines the six constant squares from which every magic
 square of order three is built:
@@ -266,6 +268,13 @@ def _certify(square: Square, s: int) -> MagicSquare:
     return certificate
 
 
+def _square(entries: tuple[int, ...]) -> Square:
+    """The `Square` of nine entries its caller has proved exact ints in range; checks nothing."""
+    square = object.__new__(Square)
+    _SET_ENTRIES(square, entries)
+    return square
+
+
 def add(x: Square, y: Square) -> Square:
     """Entry-wise sum, exact; raises EntryRangeError past the 64-bit range."""
     return Square(tuple(a + b for a, b in zip(x.entries, y.entries)))
@@ -357,11 +366,12 @@ def parse_square(text: str) -> Square:
     if len(tokens) != 9:
         raise ValueError(f"expected 9 entries, got {len(tokens)}")
     # One pass in C (at most 9 x 20 digits, under int's digit limit); the loop names a bad token.
+    # `int` of ASCII digits is an exact int >= 0, so nine of them at most ENTRY_MAX need no check.
     digits = "".join(tokens)
     if len(digits) <= 9 * 20 and digits.isascii() and digits.isdigit():
         entries = tuple(map(int, tokens))
         if max(entries) <= ENTRY_MAX:
-            return Square(entries)
+            return _square(entries)
     values = []
     for token in tokens:
         if not (token.isascii() and token.isdigit()):

@@ -20,6 +20,11 @@ on F1 and (2 + j + k, 5 + 3j + 2k) on F2, so s' - 3r = k + 1 or -(k + 1):
 
 Both are >= 0: r >= 1, as the 0 of a reduced square sits at a2; the corner
 order gives s' >= 2r + 1; and s' = 3r, where a3 = b3 = 4r, fails validation.
+
+`construct` is this map run backwards.  The family and (j, k) give (r, s'),
+the reduced shape of `canonical` plus i gives the base grid, and the recorded
+symmetry's inverse orients it.  It never forms seed + i * ONES + j * GEN3 +
+k * generator (`base_grid`); the tests tie the two together cell by cell.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from operator import itemgetter
 from .canonical import _orientation
 from .core import (
     ELEMENTS,
+    ENTRY_MAX,
     GEN1,
     GEN2,
     GEN3,
@@ -40,6 +46,7 @@ from .core import (
     MagicSquare,
     Square,
     _certify,
+    _square,
     permutation,
 )
 
@@ -122,6 +129,19 @@ class Decomposition:
 _SET_FAMILY, _SET_I, _SET_J, _SET_K, _SET_SYMMETRY = (
     getattr(Decomposition, name).__set__ for name in ("family", "i", "j", "k", "symmetry")
 )
+
+
+def _decomposition(family: Family, i: int, j: int, k: int, symmetry: DihedralElement) -> Decomposition:
+    """The `Decomposition` of fields its caller has proved exact (nonnegative ints); checks nothing."""
+    d = object.__new__(Decomposition)
+    _SET_FAMILY(d, family)
+    _SET_I(d, i)
+    _SET_J(d, j)
+    _SET_K(d, k)
+    _SET_SYMMETRY(d, symmetry)
+    return d
+
+
 # Code that runs once per square reads members through these names and keys
 # tables by a member's `_value_`: on Python 3.11, `Family.F1`, `.value` and
 # hashing a member each run Python code in the enum module.
@@ -142,12 +162,26 @@ def base_grid(family: Family, i: int, j: int, k: int) -> tuple[int, ...]:
 def construct(d: Decomposition) -> MagicSquare:
     """Build the magic square of a decomposition, minted without checking again.
 
-    Each base grid is magic with center s (`TestConeProof` in the tests), and so
-    are its images; `Square` checks the range.  The inverse symmetry restores
-    the orientation `decompose` recorded, so construct(decompose(m)) == m.
+    `decompose` run backwards: F1 has (r, s') = (1 + j, 4 + 3j + k) and F2
+    (2 + j + k, 5 + 3j + 2k); with t = i + s', the base grid is the reduced
+    shape of `canonical` plus i, and the inverse of the recorded symmetry
+    restores the orientation, so construct(decompose(m)) == m.  The tests show
+    that this grid is `base_grid`'s, the image of seed + i * ONES + j * GEN3 +
+    k * generator, and that each of those is magic with center t
+    (`TestConeProof`).  Its largest entry is t + s' (c2), so exact int
+    coordinates with t + s' <= ENTRY_MAX give a grid in range; anything else
+    goes through `Square`, which refuses it as it always has.
     """
-    base = base_grid(d.family, d.i, d.j, d.k)
-    return _certify(Square(_INVERSE_IMAGE[d.symmetry._value_](base)), base[4])
+    i, j, k = d.i, d.j, d.k
+    if d.family is _F1:
+        r, s = 1 + j, 4 + 3 * j + k
+    else:
+        r, s = 2 + j + k, 5 + 3 * j + 2 * k
+    t = i + s
+    base = (t + s - r, i, t + r, i + 2 * r, t, t + s - 2 * r, t - r, t + s, i + r)
+    grid = _INVERSE_IMAGE[d.symmetry._value_](base)
+    exact = type(i) is type(j) is type(k) is int and t + s <= ENTRY_MAX
+    return _certify(_square(grid) if exact else Square(grid), t)
 
 
 def decompose(m: MagicSquare) -> Decomposition:

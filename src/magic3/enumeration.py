@@ -64,7 +64,7 @@ from .core import (
     check_entries,
     validate,
 )
-from .decompose import _INVERSE_IMAGES, Decomposition, Family, base_grid
+from .decompose import _INVERSE_IMAGES, Decomposition, Family, _decomposition, base_grid
 from .series import CountReport, _check_s, count_closed, expand, magic_gf
 
 # `reconcile` keeps one byte per (a1, a2) pair, (2s + 1)**2 in all; this s is
@@ -103,11 +103,15 @@ def _family_rows(s: int) -> Iterator[tuple[Family, int, range, range]]:
 
 
 def iter_decompositions(s: int) -> Iterator[Decomposition]:
-    """Every decomposition with magic parameter s, in output order."""
+    """Every decomposition with magic parameter s, in `iter_family_grids`' order.
+
+    Its fields come from `range` arithmetic on s, so each is an exact
+    nonnegative int and is minted without `Decomposition`'s checks.
+    """
     for family, i, js, ks in _family_rows(s):
         for j, k in zip(js, ks):
             for g in ELEMENTS:
-                yield Decomposition(family=family, i=i, j=j, k=k, symmetry=g)
+                yield _decomposition(family, i, j, k, g)
 
 
 def _checked_family_rows(s: int) -> Iterator[tuple[Family, int, range, range]]:

@@ -606,6 +606,21 @@ class TestIntegerArguments:
             [("8" if a == "{}" else a) for a in argv]
         )
 
+    @pytest.mark.parametrize("argv", INTEGER_ARGUMENTS, ids=" ".join)
+    def test_leading_zeros_past_the_int_digit_limit_are_read(self, argv):
+        # Stripped before `int`, as in squares, so they do not count toward its 4,300 digits.
+        assert main_stdout([("0" * 4400 + "8" if a == "{}" else a) for a in argv]) == main_stdout(
+            [("8" if a == "{}" else a) for a in argv]
+        )
+
+    def test_leading_zeros_of_a_negative_value_are_read(self):
+        outcomes = []
+        for text in ("-" + "0" * 4400 + "8", "-8"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                outcomes.append((main_stdout(["count", text]), err.getvalue()))
+        assert outcomes[0] == outcomes[1] == ((1, ""), "magic3: error: s must be nonnegative, got -8\n")
+
     def test_more_digits_than_int_reads_is_usage_error(self):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as info:

@@ -28,11 +28,13 @@ from magic3 import (
     decompose,
     is_canonical,
     iter_brute_squares,
+    iter_decompositions,
+    iter_family_grids,
     reduce,
     validate,
 )
 from magic3.core import _LINES
-from magic3.decompose import _BASIS, base_grid
+from magic3.decompose import _BASIS, _INVERSE_IMAGE, base_grid
 from strategies import decompositions
 
 ID = DihedralElement.ID
@@ -246,9 +248,17 @@ class TestConeProof:
        the whole cone, so there decompose(construct(d)) is an affine map of
        (i, j, k) with a fixed family and symmetry.  It agrees with the
        identity at four affinely independent points, so it agrees everywhere.
+    5. `construct` does not call `base_grid`: it runs `decompose`'s map
+       backwards, from (r, s') and the reduced shape.  On each cone its
+       cells are affine in (i, j, k) too, and at the four points they are
+       the cells of the inverse image of `base_grid`, so the two agree on
+       the whole cone, and 1-4 hold for `construct`.
 
-    `base_grid` builds exact Python ints, so the argument needs no bound; a
-    grid past the 64-bit range is refused by `Square` in `construct`.
+    Both build exact Python ints, so the argument needs no bound.  The range
+    is refused in `construct`: it mints its `Square` unchecked only when i,
+    j and k are exact ints and its largest entry, c2 of the base grid, is at
+    most ENTRY_MAX; any other grid goes through `Square`, which refuses an
+    entry past the 64-bit range with the same error as before.
     """
 
     @pytest.mark.parametrize("family", list(Family))
@@ -292,3 +302,46 @@ class TestConeProof:
         for point in POINTS:
             d = Decomposition(family, *point, g)
             assert decompose(construct(d)) == d
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("g", ELEMENTS)
+    def test_construct_is_the_inverse_image_of_the_basis(self, family, g):
+        origin, *steps = (construct(Decomposition(family, *point, g)).entries for point in POINTS)
+        forms = [(c, *(step[cell] - c for step in steps)) for cell, c in enumerate(origin)]
+        assert forms == list(_INVERSE_IMAGE[g.value](base_forms(family)))
+        i, j, k = 2**40, 3, 2**50
+        assert construct(Decomposition(family, i, j, k, g)).entries == tuple(
+            c + i * fi + j * fj + k * fk for c, fi, fj, fk in forms
+        )
+
+    def test_construct_yields_the_family_grids_up_to_forty(self):
+        for s in range(41):
+            assert [construct(d).entries for d in iter_decompositions(s)] == list(iter_family_grids(s))
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("g", ELEMENTS)
+    def test_an_int_subclass_at_the_entry_max_edge(self, family, g):
+        # An int subclass takes the checked path: the same grid at the edge,
+        # and one step past it the same error as exact ints.
+        class Count(int):
+            pass
+
+        j, k = 3, 2**50
+        i = ENTRY_MAX - max(base_grid(family, 0, j, k))
+        exact = construct(Decomposition(family, i, j, k, g))
+        assert max(exact.entries) == ENTRY_MAX
+        assert construct(Decomposition(family, Count(i), Count(j), Count(k), g)) == exact
+        for fields in ((i + 1, j, k), (Count(i + 1), Count(j), Count(k))):
+            with pytest.raises(EntryRangeError) as info:
+                construct(Decomposition(family, *fields, g))
+            assert str(info.value) == f"entry {ENTRY_MAX + 1} exceeds the unsigned 64-bit range"
+
+    def test_an_int_subclass_gets_the_square_checks(self):
+        # The range argument holds for int's own arithmetic only; a subclass's
+        # may differ, so its grid is checked by `Square`, never minted.
+        class Skewed(int):
+            def __radd__(self, other):
+                return int(other) + int(self) + 2**64
+
+        with pytest.raises(EntryRangeError):
+            construct(Decomposition(Family.F1, 0, Skewed(0), 0, ID))

@@ -41,10 +41,21 @@ def test_only_validate_construct_and_reduce_mint_through_certify():
     # Building a `MagicSquare` runs `validate`'s checks.  Only `_certify`
     # skips them, by `object.__new__`, and only the three functions that have
     # proved their squares magic call it; `canonical` and `decompose` trust
-    # every certificate and call no `validate`.
+    # every certificate and call no `validate`.  `_square` and `_decomposition`
+    # skip the checks of a `Square` and a `Decomposition` in the same way, each
+    # for callers whose values are exact ints in range by construction.
     calls = [call for path in SOURCES for call in _calls(path)]
-    assert [(f, fn, source) for f, fn, name, source in calls if name == "__new__"] == [
-        ("core.py", "_certify", "object.__new__(MagicSquare)")
+    assert sorted((f, fn, source) for f, fn, name, source in calls if name == "__new__") == [
+        ("core.py", "_certify", "object.__new__(MagicSquare)"),
+        ("core.py", "_square", "object.__new__(Square)"),
+        ("decompose.py", "_decomposition", "object.__new__(Decomposition)"),
+    ]
+    assert sorted((f, fn) for f, fn, name, _ in calls if name == "_square") == [
+        ("core.py", "parse_square"),
+        ("decompose.py", "construct"),
+    ]
+    assert [(f, fn) for f, fn, name, _ in calls if name == "_decomposition"] == [
+        ("enumeration.py", "iter_decompositions")
     ]
     assert sorted((f, fn) for f, fn, name, _ in calls if name == "_certify") == [
         ("canonical.py", "reduce"),

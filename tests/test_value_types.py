@@ -229,3 +229,36 @@ class TestParserEquivalence:
     @example("")
     def test_matches_the_per_token_parser(self, text):
         assert outcome(parse_square, text) == outcome(parse_by_token, text)
+
+
+# Entries near both ends of the range, each written with up to three leading zeros.
+entry_texts = st.builds(
+    lambda value, zeros: "0" * zeros + str(value),
+    st.one_of(st.integers(0, 2**10), st.integers(ENTRY_MAX - 2**10, ENTRY_MAX), st.integers(0, ENTRY_MAX)),
+    st.integers(0, 3),
+)
+bad_entry_texts = st.sampled_from([
+    str(ENTRY_MAX + 1), "000" + str(ENTRY_MAX + 1), "1" * 21, "+8", "8_0", "-1", "٨",
+    "0" * 4400 + str(ENTRY_MAX + 1),
+])
+
+
+class TestParsedSquareMint:
+    """`parse_square` mints its `Square` unchecked: the value must be the checked one."""
+
+    @given(st.lists(entry_texts, min_size=9, max_size=9), separators.filter(bool))
+    @example([str(ENTRY_MAX)] * 9, " ")
+    # 9 x 23 digits, past the one-pass path's 180: the per-token loop reads it.
+    @example(["000" + str(ENTRY_MAX)] * 9, ", ")
+    def test_valid_text_gives_the_checked_square_of_exact_ints(self, words, separator):
+        square = parse_square(separator.join(words))
+        assert square == Square(tuple(map(int, words)))
+        assert [type(value) for value in square.entries] == [int] * 9
+
+    @given(st.lists(entry_texts, min_size=9, max_size=9), st.integers(0, 8), bad_entry_texts)
+    def test_a_rejection_keeps_its_type_and_message(self, words, index, bad):
+        words[index] = bad
+        text = " ".join(words)
+        with pytest.raises(ValueError):
+            parse_square(text)
+        assert outcome(parse_square, text) == outcome(parse_by_token, text)
