@@ -25,8 +25,8 @@ from .core import (
     parse_square,
     validate,
 )
-from .decompose import _INVERSE_IMAGES, Decomposition, Family, construct, decompose
-from .enumeration import COUNT_MAX_S, MismatchError, _brute_runs, _family_pieces, reconcile
+from .decompose import Decomposition, Family, construct, decompose
+from .enumeration import COUNT_MAX_S, MismatchError, _brute_pieces, _family_pieces, reconcile
 
 _JSON_COMPACT = {"separators": (",", ":")}
 
@@ -119,34 +119,24 @@ def _column_names(table: list[str] | None, first: int, step: int, m: int) -> lis
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> None:
-    # Renders the streams a piece of a row at a time (see `magic3.enumeration`).
-    # Each cell of a piece is an arithmetic progression of values in 0..2s, so
-    # its decimal strings are one slice of the table of those of 0..2s, or a
-    # repeat, and `zip` and `join` build the lines with no Python step per
-    # square.  A lattice point's eight squares permute its nine entries, so
-    # the eight images permute one piece's nine columns of strings, and each
-    # entry is converted once for its eight squares.  Both streams check each
-    # row's two end grids, so every value is in 0..2s, the table's range.
-    # They also check their first grid, which holds the largest entry, 2s, so
-    # a range error or a negative s raises in the first chunk, before anything
-    # is written.
+    # Renders the stream's pieces of rows (see `magic3.enumeration`) with
+    # decimal strings for values.  Each cell of a piece is an arithmetic
+    # progression of values in 0..2s, so its strings are one slice of the
+    # table of those of 0..2s, or a repeat, and `join` builds the lines with
+    # no Python step per square; a family piece's eight images share its
+    # columns, so each entry is converted once for its eight squares.  Both
+    # streams check each row's two end grids, so every value is in 0..2s, the
+    # table's range.  They also check their first grid, which holds the
+    # largest entry, 2s, so a range error or a negative s raises in the first
+    # chunk, before anything is written.
     # Written 1,024 squares a chunk, with the bytes of printing every square
     # (or one JSON array of them).
     s, json_format = args.s, args.format == "json"
     table = [str(v) for v in range(2 * s + 1)] if 2 * s < _NAME_TABLE_BOUND else None
     join = ",".join if json_format else " ".join
-    if args.source == "brute":
-        runs = _brute_runs(s, lambda first, step, m: _column_names(table, first, step, m))
-        lines = map(join, chain.from_iterable(runs))
-    else:
-        lines = chain.from_iterable(
-            chain.from_iterable(
-                zip(*[map(join, zip(*image(columns))) for image in _INVERSE_IMAGES])
-                for columns in (
-                    [_column_names(table, x, d, m) for x, d in cells] for cells, m in _family_pieces(s)
-                )
-            )
-        )
+    stream = _brute_pieces if args.source == "brute" else _family_pieces
+    pieces = stream(s, lambda first, step, m: _column_names(table, first, step, m))
+    lines = map(join, chain.from_iterable(pieces))
     write = sys.stdout.write
     opening = "[["
     for chunk in iter(lambda: list(islice(lines, _ENUMERATE_CHUNK)), []):

@@ -1,14 +1,14 @@
 """Enumerate all magic squares for a given magic parameter s, two ways.
 
-`iter_family_points` walks every lattice solution of 4 + i + 3j + k = s and
-5 + i + 3j + 2k = s and yields each one's base grid; `iter_family_grids`
-expands each point into its eight symmetric images, which permute the same
-nine entries.  `iter_brute_grids` is the independent oracle: it sweeps the two
-free cells (a1, a2) one a1 row at a time and fills the rest of the grid from
-the line-sum equations, and it yields each row's lattice points less those
-on the 8 lines where two cells are equal (the inside-out polytope picture of
-M. Beck, T. Zaslavsky, Adv. Math. 205, 2006).  `reconcile` runs both plus
-the two counting devices and insists all four agree.
+`iter_family_grids` walks every lattice solution of 4 + i + 3j + k = s and
+5 + i + 3j + 2k = s and yields the eight symmetric images of each one's base
+grid, which permute the same nine entries.  `iter_brute_grids` is the
+independent oracle: it sweeps the two free cells (a1, a2) one a1 row at a
+time and fills the rest of the grid from the line-sum equations, and it
+yields each row's lattice points less those on the 8 lines where two cells
+are equal (the inside-out polytope picture of M. Beck, T. Zaslavsky, Adv.
+Math. 205, 2006).  `reconcile` runs both plus the two counting devices and
+insists all four agree.
 
 Six equations, center s, a1 + c3 = a2 + c2 = a3 + c1 = b1 + b3 = 2s and
 row 1 = column 1 = 3s, make every line sum 3s: row 2, column 2 and both
@@ -25,35 +25,35 @@ row every base-grid entry is affine in j, so each image's cells form one
 extended slice of the marks.  The six equations are linear and
 0 <= entry <= 2s convex, so a row whose two end base grids pass them passes
 at every point, and so does each image, as it maps lines onto lines (checked
-when `core` is imported).  Each half of `reconcile` certifies one row at a
-time and names a failure from that row alone; no grid is walked on its own.
+when `core` is imported).  Each half of `reconcile`, and each grid stream,
+certifies one row at a time and names a failure from that row alone; no grid
+is walked on its own.
 
-Both grid streams certify what they yield without building a `Square` per
-grid: family grids are magic by the cone argument `construct` rests on, and
-the brute sweep checks each row's two end grids (see `iter_brute_grids`).
-No entry exceeds 2s, as opposite cells sum to 2s, and each stream's first
-grid holds 2s, so only that grid gets the `Square` entry checks.  A negative
-s raises ValueError on the first item of every stream, and the
-`iter_*_squares` streams mint by `validate`.
+So both grid streams certify what they yield without building a `Square`
+per grid: each checks every row's two end grids (`_family_row_ends`, and
+`_brute_rows`, see `iter_brute_grids`) before it yields any grid of the row,
+and raises MismatchError at the first row that fails.  No entry exceeds 2s,
+as opposite cells sum to 2s, and each stream's first grid holds 2s, so only
+that grid gets the `Square` entry checks.  A negative s raises ValueError on
+the first item of every stream, and the `iter_*_squares` streams mint by
+`validate`.
 
-Output orders are deterministic: family points are lexicographic by
-(family, i, j, k) and family grids by (family, i, j, k, symmetry index),
-brute force by (a1, a2).  The streams hold one lattice point or one piece of
-an a1 row (nine ranges or repeats and at most 7 cuts) at a time, so a
-consumer that does not keep what they yield runs in memory that does not
-depend on s.  `magic3 enumerate` is one.  It renders pieces of rows, whose
-nine cells are each a first value and a step: pieces of at most
-`_BRUTE_PIECE` grids of a certified a1 row from `_brute_runs`, with the cuts
-that fall inside each, and pieces of at most `_FAMILY_PIECE` points of a
-lattice row from `_family_pieces`, built from the row's two end grids once
-they pass the family half's row check (`_family_row_ends`).  Each cell of a
-piece is then one slice, or a repeat, of a table of decimal strings, and
-the lines are written in fixed-size chunks.
+Output orders are deterministic: family grids are lexicographic by
+(family, i, j, k, symmetry index), brute force by (a1, a2).  Each stream is
+a chain of pieces of certified rows, one iterator of grids per piece
+(`_family_pieces`, `_brute_pieces`): at most `_FAMILY_PIECE` points of a
+lattice row, or `_BRUTE_PIECE` grids of an a1 row less the cuts inside
+them.  Each of a piece's nine cells is a first value and a step, and
+column(first, step, m) gives its m values, or what stands for each of them.
+A piece holds nine such columns and at most 7 cuts, so a consumer that does
+not keep what the streams yield runs in memory that does not depend on s.
+`magic3 enumerate` is one: its columns are slices, or repeats, of a table of
+decimal strings, and it joins each grid of strings into a line.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice, repeat
+from itertools import chain, compress
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -73,7 +73,7 @@ COUNT_MAX_S = 8191
 # `_family_pieces` cuts each lattice row into pieces of at most this many
 # points, so that the nine columns of one piece stay small whatever s is.
 _FAMILY_PIECE = 128
-# `_brute_runs` cuts each a1 row into pieces of at most this many grids, so
+# `_brute_pieces` cuts each a1 row into pieces of at most this many grids, so
 # that the nine columns of one piece stay small whatever s is, and the work
 # per piece is spread over many grids: up to s = 511 every row is one piece.
 _BRUTE_PIECE = 1024
@@ -114,55 +114,54 @@ def iter_decompositions(s: int) -> Iterator[Decomposition]:
                 yield _decomposition(family, i, j, k, g)
 
 
-def _checked_family_rows(s: int) -> Iterator[tuple[Family, int, range, range]]:
-    """`_family_rows(s)`, with the `Square` entry checks on the first point's base grid.
+def _cell_values(first: int, step: int, m: int) -> Sequence[int]:
+    """The m values first, first + step, ... of a cell: a range, or a list of m firsts if step is 0.
 
-    That point, (F1, 0, 0, s - 4), holds 2s, so an s past the 64-bit range
-    raises EntryRangeError as `Square` would, before the first row is yielded.
+    Either can be read more than once, as the eight images of a family
+    piece read the same columns.
     """
-    rows = _family_rows(s)
-    first = next(rows, None)
-    if first is not None:
-        family, i, js, ks = first
-        check_entries(base_grid(family, i, js[0], ks[0]))
-        yield first
-        yield from rows
+    return range(first, first + m * step, step) if step else [first] * m
 
 
-def iter_family_points(s: int) -> Iterator[tuple[int, ...]]:
-    """Base grid of each lattice point of the family expansion, in output order.
+def _family_pieces(
+    s: int, column: Callable[[int, int, int], Iterable] = _cell_values
+) -> Iterator[Iterator[tuple]]:
+    """The grids of `iter_family_grids(s)`, in order, as one iterator per piece of a lattice row.
 
-    Only the first gets the `Square` entry checks (`_checked_family_rows`).
+    Each row is certified by its two end base grids (`_family_row_ends`) and
+    cut into pieces of at most `_FAMILY_PIECE` points.  Along a row every
+    base-grid entry is affine in j, so in a piece of m points each of the
+    nine cells starts at its value in the piece's first base grid and steps
+    by a whole number, and column(first, step, m) gives its m values, as for
+    `_brute_pieces`.  The eight images permute the nine columns, and the
+    piece interleaves their `zip`s point by point.  The first base grid,
+    (F1, 0, 0, s - 4), holds 2s and gets the `Square` entry checks before the
+    `len` of the first row is taken, which can pass `sys.maxsize` past the
+    64-bit range.
     """
-    return (base_grid(f, i, j, k) for f, i, js, ks in _checked_family_rows(s) for j, k in zip(js, ks))
-
-
-def _family_pieces(s: int) -> Iterator[tuple[list[tuple[int, int]], int]]:
-    """The `iter_family_points(s)` base grids, in order, as pieces of a lattice row.
-
-    Each row is cut into pieces of at most `_FAMILY_PIECE` points.  A piece
-    is (cells, m): along a row every base-grid entry is affine in j, so each
-    of the nine cells is (first, step), and the piece's point at offset t
-    holds first + t * step there, for t < m.  Each row is certified by its
-    two end grids (`_family_row_ends`) before any piece of it is yielded.
-    """
-    for family, i, js, ks in _checked_family_rows(s):
+    unchecked = True
+    for family, i, js, ks in _family_rows(s):
+        if unchecked:
+            check_entries(base_grid(family, i, js[0], ks[0]))
+            unchecked = False
         n = len(js)
         first, last = _family_row_ends(s, family, i, js, ks)
         steps = [(y - x) // max(n - 1, 1) for x, y in zip(first, last)]
         for start in range(0, n, _FAMILY_PIECE):
-            yield [(x + start * d, d) for x, d in zip(first, steps)], min(_FAMILY_PIECE, n - start)
+            m = min(_FAMILY_PIECE, n - start)
+            columns = [column(x + start * d, d, m) for x, d in zip(first, steps)]
+            yield chain.from_iterable(zip(*[zip(*image(columns)) for image in _INVERSE_IMAGES]))
 
 
 def iter_family_grids(s: int) -> Iterator[tuple[int, ...]]:
-    """Row-major grids of the family expansion, in output order.
+    """Row-major grids of the family expansion, in output order, certified a lattice row at a time.
 
-    The eight images of each `iter_family_points` base grid, in symmetry
-    index order; each permutes the base grid's checked entries.
+    The eight images of each lattice point's base grid, in symmetry index
+    order; each permutes the base grid's entries.  Raises MismatchError at
+    the first lattice row whose end grids fail, with the message and square
+    that `reconcile` names (`_family_row_ends`).
     """
-    for base in iter_family_points(s):
-        for image in _INVERSE_IMAGES:
-            yield image(base)
+    return chain.from_iterable(_family_pieces(s))
 
 
 def iter_family_squares(s: int) -> Iterator[MagicSquare]:
@@ -211,8 +210,8 @@ def iter_brute_grids(s: int) -> Iterator[tuple[int, ...]]:
       integer in it, so a row loses at most 7 grids;
     * the row is cut into pieces of at most `_BRUTE_PIECE` grids.  A
       piece's grids are one `zip` of the cells' ranges and repeats, built
-      from the row's first end grid, and `islice` passes over the cuts inside
-      the piece (`_runs`, see `_brute_runs`);
+      from the row's first end grid, and `compress` passes over the cuts
+      inside the piece (see `_brute_pieces`);
     * the first grid gets the `Square` entry checks, so an s past the 64-bit
       range raises EntryRangeError as `Square` would on it.  No later grid
       can fail them: every cell is nonnegative and no entry exceeds 2s.  The
@@ -221,7 +220,7 @@ def iter_brute_grids(s: int) -> Iterator[tuple[int, ...]]:
       (1, 2s-2, s+1, 2s, s, 0, s-1, 2, 2s-1), whose entries are distinct for
       every s >= 4.  Below s = 4 there are no grids.
     """
-    return chain.from_iterable(_brute_runs(s))
+    return chain.from_iterable(_brute_pieces(s))
 
 
 # One pair of cells on each line of the (a1, a2) plane where two cells of a
@@ -293,26 +292,20 @@ def _brute_rows(s: int) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], int,
             yield cell, ends, n, sorted(cuts)
 
 
-def _cell_values(first: int, step: int, m: int) -> Iterable[int]:
-    """The m values first, first + step, ... of a cell: a range, or a repeat of first if step is 0."""
-    return range(first, first + m * step, step) if step else repeat(first, m)
-
-
-def _brute_runs(
+def _brute_pieces(
     s: int, column: Callable[[int, int, int], Iterable] = _cell_values
 ) -> Iterator[Iterator[tuple]]:
-    """The grids of `iter_brute_grids(s)`, in order, as one `islice` per run between the cuts of a piece.
+    """The grids of `iter_brute_grids(s)`, in order, as one iterator per piece of an a1 row.
 
     Each certified a1 row that yields a grid is cut into pieces of at most
     `_BRUTE_PIECE` offsets.  In a piece of m grids each of the nine cells
     starts at its value in the piece's first grid and steps by -1, 0 or +1,
     and column(first, step, m) gives its m values, `_cell_values`, or what
     stands for each of them, such as its decimal string.  The piece's grids
-    are one `zip` of its nine columns, and its runs are `islice`s of it in
-    turn (`_runs`) past the cuts that fall inside it.  The first grid gets
-    the `Square` entry checks before the first piece is built; it is the
-    forced grid of its cell, as the row's certificate proves (see
-    `iter_brute_grids`).
+    are one `zip` of its nine columns, passed through `compress` with a keep
+    mask that is 0 at the cuts inside it.  The first grid gets the `Square`
+    entry checks before the first piece is built; it is the forced grid of
+    its cell, as the row's certificate proves (see `iter_brute_grids`).
     """
     _check_s(s)
     unchecked = True
@@ -320,24 +313,16 @@ def _brute_runs(
         if len(cuts) == n:
             continue
         if unchecked:
-            check_entries(_forced_grid(s, cell + next(_runs(n, cuts))[0]))
+            check_entries(_forced_grid(s, cell + next(k for k in range(n) if k not in cuts)))
             unchecked = False
         steps = [(y > x) - (y < x) for x, y in zip(first, last)]
         for start in range(0, n, _BRUTE_PIECE):
             m = min(_BRUTE_PIECE, n - start)
-            grids = zip(*[column(x + start * d, d, m) for x, d in zip(first, steps)])
-            for skip, stop in _runs(m, [c - start for c in cuts if start <= c < start + m]):
-                yield islice(grids, skip, stop)
-
-
-def _runs(n: int, cuts: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """`islice` bounds that, applied in turn to one iterator of n items, skip the sorted cuts."""
-    at = start = 0
-    for stop in chain(cuts, (n,)):
-        if start < stop:
-            yield start - at, stop - at
-            at = stop
-        start = stop + 1
+            keep = bytearray(b"\1") * m
+            for c in cuts:
+                if start <= c < start + m:
+                    keep[c - start] = 0
+            yield compress(zip(*[column(x + start * d, d, m) for x, d in zip(first, steps)]), keep)
 
 
 def iter_brute_squares(s: int) -> Iterator[MagicSquare]:
@@ -347,7 +332,7 @@ def iter_brute_squares(s: int) -> Iterator[MagicSquare]:
 
 def count_families(s: int) -> int:
     """Number of squares produced by the family expansion at parameter s, counted by rows."""
-    next(iter_family_points(s), None)  # raises as the stream does on an s past the 64-bit range
+    next(iter_family_grids(s), None)  # raises as the stream does on an s past the 64-bit range
     return len(_INVERSE_IMAGES) * sum(len(js) for _, _, js, _ in _family_rows(s))
 
 
@@ -425,7 +410,7 @@ def _compare_brute_rows(s: int, marks: bytearray) -> tuple[int, int | None]:
     """Compare each a1 row of marks with the cells that `iter_brute_grids(s)` yields in it.
 
     A row's 2s + 1 marks must be 1 at the cells whose grids the sweep
-    yields, by the same `_runs`, and 0 elsewhere: one comparison per row.
+    yields, its n cells less the cuts, and 0 elsewhere: one comparison per row.
     Walks the whole sweep, so every row's certificate is checked, and returns
     the number of grids it yields and the first cell where the marks differ,
     or None.
@@ -435,9 +420,10 @@ def _compare_brute_rows(s: int, marks: bytearray) -> tuple[int, int | None]:
     for cell, _, n, cuts in _brute_rows(s):
         start = cell - cell % w
         if differ is None:
-            # Each run passes over `skip` grids and yields the next stop - skip.
-            runs = (bytes(skip) + b"\1" * (stop - skip) for skip, stop in _runs(n, cuts))
-            row = (bytes(cell - start) + b"".join(runs)).ljust(w, b"\0")
+            row, at = bytearray(w), cell - start
+            row[at : at + n] = b"\1" * n
+            for c in cuts:
+                row[at + c] = 0
             if marks[start : start + w] != row:
                 differ = start + next(k for k in range(w) if marks[start + k] != row[k])
         count += n - len(cuts)

@@ -21,12 +21,13 @@ from magic3 import (
     MismatchError,
     Square,
     cli,
+    construct,
     enumeration,
     format_square,
     iter_brute_grids,
     iter_brute_squares,
+    iter_decompositions,
     iter_family_grids,
-    iter_family_squares,
     selftest,
     validate,
 )
@@ -121,9 +122,16 @@ class WriteLog:
 
 
 def collected_rendering(source: str, s: int) -> list[tuple[str, str]]:
-    """(format, stdout) of `enumerate s` as the collected `iter_*_squares(s)` render it."""
-    collect = iter_brute_squares if source == "brute" else iter_family_squares
-    squares = tuple(collect(s))
+    """(format, stdout) of `enumerate s` as the collected squares render it.
+
+    The family squares are built one at a time, by `construct` on each of
+    `iter_decompositions(s)`, so that no piece of a lattice row is shared
+    with the renderer under test.
+    """
+    if source == "brute":
+        squares = tuple(iter_brute_squares(s))
+    else:
+        squares = tuple(construct(d) for d in iter_decompositions(s))
     text = "".join(format_square(m.square) + "\n" for m in squares)
     array = json.dumps([list(m.entries) for m in squares], separators=(",", ":")) + "\n"
     return [("text", text), ("json", array)]

@@ -39,7 +39,7 @@ from magic3 import (
 from magic3 import core
 from magic3.core import _LINES
 from magic3.decompose import _BASIS, _INVERSE_IMAGES, Family, base_grid
-from magic3.enumeration import COUNT_MAX_S, _forced_grid, iter_family_points
+from magic3.enumeration import COUNT_MAX_S, _forced_grid
 
 
 def naive_magic_grids(s):
@@ -154,26 +154,27 @@ class TestFamilyEnumeration:
             assert max(m.entries) <= 2 * m.s
 
     def test_grids_are_the_eight_images_of_each_point(self):
-        # `magic3 enumerate` renders the points; `reconcile` counts the grids.
+        # The stream is built a piece of a lattice row at a time; the
+        # references are built a point at a time.
         for s in range(0, 41):
             grids = list(iter_family_grids(s))
-            images = [image(base) for base in iter_family_points(s) for image in _INVERSE_IMAGES]
-            assert grids == images
+            assert grids == row_grids(enumeration._family_rows(s))
             assert grids == [construct(d).entries for d in iter_decompositions(s)]
 
     def test_range_error_comes_with_the_first_point(self):
         with pytest.raises(EntryRangeError, match=f"^entry {2**64} exceeds"):
-            next(iter_family_points(2**63))
+            next(iter_family_grids(2**63))
         # The real first grid is checked: its first entry past the range is a1 = 2s - 1.
         s = 2**63 + 1
         with pytest.raises(EntryRangeError, match=f"^entry {2 * s - 1} exceeds"):
-            next(iter_family_points(s))
+            next(iter_family_grids(s))
 
     def test_only_the_first_point_gets_the_entry_checks(self, monkeypatch):
         checked = []
         monkeypatch.setattr(enumeration, "check_entries", checked.append)
-        points = list(iter_family_points(30))
-        assert checked == points[:1] and len(points) > 1
+        # The first grid is the identity image of the first point.
+        grids = list(iter_family_grids(30))
+        assert checked == grids[:1] and len(grids) > 1
         assert checked == [base_grid(Family.F1, 0, 0, 26)]
 
     def test_count_is_the_number_of_family_grids(self):
@@ -183,7 +184,7 @@ class TestFamilyEnumeration:
 
     def test_count_past_the_range_raises_as_the_stream_does(self):
         with pytest.raises(EntryRangeError) as stream:
-            next(iter_family_points(2**63))
+            next(iter_family_grids(2**63))
         with pytest.raises(EntryRangeError) as count:
             count_families(2**63)
         assert str(count.value) == str(stream.value)
@@ -345,7 +346,6 @@ class TestBruteSweepChecks:
     "fn",
     [
         count_families,
-        iter_family_points,
         iter_family_grids,
         iter_brute_grids,
         iter_decompositions,
@@ -589,9 +589,12 @@ def first_cut(s):
 
 
 def row_grids(rows):
-    """The grids of lattice rows (family, i, js, ks), point by point and image by image."""
+    """The grids of lattice rows (family, i, js, ks), point by point and image by image.
+
+    Reads `enumeration.base_grid` when called, so a fault put in its place shows.
+    """
     return [
-        image(base_grid(family, i, j, k))
+        image(enumeration.base_grid(family, i, j, k))
         for family, i, js, ks in rows
         for j, k in zip(js, ks)
         for image in _INVERSE_IMAGES
@@ -776,7 +779,7 @@ class TestReconcileMarks:
     ):
         inject, message = fault
         inject(monkeypatch)
-        grids = list(iter_family_grids(6))
+        grids = row_grids(enumeration._family_rows(6))
 
         def unreachable(*args):
             raise AssertionError("the brute half ran after a family fault")
@@ -788,6 +791,11 @@ class TestReconcileMarks:
         assert str(info.value) == message
         assert square in grids
         assert not forced_in_bounds(square, 6) or grids.count(square) > 1
+        # The stream checks each row's ends as `reconcile` does, but not repeats.
+        if "repeated" not in message:
+            with pytest.raises(MismatchError) as stream:
+                list(iter_family_grids(6))
+            assert (str(stream.value), stream.value.square) == (message, square)
 
     def test_first_failing_end_grid_is_named_in_stream_order(self, monkeypatch):
         # Not the smallest failing grid: that is an image in the out-of-range
@@ -859,7 +867,7 @@ def mark_cells(grids, s, marks):
 def per_grid_marks(s):
     """The count and the marks of the per-grid walk over the family grids."""
     marks = bytearray((2 * s + 1) ** 2)
-    return mark_cells(iter_family_grids(s), s, marks), marks
+    return mark_cells(row_grids(enumeration._family_rows(s)), s, marks), marks
 
 
 def row_marks(s):
@@ -915,7 +923,7 @@ class TestRowWalk:
         square = bent(Family.F1, 0, 2, 0)
         assert forced_in_bounds(square, 10) and square != base_grid(Family.F1, 0, 2, 0)
         message = "family expansion gave a lattice row at s=10 whose entries do not step evenly over its 3 points"
-        for walk in (lambda: list(enumeration._family_pieces(10)), lambda: reconcile(10, False)):
+        for walk in (lambda: list(iter_family_grids(10)), lambda: reconcile(10, False)):
             with pytest.raises(MismatchError) as info:
                 walk()
             assert (str(info.value), info.value.square) == (message, square)

@@ -1,5 +1,6 @@
-"""The scripts under scripts/ run end to end and print their tables."""
+"""The scripts under scripts/ run end to end and print their tables; the parity digest's set is checked, not run."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -45,3 +46,20 @@ def test_class_census():
         assert sum(map(int, header.groups())) == classes == end - start - 1
         for line in lines[start + 1:end]:
             assert re.fullmatch(r"  F[12] i=\d+ j=\d+ k=\d+( +\d+){9}", line), line
+
+
+def test_parity_digest_invocations():
+    # The script itself takes about 15 s, so only its set is checked here.
+    spec = importlib.util.spec_from_file_location("parity_digest", ROOT / "scripts" / "parity_digest.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    invocations = script.INVOCATIONS
+    assert len(invocations) == 619 == len({tuple(argv) for argv in invocations})
+    enumerations = [argv for argv in invocations if argv[0] == "enumerate"]
+    assert len(enumerations) == 4 * 104
+    assert {tuple(argv[2:]) for argv in enumerations} == {
+        ("--source", source, "--format", fmt) for source in ("families", "brute") for fmt in ("text", "json")
+    }
+    assert {argv[1] for argv in enumerations} == {str(s) for s in [-1, *range(61), *range(230, 270), 2**63, 2**63 + 1]}
+    assert sum(argv[0] == "count" for argv in invocations) == 2 * 101
+    assert ["selftest", "--max-s", "30"] in invocations

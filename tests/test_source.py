@@ -88,7 +88,7 @@ def test_public_names_are_the_imported_names():
 
 # The brute-force sweep, and the brute half of `reconcile` that compares it
 # with the family marks.
-SWEEP = ("iter_brute_grids", "_brute_rows", "_forced_grid", "_runs", "_compare_brute_rows")
+SWEEP = ("iter_brute_grids", "_brute_pieces", "_brute_rows", "_forced_grid", "_compare_brute_rows")
 
 
 def test_brute_sweep_uses_nothing_from_decompose():
@@ -127,3 +127,19 @@ def test_family_marks_use_nothing_from_the_sweep():
     used = {node.id for node in ast.walk(marks) if isinstance(node, ast.Name)}
     assert {"base_grid", "_family_rows"} <= used
     assert used & {*SWEEP, "_CELL_PAIRS"} == set()
+
+
+def test_cli_renders_both_sources_through_one_path():
+    # The piece format and the eight images stay in `enumeration`: `cli`
+    # passes one column function to whichever stream it renders.
+    path = Path(magic3.__file__).parent / "cli.py"
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "_INVERSE_IMAGES" not in imported
+    assert [(f, fn) for f, fn, name, _ in _calls(path) if name == "_column_names"] == [
+        ("cli.py", "_cmd_enumerate")
+    ]
