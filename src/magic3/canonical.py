@@ -32,15 +32,13 @@ from .core import (
 )
 
 # Keyed by the cells of x that g's image reads its c3 and c1 from, derived from
-# the permutations like `compose` (import fails unless 8 keys result); then, per
-# c3 cell, its two neighbours, each followed by the g that reads c1 from it.
-_ORIENTATION = {(permutation(g)[8], permutation(g)[6]): g for g in ELEMENTS}
+# the permutations like `compose` (import fails unless 8 keys result); each
+# holds that c3 cell, g, and the cell that g's image reads its a2 from.
+_ORIENTATION = {
+    (permutation(g)[8], permutation(g)[6]): (permutation(g)[8], g, permutation(g)[1]) for g in ELEMENTS
+}
 if len(_ORIENTATION) != 8:
     raise RuntimeError("the dihedral permutations do not orient the corners one way each")
-_NEIGHBOURS = {
-    corner: [x for (low, n), g in _ORIENTATION.items() if low == corner for x in (n, g)]
-    for corner in (0, 2, 6, 8)
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,11 +60,20 @@ def is_canonical(x: Square) -> bool:
     return e[8] < e[6] < e[2] < e[0]
 
 
-def _orientation(e: tuple[int, ...]) -> tuple[int, DihedralElement]:
-    """The cell of e's smallest corner and the g whose image reads c3 there; e is certified."""
-    low = e.index(min(e[0], e[2], e[6], e[8]))
-    a, g_a, b, g_b = _NEIGHBOURS[low]
-    return low, g_a if e[a] < e[b] else g_b
+def _orientation(e: tuple[int, ...]) -> tuple[int, DihedralElement, int]:
+    """(low, g, least): the g whose image of e has ordered corners; e is certified.
+
+    The image reads its c3 from cell low, e's smallest corner, its c1 from
+    that corner's smaller neighbour (see `canonical_symmetry`), and its a2
+    from cell least.  Corners 0 and 8 each neighbour both 2 and 6, so x and
+    y, the smaller corner of each opposite pair, are the smallest corner and
+    its smaller neighbour, in one order or the other.  The image less its
+    minimum is the reduced square, whose 0 sits at a2, so cell least holds
+    e's minimum entry.
+    """
+    x = 0 if e[0] < e[8] else 8
+    y = 2 if e[2] < e[6] else 6
+    return _ORIENTATION[(x, y) if e[x] < e[y] else (y, x)]
 
 
 def canonical_symmetry(m: MagicSquare) -> DihedralElement:
@@ -87,7 +94,8 @@ def reduce(m: MagicSquare) -> tuple[ReducedMagicSquare, int, DihedralElement]:
     is magic, and less its minimum i it stays so with center s - i and no
     negative entry, so the reduced square is minted without checking again.
     """
-    g = canonical_symmetry(m)
-    i = min(m.square.entries)
+    e = m.square.entries
+    _, g, least = _orientation(e)
+    i = e[least]
     reduced = _certify(Square(tuple(value - i for value in apply(g, m.square).entries)), m.s - i)
     return ReducedMagicSquare(square=reduced, r=reduced.square.c3, s=reduced.s), i, g

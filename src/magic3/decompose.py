@@ -10,16 +10,25 @@ with nonnegative integers i, j, k.  Carrying the symmetry makes the
 decomposition a bijection on all magic squares, not only canonical ones:
 `decompose` and `construct` invert each other exactly.
 
-`decompose` is one direct map.  Let g be the canonical symmetry and i the
-minimum entry: g's image less i is the reduced grid of `canonical`, with
-r = c3 - i and s' = b2 - i.  A base grid has (r, s') = (1 + j, 4 + 3j + k)
-on F1 and (2 + j + k, 5 + 3j + 2k) on F2, so s' - 3r = k + 1 or -(k + 1):
+`decompose` is one direct map.  One lookup on the corners
+(`canonical._orientation`) gives the canonical symmetry g and the cells
+that g's image reads its c3 and a2 from.  The image less its minimum i is
+the reduced grid of `canonical`, whose 0 sits at a2, so i is the entry that
+the image reads its a2 from, and r = c3 - i and s' = b2 - i.  A base grid
+has (r, s') = (1 + j, 4 + 3j + k) on F1 and (2 + j + k, 5 + 3j + 2k) on F2,
+so s' - 3r = k + 1 or -(k + 1):
 
     s' > 3r:  F1 with (j, k) = (r - 1, s' - 3r - 1)
     s' < 3r:  F2 with (j, k) = (s' - 2r - 1, 3r - s' - 1)
 
-Both are >= 0: r >= 1, as the 0 of a reduced square sits at a2; the corner
-order gives s' >= 2r + 1; and s' = 3r, where a3 = b3 = 4r, fails validation.
+Every field is a nonnegative int, so the result is minted without
+`Decomposition`'s checks.  i is an entry, which the certificate's `Square`
+holds as an int >= 0.  r and s' are differences of entries, so they and j
+and k are exact ints under int's own arithmetic, the arithmetic `validate`
+proves a square magic with (an int subclass keeps it unless it overrides
+it).  r >= 1, as the 0 of a reduced square sits at a2; the corner order
+gives s' >= 2r + 1; and s' = 3r, where a3 = b3 = 4r, fails validation.  So
+j, k >= 0 on both branches.
 
 `construct` is this map run backwards.  The family and (j, k) give (r, s'),
 the reduced shape of `canonical` plus i gives the base grid, and the recorded
@@ -185,13 +194,17 @@ def construct(d: Decomposition) -> MagicSquare:
 
 
 def decompose(m: MagicSquare) -> Decomposition:
-    """Decompose a magic square; construct(decompose(m)) == m."""
+    """Decompose a magic square; construct(decompose(m)) == m.
+
+    Minted without `Decomposition`'s checks: the module docstring shows that
+    every field is a nonnegative int.
+    """
     e = m.square.entries
-    # g's image reads its c3 from m's smallest corner, so that corner is r + i.
-    smallest_corner, g = _orientation(e)
-    i = min(e)
-    r = e[smallest_corner] - i
+    # g's image reads its c3, r + i, from m's smallest corner, and its a2, i, from cell least.
+    low, g, least = _orientation(e)
+    i = e[least]
+    r = e[low] - i
     s = e[4] - i
     if s > 3 * r:
-        return Decomposition(_F1, i, r - 1, s - 3 * r - 1, g)
-    return Decomposition(_F2, i, s - 2 * r - 1, 3 * r - s - 1, g)
+        return _decomposition(_F1, i, r - 1, s - 3 * r - 1, g)
+    return _decomposition(_F2, i, s - 2 * r - 1, 3 * r - s - 1, g)

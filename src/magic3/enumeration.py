@@ -34,7 +34,8 @@ per grid: each checks every row's two end grids (`_family_row_ends`, and
 `_brute_rows`, see `iter_brute_grids`) before it yields any grid of the row,
 and raises MismatchError at the first row that fails.  No entry exceeds 2s,
 as opposite cells sum to 2s, and each stream's first grid holds 2s, so only
-that grid gets the `Square` entry checks.  A negative s raises ValueError on
+that grid gets the `Square` entry checks (`_check_first_family_grid` for the
+family streams and `iter_decompositions`).  A negative s raises ValueError on
 the first item of every stream, and the `iter_*_squares` streams mint by
 `validate`.
 
@@ -102,12 +103,26 @@ def _family_rows(s: int) -> Iterator[tuple[Family, int, range, range]]:
                 yield family, i, js, range((rest - 3 * js[0]) // step, -1, -3)
 
 
+def _check_first_family_grid(s: int) -> None:
+    """Raise as `Square` would on the first family grid, (F1, 0, 0, s - 4), if s >= 4.
+
+    It holds 2s, the largest entry at s, so each family stream that calls
+    this before its first item raises on an s past the 64-bit range, and
+    before it takes the `len` of a row, which can then pass `sys.maxsize`.
+    """
+    if s >= 4:
+        check_entries(base_grid(Family.F1, 0, 0, s - 4))
+
+
 def iter_decompositions(s: int) -> Iterator[Decomposition]:
     """Every decomposition with magic parameter s, in `iter_family_grids`' order.
 
     Its fields come from `range` arithmetic on s, so each is an exact
-    nonnegative int and is minted without `Decomposition`'s checks.
+    nonnegative int and is minted without `Decomposition`'s checks.  An s past
+    the 64-bit range raises EntryRangeError on the first item, as
+    `iter_family_grids` does.
     """
+    _check_first_family_grid(s)
     for family, i, js, ks in _family_rows(s):
         for j, k in zip(js, ks):
             for g in ELEMENTS:
@@ -134,16 +149,11 @@ def _family_pieces(
     nine cells starts at its value in the piece's first base grid and steps
     by a whole number, and column(first, step, m) gives its m values, as for
     `_brute_pieces`.  The eight images permute the nine columns, and the
-    piece interleaves their `zip`s point by point.  The first base grid,
-    (F1, 0, 0, s - 4), holds 2s and gets the `Square` entry checks before the
-    `len` of the first row is taken, which can pass `sys.maxsize` past the
-    64-bit range.
+    piece interleaves their `zip`s point by point.  The first base grid
+    gets the `Square` entry checks before the first row.
     """
-    unchecked = True
+    _check_first_family_grid(s)
     for family, i, js, ks in _family_rows(s):
-        if unchecked:
-            check_entries(base_grid(family, i, js[0], ks[0]))
-            unchecked = False
         n = len(js)
         first, last = _family_row_ends(s, family, i, js, ks)
         steps = [(y - x) // max(n - 1, 1) for x, y in zip(first, last)]
@@ -332,7 +342,7 @@ def iter_brute_squares(s: int) -> Iterator[MagicSquare]:
 
 def count_families(s: int) -> int:
     """Number of squares produced by the family expansion at parameter s, counted by rows."""
-    next(iter_family_grids(s), None)  # raises as the stream does on an s past the 64-bit range
+    _check_first_family_grid(s)
     return len(_INVERSE_IMAGES) * sum(len(js) for _, _, js, _ in _family_rows(s))
 
 
@@ -364,12 +374,14 @@ def _family_row_ends(
                 f"with magic sum {three_s}",
                 square=g,
             )
-    if n > 1 and any((y - x) % (n - 1) for x, y in zip(first, last)):
-        raise MismatchError(
-            f"family expansion gave a lattice row at s={s} whose entries do not step "
-            f"evenly over its {n} points",
-            square=last,
-        )
+    if n > 1:
+        for x, y in zip(first, last):
+            if (y - x) % (n - 1):
+                raise MismatchError(
+                    f"family expansion gave a lattice row at s={s} whose entries do not step "
+                    f"evenly over its {n} points",
+                    square=last,
+                )
     return ends
 
 
@@ -386,22 +398,25 @@ def _mark_family_rows(s: int, marks: bytearray) -> int:
     sources = [image(range(9))[:2] for image in images]
     count = 0
     for family, i, js, ks in _family_rows(s):
+        first, last = _family_row_ends(s, family, i, js, ks)
         n = len(js)
-        ends = _family_row_ends(s, family, i, js, ks)
+        # Each slice has n - 1 gaps of a whole step (`_family_row_ends`); one of one point has none.
+        gaps, ones = n - 1 or 1, b"\1" * n
         for image, (p1, p2) in zip(images, sources):
-            a, b = (g[p1] * w + g[p2] for g in ends)
-            step = abs(b - a) // (n - 1) if n > 1 else 1
-            span = slice(min(a, b), min(a, b) + n * step, step or 1)
+            a, b = first[p1] * w + first[p2], last[p1] * w + last[p2]
+            low, high = (a, b) if a <= b else (b, a)
+            step = (high - low) // gaps or 1
             # The first marked offset into the slice, which runs from a to b
-            # if a <= b; a slice that does not step repeats the row's first grid.
-            at = marks[span].find(1) if step else 1
+            # if a <= b; a slice of n > 1 cells that does not step repeats the
+            # row's first grid.
+            at = marks[low : high + 1 : step].find(1) if high > low or n == 1 else 1
             if at >= 0:
                 at = at if a <= b else n - 1 - at
                 raise MismatchError(
                     f"family expansion repeated a square at s={s}",
                     square=image(base_grid(family, i, js[at], ks[at])),
                 )
-            marks[span] = b"\1" * n
+            marks[low : high + 1 : step] = ones
         count += n * len(images)
     return count
 

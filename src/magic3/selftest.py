@@ -32,7 +32,8 @@ def run(max_s: int, echo: Callable[[str], None] = print) -> None:
         for d in iter_decompositions(s):
             m = construct(d)
             back = decompose(m)
-            if back != d:
+            # `==` is the dataclass's own; `!=` would reach it through `object.__ne__`.
+            if not back == d:
                 raise MismatchError(
                     f"round trip failed: {d.to_json_obj()} came back as {back.to_json_obj()}",
                     square=m.entries,

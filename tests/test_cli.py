@@ -22,6 +22,7 @@ from magic3 import (
     Square,
     cli,
     construct,
+    count_closed,
     enumeration,
     format_square,
     iter_brute_grids,
@@ -526,6 +527,26 @@ class TestSelftest:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+    def test_every_run_reconciles_every_s_and_round_trips_every_square(self, monkeypatch):
+        # Two runs in one process make the same calls, so nothing is kept
+        # from one to the next: each reconciles every s <= 12 and builds and
+        # decomposes each of the squares once.
+        calls = dict.fromkeys(("reconcile", "construct", "decompose"), 0)
+        for name in calls:
+            def counted(*args, name=name, real=getattr(selftest, name)):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(selftest, name, counted)
+        squares = sum(count_closed(s) for s in range(13))
+        for _ in range(2):
+            calls.update(dict.fromkeys(calls, 0))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                selftest.run(12)
+            assert calls == {"reconcile": 13, "construct": squares, "decompose": squares}
+            assert out.getvalue().endswith("selftest ok max_s=12\n")
 
     def test_round_trip_catches_a_construct_that_ignores_the_symmetry(self, monkeypatch):
         # Every symmetry of a lattice point then builds the same square, which

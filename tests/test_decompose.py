@@ -27,6 +27,7 @@ from magic3 import (
     construct,
     decompose,
     is_canonical,
+    iter_brute_grids,
     iter_brute_squares,
     iter_decompositions,
     iter_family_grids,
@@ -205,6 +206,57 @@ class TestAgainstLadder:
         assert squares == 38960
 
 
+class Count(int):
+    """An int subclass that keeps int's arithmetic."""
+
+
+def fields(d):
+    return (d.family, d.i, d.j, d.k, d.symmetry)
+
+
+class TestUncheckedMint:
+    """`decompose` mints its result without `Decomposition`'s checks, which would pass it."""
+
+    def test_every_square_up_to_forty_in_every_image(self):
+        symmetries = {}
+        for s in range(41):
+            for grid in iter_brute_grids(s):
+                m = validate(Square(grid))
+                d = decompose(m)
+                assert d == Decomposition(*fields(d))
+                assert all(type(x) is int and x >= 0 for x in (d.i, d.j, d.k))
+                assert d.i == min(m.entries)
+                symmetries.setdefault(fields(d)[:4], []).append(d.symmetry)
+        # Each lattice point is decomposed from its eight images, one symmetry each.
+        assert sum(map(len, symmetries.values())) == 38960
+        assert all(sorted(gs, key=ELEMENTS.index) == list(ELEMENTS) for gs in symmetries.values())
+
+    def test_int_subclass_entries_give_the_checked_fields(self):
+        # The checked path is the ladder's `Decomposition(...)`: i is the
+        # subclass entry itself, and j and k come from int's own arithmetic.
+        for s in range(13):
+            for grid in iter_brute_grids(s):
+                m = validate(Square(tuple(map(Count, grid))))
+                d = decompose(m)
+                assert d == Decomposition(*fields(d)) == ladder_decompose(m)
+                assert [type(x) for x in fields(d)] == [type(x) for x in fields(ladder_decompose(m))]
+                assert [type(x) for x in (d.i, d.j, d.k)] == [Count, int, int]
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("g", ELEMENTS)
+    def test_at_the_entry_max_edge(self, family, g):
+        for j, k in [(0, 0), (3, 2**50), (2**55, 7)]:
+            d = Decomposition(family, ENTRY_MAX - max(base_grid(family, 0, j, k)), j, k, g)
+            m = construct(d)
+            assert max(m.entries) == ENTRY_MAX
+            back = decompose(m)
+            assert back == d == Decomposition(*fields(back))
+            assert all(type(x) is int for x in (back.i, back.j, back.k))
+            counted = decompose(validate(Square(tuple(map(Count, m.entries)))))
+            assert counted == d == Decomposition(*fields(counted))
+            assert [type(x) for x in (counted.i, counted.j, counted.k)] == [Count, int, int]
+
+
 # Four affinely independent (i, j, k): the origin and one step along each axis.
 POINTS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -242,10 +294,11 @@ class TestConeProof:
        as `core` checks at import that each maps lines onto lines.  That is
        why `construct` mints its certificate without `validate`.
     4. On an image of a base grid, each comparison `decompose` makes is
-       between two cells (the smallest corner, the smaller neighbour, the
-       minimum) or is the sign of s' - 3r, the form b2 - 3 c3 + 2 a2 of the
-       base grid (1 + k on F1, -(1 + k) on F2).  By 2 each has one outcome on
-       the whole cone, so there decompose(construct(d)) is an affine map of
+       between two cells (the two corners of each opposite pair, then the
+       smaller of each) or is the sign of s' - 3r, the form b2 - 3 c3 + 2 a2
+       of the base grid (1 + k on F1, -(1 + k) on F2).  By 2 each has one
+       outcome on the whole cone, so the cells it reads c3 and i from are
+       fixed there too, and decompose(construct(d)) is an affine map of
        (i, j, k) with a fixed family and symmetry.  It agrees with the
        identity at four affinely independent points, so it agrees everywhere.
     5. `construct` does not call `base_grid`: it runs `decompose`'s map

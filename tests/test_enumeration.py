@@ -169,6 +169,22 @@ class TestFamilyEnumeration:
         with pytest.raises(EntryRangeError, match=f"^entry {2 * s - 1} exceeds"):
             next(iter_family_grids(s))
 
+    def test_decompositions_meet_the_range_where_the_grids_do(self):
+        # `iter_decompositions` follows the grid stream's order, so it shares
+        # its edge: at the last s in range its first item builds the first
+        # grid, which holds 2s = ENTRY_MAX - 1, and past it both raise alike.
+        s = 2**63 - 1
+        first = construct(next(iter_decompositions(s)))
+        assert first.entries == next(iter_family_grids(s))
+        assert max(first.entries) == 2 * s == core.ENTRY_MAX - 1
+        for s in (2**63, 2**63 + 1):
+            with pytest.raises(EntryRangeError) as grids:
+                next(iter_family_grids(s))
+            with pytest.raises(EntryRangeError) as decompositions:
+                next(iter_decompositions(s))
+            assert type(decompositions.value) is type(grids.value)
+            assert str(decompositions.value) == str(grids.value)
+
     def test_only_the_first_point_gets_the_entry_checks(self, monkeypatch):
         checked = []
         monkeypatch.setattr(enumeration, "check_entries", checked.append)

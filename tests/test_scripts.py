@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from magic3 import count_closed
+from magic3 import ENTRY_MAX, DihedralElement, Family, count_closed, iter_family_grids
+from magic3.decompose import base_grid
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,12 +50,12 @@ def test_class_census():
 
 
 def test_parity_digest_invocations():
-    # The script itself takes about 15 s, so only its set is checked here.
+    # The script itself takes about 20 s, so only its set is checked here.
     spec = importlib.util.spec_from_file_location("parity_digest", ROOT / "scripts" / "parity_digest.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     invocations = script.INVOCATIONS
-    assert len(invocations) == 619 == len({tuple(argv) for argv in invocations})
+    assert len(invocations) == 3252 == len({tuple(argv) for argv in invocations})
     enumerations = [argv for argv in invocations if argv[0] == "enumerate"]
     assert len(enumerations) == 4 * 104
     assert {tuple(argv[2:]) for argv in enumerations} == {
@@ -63,3 +64,20 @@ def test_parity_digest_invocations():
     assert {argv[1] for argv in enumerations} == {str(s) for s in [-1, *range(61), *range(230, 270), 2**63, 2**63 + 1]}
     assert sum(argv[0] == "count" for argv in invocations) == 2 * 101
     assert ["selftest", "--max-s", "30"] in invocations
+    # The script sweeps its own squares: every family grid with s <= 12, each
+    # in all eight images, through each of the three square verbs, and the rejects.
+    family_grids = [tuple(map(str, grid)) for s in range(13) for grid in iter_family_grids(s)]
+    assert len(family_grids) == sum(count_closed(s) for s in range(13)) == 824
+    for verb in ("verify", "reduce", "decompose"):
+        squares = [tuple(argv[1:]) for argv in invocations if argv[0] == verb]
+        assert sorted(squares[:824]) == sorted(family_grids)
+        assert squares[824:] == [tuple(text) for text in script.REJECTS]
+    # construct: every family and symmetry, at the ENTRY_MAX edge and one past it.
+    constructs = {tuple(argv[2::2]) for argv in invocations if argv[0] == "construct"}
+    assert sum(argv[0] == "construct" for argv in invocations) == len(constructs) == 131
+    for family in Family:
+        for g in DihedralElement:
+            for j, k in [(0, 0), (3, 2**50)]:
+                edge = ENTRY_MAX - max(base_grid(family, 0, j, k))
+                for i in (edge, edge + 1):
+                    assert (family.value, str(i), str(j), str(k), g.value) in constructs

@@ -43,7 +43,9 @@ def test_only_validate_construct_and_reduce_mint_through_certify():
     # proved their squares magic call it; `canonical` and `decompose` trust
     # every certificate and call no `validate`.  `_square` and `_decomposition`
     # skip the checks of a `Square` and a `Decomposition` in the same way, each
-    # for callers whose values are exact ints in range by construction.
+    # for callers whose values are exact ints in range by construction, or, in
+    # `decompose` (once per family branch), nonnegative ints by the proof of
+    # the reduced form in its module docstring.
     calls = [call for path in SOURCES for call in _calls(path)]
     assert sorted((f, fn, source) for f, fn, name, source in calls if name == "__new__") == [
         ("core.py", "_certify", "object.__new__(MagicSquare)"),
@@ -54,8 +56,10 @@ def test_only_validate_construct_and_reduce_mint_through_certify():
         ("core.py", "parse_square"),
         ("decompose.py", "construct"),
     ]
-    assert [(f, fn) for f, fn, name, _ in calls if name == "_decomposition"] == [
-        ("enumeration.py", "iter_decompositions")
+    assert sorted((f, fn) for f, fn, name, _ in calls if name == "_decomposition") == [
+        ("decompose.py", "decompose"),
+        ("decompose.py", "decompose"),
+        ("enumeration.py", "iter_decompositions"),
     ]
     assert sorted((f, fn) for f, fn, name, _ in calls if name == "_certify") == [
         ("canonical.py", "reduce"),
