@@ -19,14 +19,13 @@ x = 2y would make b1 = c1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     ELEMENTS,
     DihedralElement,
     MagicSquare,
     Square,
     _certify,
+    _value_type,
     apply,
     permutation,
 )
@@ -41,13 +40,18 @@ if len(_ORIENTATION) != 8:
     raise RuntimeError("the dihedral permutations do not orient the corners one way each")
 
 
-@dataclass(frozen=True, slots=True)
+@_value_type
 class ReducedMagicSquare:
     """A magic square in reduced form, with r = c3 and s = b2."""
 
     square: MagicSquare
     r: int
     s: int
+
+    def __init__(self, square: MagicSquare, r: int, s: int) -> None:
+        object.__setattr__(self, "square", square)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
 
     @property
     def entries(self) -> tuple[int, ...]:

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from itertools import chain, islice
 
 from . import selftest
@@ -165,6 +166,9 @@ def _cmd_selftest(args: argparse.Namespace) -> None:
     selftest.run(args.max_s)
 
 
+# Built on the first `main` call, not at import, and kept for the process:
+# parsing leaves the parser as it was.
+@cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="magic3", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True)

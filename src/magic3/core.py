@@ -30,10 +30,10 @@ safe to share across threads without synchronization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from enum import Enum
-from operator import itemgetter
-from typing import Callable, Iterable
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, TypeVar
 
 ENTRY_MAX = 2**64 - 1
 # One square in the text format, nine integers joined by spaces.
@@ -147,23 +147,83 @@ def permutation(g: DihedralElement) -> tuple[int, ...]:
     return _PERM[g]
 
 
-def check_entries(entries: tuple[int, ...]) -> None:
-    """Raise as `Square` does on an entry that is not an int, or is a bool, or is out of range."""
+def check_entries(entries: tuple[int, ...]) -> bool:
+    """Raise as `Square` does on an entry that is not an int, or is a bool, or is out of range.
+
+    True when every entry is an exact int.  An int subclass other than bool
+    is admitted, and its range checked on the exact int it holds.
+    """
+    exact = True
     for value in entries:
         # A plain int in range passes this first test; anything else is
-        # sorted out below (an int subclass other than bool is admitted).
+        # sorted out below.
         if type(value) is int and 0 <= value <= ENTRY_MAX:
             continue
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"entry must be int, got {type(value).__name__}")
+        # `int.__int__` reads the exact int that a subclass holds, past any
+        # `__int__` or comparison it overrides.
+        value = int.__int__(value)
         if value < 0:
             raise EntryRangeError(f"entry {value} is negative")
         if value > ENTRY_MAX:
             raise EntryRangeError(f"entry {value} exceeds the unsigned 64-bit range")
+        exact = False
+    return exact
 
 
-# The value types set their slots by the descriptors' `__set__`, cheaper than a frozen `__init__`.
-@dataclass(frozen=True, slots=True, init=False)
+_T = TypeVar("_T")
+
+
+def _value_type(cls: type[_T]) -> type[_T]:
+    """Make cls a frozen, slotted dataclass whose methods are written once, here.
+
+    `dataclass` with init, eq and repr off registers the fields and builds the
+    slotted class (so `fields`, `replace`, `asdict` and `__match_args__` work)
+    but generates no code, which it would compile on every import.  The
+    closures below give a frozen dataclass's equality, hash, repr, refused
+    assignment and deletion, and pickle and copy state.  A method the class
+    writes stays; `__hash__` goes where Python set it to None beside a written
+    `__eq__`.  Each class writes its own `__init__`.
+    """
+    cls = dataclass(cls, init=False, repr=False, eq=False, slots=True)
+    names = tuple(f.name for f in fields(cls))
+    get = attrgetter(*names)
+    values = get if len(names) > 1 else lambda self: (get(self),)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({', '.join(map('{}={!r}'.format, names, values(self)))})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self):
+        return values(self)
+
+    def __setstate__(self, state):
+        for name, value in zip(names, state):
+            object.__setattr__(self, name, value)
+
+    for method in (__eq__, __hash__, __repr__, __setattr__, __delattr__, __getstate__, __setstate__):
+        if cls.__dict__.get(method.__name__) is None:
+            setattr(cls, method.__name__, method)
+    return cls
+
+
+# The value types are dataclasses whose methods `_value_type` writes once.  These
+# set their slots by the descriptors' `__set__`, the cheapest way past a frozen `__setattr__`.
+@_value_type
 class Square:
     """Nine checked nonnegative integers in row-major order."""
 
@@ -173,7 +233,10 @@ class Square:
         entries = tuple(entries)
         if len(entries) != 9:
             raise ValueError(f"a square has 9 entries, got {len(entries)}")
-        check_entries(entries)
+        if not check_entries(entries):
+            # An admitted int subclass is stored as the exact int it holds,
+            # so every square's arithmetic is int's own.
+            entries = tuple(map(int.__int__, entries))
         _SET_ENTRIES(self, entries)
 
     @classmethod
@@ -227,7 +290,7 @@ class Square:
         return self.entries[8]
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_value_type
 class MagicSquare:
     """A certified magic square: equal line sums and distinct entries.
 

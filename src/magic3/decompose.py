@@ -23,10 +23,10 @@ so s' - 3r = k + 1 or -(k + 1):
 
 Every field is a nonnegative int, so the result is minted without
 `Decomposition`'s checks.  i is an entry, which the certificate's `Square`
-holds as an int >= 0.  r and s' are differences of entries, so they and j
-and k are exact ints under int's own arithmetic, the arithmetic `validate`
-proves a square magic with (an int subclass keeps it unless it overrides
-it).  r >= 1, as the 0 of a reduced square sits at a2; the corner order
+holds as an exact int >= 0 (it stores an int subclass as the int it holds).
+r and s' are differences of entries, so they and j and k are exact ints
+under int's own arithmetic, the arithmetic `validate` proves a square magic
+with.  r >= 1, as the 0 of a reduced square sits at a2; the corner order
 gives s' >= 2r + 1; and s' = 3r, where a3 = b3 = 4r, fails validation.  So
 j, k >= 0 on both branches.
 
@@ -38,7 +38,6 @@ k * generator (`base_grid`); the tests tie the two together cell by cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 
@@ -56,6 +55,7 @@ from .core import (
     Square,
     _certify,
     _square,
+    _value_type,
     permutation,
 )
 
@@ -88,7 +88,7 @@ class Family(Enum):
         return 1 if self is Family.F1 else 2
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_value_type
 class Decomposition:
     """Coordinates (family, i, j, k) plus the symmetry from reduction."""
 
@@ -107,18 +107,28 @@ class Decomposition:
             and type(family) is Family
             and type(symmetry) is DihedralElement
         ):
-            # Name the first bad field; an int subclass other than bool passes.
+            # Name the first bad field.  An int subclass other than bool passes,
+            # and is stored as the exact int it holds (see `check_entries`).
             for name, value, kind in (("family", family, Family), ("i", i, int), ("j", j, int),
                                       ("k", k, int), ("symmetry", symmetry, DihedralElement)):
                 if isinstance(value, bool) or not isinstance(value, kind):
                     raise TypeError(f"{name} must be {kind.__name__}, got {type(value).__name__}")
-                if kind is int and value < 0:
+                if kind is int and (value := int.__int__(value)) < 0:
                     raise ValueError(f"{name} must be nonnegative, got {value}")
+            i, j, k = int.__int__(i), int.__int__(j), int.__int__(k)
         _SET_FAMILY(self, family)
         _SET_I(self, i)
         _SET_J(self, j)
         _SET_K(self, k)
         _SET_SYMMETRY(self, symmetry)
+
+    # Written out: `selftest` compares every round trip, and this runs at half
+    # the cost of `_value_type`'s `__eq__` over a getter.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.family, self.i, self.j, self.k, self.symmetry) == (
+                other.family, other.i, other.j, other.k, other.symmetry)
+        return NotImplemented
 
     @property
     def s(self) -> int:
@@ -177,9 +187,9 @@ def construct(d: Decomposition) -> MagicSquare:
     restores the orientation, so construct(decompose(m)) == m.  The tests show
     that this grid is `base_grid`'s, the image of seed + i * ONES + j * GEN3 +
     k * generator, and that each of those is magic with center t
-    (`TestConeProof`).  Its largest entry is t + s' (c2), so exact int
-    coordinates with t + s' <= ENTRY_MAX give a grid in range; anything else
-    goes through `Square`, which refuses it as it always has.
+    (`TestConeProof`).  Its largest entry is t + s' (c2), and `Decomposition`
+    holds exact ints, so t + s' <= ENTRY_MAX gives a grid in range; a grid
+    past it goes through `Square`, which refuses it as it always has.
     """
     i, j, k = d.i, d.j, d.k
     if d.family is _F1:
@@ -189,8 +199,7 @@ def construct(d: Decomposition) -> MagicSquare:
     t = i + s
     base = (t + s - r, i, t + r, i + 2 * r, t, t + s - 2 * r, t - r, t + s, i + r)
     grid = _INVERSE_IMAGE[d.symmetry._value_](base)
-    exact = type(i) is type(j) is type(k) is int and t + s <= ENTRY_MAX
-    return _certify(_square(grid) if exact else Square(grid), t)
+    return _certify(_square(grid) if t + s <= ENTRY_MAX else Square(grid), t)
 
 
 def decompose(m: MagicSquare) -> Decomposition:

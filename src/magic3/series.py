@@ -13,10 +13,10 @@ rounded; its division by 3 is exact, as `count_closed` proves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .core import _value_type
 
 
-@dataclass(frozen=True, slots=True)
+@_value_type
 class RationalSeries:
     """A rational power series num(t) / den(t) with den(0) = 1.
 
@@ -27,14 +27,15 @@ class RationalSeries:
     numerator: tuple[int, ...]
     denominator: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "numerator", tuple(self.numerator))
-        object.__setattr__(self, "denominator", tuple(self.denominator))
-        if not self.denominator or self.denominator[0] != 1:
+    def __init__(self, numerator: tuple[int, ...], denominator: tuple[int, ...]) -> None:
+        numerator, denominator = tuple(numerator), tuple(denominator)
+        if not denominator or denominator[0] != 1:
             raise ValueError("denominator must have constant term 1")
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
 
-@dataclass(frozen=True, slots=True)
+@_value_type
 class CountReport:
     """Per-s counts from every route; all present fields must agree."""
 
@@ -44,10 +45,15 @@ class CountReport:
     families: int
     brute: int | None = None
 
-    def __post_init__(self) -> None:
-        counts = {self.closed_form, self.series, self.families}
-        if self.brute is not None:
-            counts.add(self.brute)
+    def __init__(self, s: int, closed_form: int, series: int, families: int, brute: int | None = None) -> None:
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "closed_form", closed_form)
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "families", families)
+        object.__setattr__(self, "brute", brute)
+        counts = {closed_form, series, families}
+        if brute is not None:
+            counts.add(brute)
         if len(counts) != 1:
             raise ValueError(f"count report fields disagree: {self}")
 

@@ -232,15 +232,29 @@ class TestUncheckedMint:
         assert all(sorted(gs, key=ELEMENTS.index) == list(ELEMENTS) for gs in symmetries.values())
 
     def test_int_subclass_entries_give_the_checked_fields(self):
-        # The checked path is the ladder's `Decomposition(...)`: i is the
-        # subclass entry itself, and j and k come from int's own arithmetic.
+        # `Square` stores int-subclass entries as exact ints, so the unchecked
+        # mint and the ladder's `Decomposition(...)` both hold exact ints.
         for s in range(13):
             for grid in iter_brute_grids(s):
                 m = validate(Square(tuple(map(Count, grid))))
                 d = decompose(m)
                 assert d == Decomposition(*fields(d)) == ladder_decompose(m)
                 assert [type(x) for x in fields(d)] == [type(x) for x in fields(ladder_decompose(m))]
-                assert [type(x) for x in (d.i, d.j, d.k)] == [Count, int, int]
+                assert [type(x) for x in (d.i, d.j, d.k)] == [int, int, int]
+
+    def test_an_int_subclass_that_overrides_subtraction_is_not_trusted(self):
+        # Its entries are stored as exact ints, so `decompose` subtracts with
+        # int's own arithmetic: no field comes out negative.
+        class Skewed(int):
+            def __sub__(self, other):
+                return int(self) - int(other) - 100
+
+            def __rsub__(self, other):
+                return int(other) - int(self) - 100
+
+        m = validate(Square(tuple(map(Skewed, SEED_F1.entries))))
+        assert [type(x) for x in m.entries] == [int] * 9
+        assert decompose(m) == Decomposition(Family.F1, 0, 0, 0, ID)
 
     @pytest.mark.parametrize("family", list(Family))
     @pytest.mark.parametrize("g", ELEMENTS)
@@ -254,7 +268,7 @@ class TestUncheckedMint:
             assert all(type(x) is int for x in (back.i, back.j, back.k))
             counted = decompose(validate(Square(tuple(map(Count, m.entries)))))
             assert counted == d == Decomposition(*fields(counted))
-            assert [type(x) for x in (counted.i, counted.j, counted.k)] == [Count, int, int]
+            assert [type(x) for x in (counted.i, counted.j, counted.k)] == [int, int, int]
 
 
 # Four affinely independent (i, j, k): the origin and one step along each axis.
@@ -308,10 +322,11 @@ class TestConeProof:
        the whole cone, and 1-4 hold for `construct`.
 
     Both build exact Python ints, so the argument needs no bound.  The range
-    is refused in `construct`: it mints its `Square` unchecked only when i,
-    j and k are exact ints and its largest entry, c2 of the base grid, is at
-    most ENTRY_MAX; any other grid goes through `Square`, which refuses an
-    entry past the 64-bit range with the same error as before.
+    is refused in `construct`: `Decomposition` holds i, j and k as exact
+    ints, and it mints its `Square` unchecked only when its largest entry,
+    c2 of the base grid, is at most ENTRY_MAX; any other grid goes through
+    `Square`, which refuses an entry past the 64-bit range with the same
+    error as before.
     """
 
     @pytest.mark.parametrize("family", list(Family))
@@ -374,8 +389,8 @@ class TestConeProof:
     @pytest.mark.parametrize("family", list(Family))
     @pytest.mark.parametrize("g", ELEMENTS)
     def test_an_int_subclass_at_the_entry_max_edge(self, family, g):
-        # An int subclass takes the checked path: the same grid at the edge,
-        # and one step past it the same error as exact ints.
+        # An int subclass is stored as the exact int it holds: the same grid
+        # at the edge, and one step past it the same error as exact ints.
         class Count(int):
             pass
 
@@ -391,10 +406,12 @@ class TestConeProof:
 
     def test_an_int_subclass_gets_the_square_checks(self):
         # The range argument holds for int's own arithmetic only; a subclass's
-        # may differ, so its grid is checked by `Square`, never minted.
+        # may differ, so `Decomposition` stores the exact int it holds, and
+        # `construct` builds the grid of exact ints.
         class Skewed(int):
             def __radd__(self, other):
                 return int(other) + int(self) + 2**64
 
-        with pytest.raises(EntryRangeError):
-            construct(Decomposition(Family.F1, 0, Skewed(0), 0, ID))
+        d = Decomposition(Family.F1, 0, Skewed(0), 0, ID)
+        assert [type(x) for x in fields(d)[1:4]] == [int, int, int]
+        assert construct(d) == validate(SEED_F1)

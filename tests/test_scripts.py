@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end and print their tables; the parity digest's set is checked, not run."""
 
+import ast
 import importlib.util
 import os
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import magic3
 from magic3 import ENTRY_MAX, DihedralElement, Family, count_closed, iter_family_grids
 from magic3.decompose import base_grid
 
@@ -47,6 +49,21 @@ def test_class_census():
         assert sum(map(int, header.groups())) == classes == end - start - 1
         for line in lines[start + 1:end]:
             assert re.fullmatch(r"  F[12] i=\d+ j=\d+ k=\d+( +\d+){9}", line), line
+
+
+def test_src_stats():
+    lines = run_script("src_stats.py")
+    assert [line.rsplit(" ", 1)[0] for line in lines] == ["lines", "code lines", "public names"]
+    total, code, public = (int(line.rsplit(" ", 1)[1]) for line in lines)
+    package = Path(magic3.__file__).parent
+    assert total == sum(len(path.read_text().splitlines()) for path in package.glob("*.py"))
+    assert 0 < code < total
+    assert public == len(magic3.__all__)
+    spec = importlib.util.spec_from_file_location("src_stats", ROOT / "scripts" / "src_stats.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    source = '"""Module,\ntwo lines."""\nx = "not a docstring"\n\n\ndef f():\n    "One line."\n    return x\n'
+    assert script.docstring_lines(ast.parse(source)) == {1, 2, 7}
 
 
 def test_parity_digest_invocations():

@@ -21,8 +21,8 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-def _calls(path):
-    """(file, enclosing function or "", called name, call source) for each call in a file."""
+def _scoped_nodes(path):
+    """(enclosing function or "", node) for each node of a file's syntax tree."""
     tree = ast.parse(path.read_text(), filename=str(path))
     # Breadth-first, so a nested function's name overwrites its parent's.
     scope = {
@@ -31,10 +31,30 @@ def _calls(path):
         if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(function)
     }
-    for node in ast.walk(tree):
+    return [(scope.get(node, ""), node) for node in ast.walk(tree)]
+
+
+def _calls(path):
+    """(file, enclosing function or "", called name, call source) for each call in a file."""
+    for function, node in _scoped_nodes(path):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            yield path.name, scope.get(node, ""), name, ast.unparse(node)
+            yield path.name, function, name, ast.unparse(node)
+
+
+def test_only_value_type_uses_the_dataclass_decorator():
+    # `dataclass` writes and compiles methods on every import unless init,
+    # eq and repr are off; `_value_type` turns them off and writes its own.
+    # A `@dataclass` or `dataclass(...)` anywhere else would bring the
+    # compiling back (a fresh import is checked in `test_value_types.py`).
+    uses = [
+        (path.name, function)
+        for path in SOURCES
+        for function, node in _scoped_nodes(path)
+        if isinstance(node, ast.Name) and node.id == "dataclass"
+        or isinstance(node, ast.Attribute) and node.attr == "dataclass"
+    ]
+    assert uses == [("core.py", "_value_type")]
 
 
 def test_only_validate_construct_and_reduce_mint_through_certify():

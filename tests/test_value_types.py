@@ -1,11 +1,18 @@
 """The public contract of the value types and of the text parser.
 
-`Square`, `MagicSquare` and `Decomposition` set their slots in hand-written
-`__init__` methods; these tests pin what a frozen, slotted dataclass gives:
-construction, fields, `replace`, immutability, equality, hashing and `repr`.
+The six value types are dataclasses whose methods `_value_type` writes once,
+and each sets its slots in a hand-written `__init__`; these tests pin what a
+frozen, slotted dataclass gives: construction, fields, `replace`,
+immutability, equality, hashing, `repr`, pickle and copy.
 """
 
+import copy
 import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -14,11 +21,14 @@ from hypothesis import strategies as st
 from magic3 import (
     ENTRY_MAX,
     SEED_F1,
+    CountReport,
     DihedralElement,
     Decomposition,
     EntryRangeError,
     Family,
     MagicSquare,
+    RationalSeries,
+    ReducedMagicSquare,
     Square,
     apply,
     parse_square,
@@ -55,11 +65,43 @@ CASES = {
         "Decomposition(family=<Family.F2: 'F2'>, i=1, j=2, k=3, "
         "symmetry=<DihedralElement.R90: 'r90'>)",
     ),
+    "ReducedMagicSquare": (
+        ReducedMagicSquare,
+        (validate(SEED_F1), 1, 4),
+        {"square": validate(SEED_F1), "r": 1, "s": 4},
+        ("r", 2),
+        f"ReducedMagicSquare(square=MagicSquare(square={SEED_F1_REPR}, magic_sum=12, s=4), r=1, s=4)",
+    ),
+    "RationalSeries": (
+        RationalSeries,
+        ((0, 8), (1, -1)),
+        {"numerator": (0, 8), "denominator": (1, -1)},
+        ("numerator", (8,)),
+        "RationalSeries(numerator=(0, 8), denominator=(1, -1))",
+    ),
+    "CountReport": (
+        CountReport,
+        (4, 8, 8, 8, 8),
+        {"s": 4, "closed_form": 8, "series": 8, "families": 8, "brute": 8},
+        ("brute", None),
+        "CountReport(s=4, closed_form=8, series=8, families=8, brute=8)",
+    ),
+    "CountReport-no-brute": (
+        CountReport,
+        (4, 8, 8, 8),
+        {"s": 4, "closed_form": 8, "series": 8, "families": 8},
+        ("brute", 8),
+        "CountReport(s=4, closed_form=8, series=8, families=8, brute=None)",
+    ),
 }
 FIELDS = {
     "Square": ["entries"],
     "MagicSquare": ["square", "magic_sum", "s"],
     "Decomposition": ["family", "i", "j", "k", "symmetry"],
+    "ReducedMagicSquare": ["square", "r", "s"],
+    "RationalSeries": ["numerator", "denominator"],
+    "CountReport": ["s", "closed_form", "series", "families", "brute"],
+    "CountReport-no-brute": ["s", "closed_form", "series", "families", "brute"],
 }
 
 
@@ -69,12 +111,14 @@ class TestValueTypeContract:
         cls, args, kwargs, _, _ = CASES[name]
         x, y = cls(*args), cls(**kwargs)
         assert x == y and hash(x) == hash(y)
-        assert [getattr(x, field) for field in FIELDS[name]] == list(args)
+        # A field past the arguments holds its default.
+        defaults = [f.default for f in dataclasses.fields(cls)[len(args):]]
+        assert [getattr(x, field) for field in FIELDS[name]] == [*args, *defaults]
 
     def test_fields_are_the_declared_ones(self, name):
         cls, args, _, _, _ = CASES[name]
         assert [f.name for f in dataclasses.fields(cls)] == FIELDS[name]
-        assert cls.__slots__ == tuple(FIELDS[name])
+        assert cls.__slots__ == cls.__match_args__ == tuple(FIELDS[name])
         assert not hasattr(cls(*args), "__dict__")
 
     def test_replace_builds_a_new_value(self, name):
@@ -105,6 +149,39 @@ class TestValueTypeContract:
         cls, args, _, _, text = CASES[name]
         assert repr(cls(*args)) == text
 
+    def test_pickle_and_copy_give_an_equal_value(self, name):
+        cls, args, _, _, text = CASES[name]
+        x = cls(*args)
+        pickled = [pickle.loads(pickle.dumps(x, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for y in (*pickled, copy.copy(x), copy.deepcopy(x)):
+            assert type(y) is cls and y == x and hash(y) == hash(x) and repr(y) == text
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(y, FIELDS[name][0], None)
+
+
+def test_import_generates_no_dataclass_code():
+    # `dataclasses` runs the source of each method that it generates with
+    # `exec` (in `_create_fn` up to Python 3.12); a fresh import of the
+    # package and its CLI calls it never.  A module global shadows the builtin.
+    probe = (
+        "import dataclasses\n"
+        "calls = []\n"
+        "def record(source, *args):\n"
+        "    calls.append(source)\n"
+        "    return exec(source, *args)\n"
+        "dataclasses.exec = record\n"
+        "import magic3, magic3.cli\n"
+        "print(magic3.__file__)\n"
+        "print(calls)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    imported, calls = result.stdout.splitlines()
+    assert Path(imported).parent == src / "magic3"
+    assert calls == "[]"
+
 
 class TestMagicSquareMint:
     def test_certificate_from_validate_equals_a_hand_built_one(self):
@@ -113,6 +190,18 @@ class TestMagicSquareMint:
         assert minted == built and hash(minted) == hash(built)
         assert repr(minted) == repr(built)
         assert dataclasses.asdict(minted) == dataclasses.asdict(built)
+
+
+class Lying(int):
+    """An int subclass whose comparisons and `__int__` misreport the int it holds."""
+
+    def __lt__(self, other):
+        return False
+
+    __gt__ = __lt__
+
+    def __int__(self):
+        return 0
 
 
 class TestSquareChecks:
@@ -137,6 +226,13 @@ class TestSquareChecks:
         with pytest.raises(error):
             Square(entries=entries)
 
+    def test_an_int_subclass_is_checked_and_stored_as_the_int_it_holds(self):
+        square = Square(tuple(map(Lying, SEED_F1_ENTRIES)))
+        assert square == SEED_F1 and [type(v) for v in square.entries] == [int] * 9
+        for value, message in ((2**64, "^entry 18446744073709551616 exceeds"), (-1, "^entry -1 is negative$")):
+            with pytest.raises(EntryRangeError, match=message):
+                Square((Lying(value),) + SEED_F1_ENTRIES[1:])
+
     def test_any_iterable_becomes_a_tuple(self):
         assert Square(iter(SEED_F1_ENTRIES)).entries == SEED_F1_ENTRIES
         assert Square(list(SEED_F1_ENTRIES)) == SEED_F1
@@ -149,7 +245,14 @@ class TestDecompositionChecks:
 
         d = Decomposition(Family.F1, Count(1), Count(2), Count(3), ID)
         assert d == Decomposition(Family.F1, 1, 2, 3, ID)
-        assert type(d.i) is Count
+        assert [type(x) for x in (d.i, d.j, d.k)] == [int, int, int]
+
+    def test_an_int_subclass_is_checked_and_stored_as_the_int_it_holds(self):
+        d = Decomposition(Family.F1, Lying(1), Lying(2), Lying(3), ID)
+        assert d == Decomposition(Family.F1, 1, 2, 3, ID)
+        assert [type(x) for x in (d.i, d.j, d.k)] == [int, int, int]
+        with pytest.raises(ValueError, match="^j must be nonnegative, got -1$"):
+            Decomposition(Family.F1, Lying(1), Lying(-1), Lying(3), ID)
 
     @pytest.mark.parametrize(
         "field, value, error, message",
