@@ -7,7 +7,8 @@ Usage:
 Counts every `*.py` file of the package that `import magic3` finds.  A code
 line is one that is not blank, not a comment alone and not part of a
 docstring (the string that opens a module, class or function body).  The
-third number is `len(magic3.__all__)`.
+third number is `len(magic3.__all__)`.  After the three totals comes one
+line per module, `<file>: lines <n>, code lines <n>`, in file name order.
 """
 
 from __future__ import annotations
@@ -29,18 +30,25 @@ def docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
+def module_lines(path: Path) -> tuple[int, int]:
+    """(lines, code lines) of one source file."""
+    text = path.read_text()
+    docstrings = docstring_lines(ast.parse(text, filename=str(path)))
+    lines = text.splitlines()
+    code = 0
+    for number, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        code += bool(stripped) and not stripped.startswith("#") and number not in docstrings
+    return len(lines), code
+
+
 def main() -> int:
-    total = code = 0
-    for path in sorted(Path(magic3.__file__).parent.glob("*.py")):
-        text = path.read_text()
-        docstrings = docstring_lines(ast.parse(text, filename=str(path)))
-        for number, line in enumerate(text.splitlines(), start=1):
-            total += 1
-            stripped = line.strip()
-            code += bool(stripped) and not stripped.startswith("#") and number not in docstrings
-    print(f"lines {total}")
-    print(f"code lines {code}")
+    modules = {path.name: module_lines(path) for path in sorted(Path(magic3.__file__).parent.glob("*.py"))}
+    print(f"lines {sum(total for total, _ in modules.values())}")
+    print(f"code lines {sum(code for _, code in modules.values())}")
     print(f"public names {len(magic3.__all__)}")
+    for name, (total, code) in modules.items():
+        print(f"{name}: lines {total}, code lines {code}")
     return 0
 
 

@@ -24,9 +24,9 @@ from .core import (
     DihedralElement,
     MagicSquare,
     Square,
+    _IMAGE,
     _certify,
     _value_type,
-    apply,
     permutation,
 )
 
@@ -49,9 +49,7 @@ class ReducedMagicSquare:
     s: int
 
     def __init__(self, square: MagicSquare, r: int, s: int) -> None:
-        object.__setattr__(self, "square", square)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
+        self.__setstate__((square, r, s))
 
     @property
     def entries(self) -> tuple[int, ...]:
@@ -101,5 +99,5 @@ def reduce(m: MagicSquare) -> tuple[ReducedMagicSquare, int, DihedralElement]:
     e = m.square.entries
     _, g, least = _orientation(e)
     i = e[least]
-    reduced = _certify(Square(tuple(value - i for value in apply(g, m.square).entries)), m.s - i)
+    reduced = _certify(Square(tuple(value - i for value in _IMAGE[g](e))), m.s - i)
     return ReducedMagicSquare(square=reduced, r=reduced.square.c3, s=reduced.s), i, g

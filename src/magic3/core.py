@@ -124,22 +124,16 @@ _PERM: dict[DihedralElement, tuple[int, ...]] = {g: _permutation(g) for g in ELE
 _BY_PERM = {perm: g for g, perm in _PERM.items()}
 _IMAGE = {g: itemgetter(*perm) for g, perm in _PERM.items()}
 
-# Composition is derived from the permutations, not hand-entered; the lookup
-# fails at import time if the eight maps were not closed under composition.
-_COMPOSE: dict[tuple[DihedralElement, DihedralElement], DihedralElement] = {
-    (g, h): _BY_PERM[tuple(_PERM[h][p] for p in _PERM[g])]
-    for g in ELEMENTS
-    for h in ELEMENTS
-}
-_INVERSE: dict[DihedralElement, DihedralElement] = {
-    g: next(h for h in ELEMENTS if _COMPOSE[g, h] is DihedralElement.ID)
-    for g in ELEMENTS
-}
+# The eight maps must be closed under composition, or `compose` and `inverse`
+# would find no element; checked once here, on the permutations themselves.
+if any(tuple(map(h.__getitem__, g)) not in _BY_PERM for g in _BY_PERM for h in _BY_PERM):
+    raise RuntimeError("the eight dihedral maps are not closed under composition")
+_INVERSE = {g: _BY_PERM[tuple(sorted(range(9), key=perm.__getitem__))] for g, perm in _PERM.items()}
 
 
 def compose(g: DihedralElement, h: DihedralElement) -> DihedralElement:
     """The element acting like g after h: apply(g, apply(h, x)) == apply(compose(g, h), x)."""
-    return _COMPOSE[g, h]
+    return _BY_PERM[tuple(map(_PERM[h].__getitem__, _PERM[g]))]
 
 
 def permutation(g: DihedralElement) -> tuple[int, ...]:
@@ -147,18 +141,13 @@ def permutation(g: DihedralElement) -> tuple[int, ...]:
     return _PERM[g]
 
 
-def check_entries(entries: tuple[int, ...]) -> bool:
-    """Raise as `Square` does on an entry that is not an int, or is a bool, or is out of range.
+def check_entries(entries: tuple[int, ...]) -> tuple[int, ...]:
+    """The entries as exact ints; raises TypeError on a bool or a non-int, EntryRangeError out of range.
 
-    True when every entry is an exact int.  An int subclass other than bool
-    is admitted, and its range checked on the exact int it holds.
+    An int subclass other than bool is admitted as the exact int it holds.
     """
-    exact = True
+    exact = []
     for value in entries:
-        # A plain int in range passes this first test; anything else is
-        # sorted out below.
-        if type(value) is int and 0 <= value <= ENTRY_MAX:
-            continue
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"entry must be int, got {type(value).__name__}")
         # `int.__int__` reads the exact int that a subclass holds, past any
@@ -168,8 +157,8 @@ def check_entries(entries: tuple[int, ...]) -> bool:
             raise EntryRangeError(f"entry {value} is negative")
         if value > ENTRY_MAX:
             raise EntryRangeError(f"entry {value} exceeds the unsigned 64-bit range")
-        exact = False
-    return exact
+        exact.append(value)
+    return tuple(exact)
 
 
 _T = TypeVar("_T")
@@ -184,7 +173,8 @@ def _value_type(cls: type[_T]) -> type[_T]:
     closures below give a frozen dataclass's equality, hash, repr, refused
     assignment and deletion, and pickle and copy state.  A method the class
     writes stays; `__hash__` goes where Python set it to None beside a written
-    `__eq__`.  Each class writes its own `__init__`.
+    `__eq__`.  Each class writes its own `__init__`, which sets the fields
+    by one `__setstate__` call.
     """
     cls = dataclass(cls, init=False, repr=False, eq=False, slots=True)
     names = tuple(f.name for f in fields(cls))
@@ -221,8 +211,8 @@ def _value_type(cls: type[_T]) -> type[_T]:
     return cls
 
 
-# The value types are dataclasses whose methods `_value_type` writes once.  These
-# set their slots by the descriptors' `__set__`, the cheapest way past a frozen `__setattr__`.
+# The value types are dataclasses whose methods `_value_type` writes once.  Each
+# checked `__init__` sets its fields by the `__setstate__` that pickle and copy use.
 @_value_type
 class Square:
     """Nine checked nonnegative integers in row-major order."""
@@ -233,11 +223,7 @@ class Square:
         entries = tuple(entries)
         if len(entries) != 9:
             raise ValueError(f"a square has 9 entries, got {len(entries)}")
-        if not check_entries(entries):
-            # An admitted int subclass is stored as the exact int it holds,
-            # so every square's arithmetic is int's own.
-            entries = tuple(map(int.__int__, entries))
-        _SET_ENTRIES(self, entries)
+        self.__setstate__((check_entries(entries),))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "Square":
@@ -308,15 +294,15 @@ class MagicSquare:
         checked = validate(square)
         if (magic_sum, s) != (checked.magic_sum, checked.s):
             raise ValueError(f"the square has magic_sum {checked.magic_sum} and s {checked.s}")
-        _SET_SQUARE(self, square)
-        _SET_MAGIC_SUM(self, magic_sum)
-        _SET_S(self, s)
+        self.__setstate__((square, magic_sum, s))
 
     @property
     def entries(self) -> tuple[int, ...]:
         return self.square.entries
 
 
+# The unchecked mints set slots by the descriptors' `__set__`, the cheapest way
+# past a frozen `__setattr__`.
 _SET_ENTRIES, _SET_SQUARE, _SET_MAGIC_SUM, _SET_S = (
     s.__set__ for s in (Square.entries, MagicSquare.square, MagicSquare.magic_sum, MagicSquare.s)
 )

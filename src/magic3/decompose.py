@@ -22,13 +22,10 @@ so s' - 3r = k + 1 or -(k + 1):
     s' < 3r:  F2 with (j, k) = (s' - 2r - 1, 3r - s' - 1)
 
 Every field is a nonnegative int, so the result is minted without
-`Decomposition`'s checks.  i is an entry, which the certificate's `Square`
-holds as an exact int >= 0 (it stores an int subclass as the int it holds).
-r and s' are differences of entries, so they and j and k are exact ints
-under int's own arithmetic, the arithmetic `validate` proves a square magic
-with.  r >= 1, as the 0 of a reduced square sits at a2; the corner order
-gives s' >= 2r + 1; and s' = 3r, where a3 = b3 = 4r, fails validation.  So
-j, k >= 0 on both branches.
+`Decomposition`'s checks.  i is an entry, an int >= 0, and r and s' are
+differences of entries.  r >= 1, as the 0 of a reduced square sits at a2;
+the corner order gives s' >= 2r + 1; and s' = 3r, where a3 = b3 = 4r, fails
+validation.  So j, k >= 0 on both branches.
 
 `construct` is this map run backwards.  The family and (j, k) give (r, s'),
 the reduced shape of `canonical` plus i gives the base grid, and the recorded
@@ -99,28 +96,15 @@ class Decomposition:
     symmetry: DihedralElement
 
     def __init__(self, family: Family, i: int, j: int, k: int, symmetry: DihedralElement) -> None:
-        if not (
-            type(i) is type(j) is type(k) is int
-            and i >= 0
-            and j >= 0
-            and k >= 0
-            and type(family) is Family
-            and type(symmetry) is DihedralElement
-        ):
-            # Name the first bad field.  An int subclass other than bool passes,
-            # and is stored as the exact int it holds (see `check_entries`).
-            for name, value, kind in (("family", family, Family), ("i", i, int), ("j", j, int),
-                                      ("k", k, int), ("symmetry", symmetry, DihedralElement)):
-                if isinstance(value, bool) or not isinstance(value, kind):
-                    raise TypeError(f"{name} must be {kind.__name__}, got {type(value).__name__}")
-                if kind is int and (value := int.__int__(value)) < 0:
-                    raise ValueError(f"{name} must be nonnegative, got {value}")
-            i, j, k = int.__int__(i), int.__int__(j), int.__int__(k)
-        _SET_FAMILY(self, family)
-        _SET_I(self, i)
-        _SET_J(self, j)
-        _SET_K(self, k)
-        _SET_SYMMETRY(self, symmetry)
+        # Name the first bad field.  An int subclass other than bool passes,
+        # and is stored as the exact int it holds (see `check_entries`).
+        for name, value, kind in (("family", family, Family), ("i", i, int), ("j", j, int),
+                                  ("k", k, int), ("symmetry", symmetry, DihedralElement)):
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise TypeError(f"{name} must be {kind.__name__}, got {type(value).__name__}")
+            if kind is int and (value := int.__int__(value)) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
+        self.__setstate__((family, int.__int__(i), int.__int__(j), int.__int__(k), symmetry))
 
     # Written out: `selftest` compares every round trip, and this runs at half
     # the cost of `_value_type`'s `__eq__` over a getter.
@@ -187,9 +171,9 @@ def construct(d: Decomposition) -> MagicSquare:
     restores the orientation, so construct(decompose(m)) == m.  The tests show
     that this grid is `base_grid`'s, the image of seed + i * ONES + j * GEN3 +
     k * generator, and that each of those is magic with center t
-    (`TestConeProof`).  Its largest entry is t + s' (c2), and `Decomposition`
-    holds exact ints, so t + s' <= ENTRY_MAX gives a grid in range; a grid
-    past it goes through `Square`, which refuses it as it always has.
+    (`TestConeProof`).  Its largest entry is t + s' (c2), so t + s' <=
+    ENTRY_MAX gives a grid in range; a grid past it goes through `Square`,
+    which refuses it as it always has.
     """
     i, j, k = d.i, d.j, d.k
     if d.family is _F1:

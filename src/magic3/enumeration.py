@@ -104,12 +104,13 @@ def _family_rows(s: int) -> Iterator[tuple[Family, int, range, range]]:
 
 
 def _check_first_family_grid(s: int) -> None:
-    """Raise as `Square` would on the first family grid, (F1, 0, 0, s - 4), if s >= 4.
+    """Raise as `_check_s` does, then as `Square` would on the first family grid (F1, 0, 0, s - 4) if s >= 4.
 
     It holds 2s, the largest entry at s, so each family stream that calls
     this before its first item raises on an s past the 64-bit range, and
     before it takes the `len` of a row, which can then pass `sys.maxsize`.
     """
+    _check_s(s)
     if s >= 4:
         check_entries(base_grid(Family.F1, 0, 0, s - 4))
 

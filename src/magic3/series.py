@@ -31,8 +31,7 @@ class RationalSeries:
         numerator, denominator = tuple(numerator), tuple(denominator)
         if not denominator or denominator[0] != 1:
             raise ValueError("denominator must have constant term 1")
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
+        self.__setstate__((numerator, denominator))
 
 
 @_value_type
@@ -46,11 +45,7 @@ class CountReport:
     brute: int | None = None
 
     def __init__(self, s: int, closed_form: int, series: int, families: int, brute: int | None = None) -> None:
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "closed_form", closed_form)
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "families", families)
-        object.__setattr__(self, "brute", brute)
+        self.__setstate__((s, closed_form, series, families, brute))
         counts = {closed_form, series, families}
         if brute is not None:
             counts.add(brute)
@@ -94,7 +89,9 @@ def magic_gf() -> RationalSeries:
 
 
 def _check_s(s: int) -> None:
-    """Raise ValueError for a negative magic parameter s."""
+    """Raise TypeError for a magic parameter s that is a bool or not an int, ValueError for a negative one."""
+    if isinstance(s, bool) or not isinstance(s, int):
+        raise TypeError(f"s must be int, got {type(s).__name__}")
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
 

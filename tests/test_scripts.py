@@ -53,12 +53,18 @@ def test_class_census():
 
 def test_src_stats():
     lines = run_script("src_stats.py")
-    assert [line.rsplit(" ", 1)[0] for line in lines] == ["lines", "code lines", "public names"]
-    total, code, public = (int(line.rsplit(" ", 1)[1]) for line in lines)
+    assert [line.rsplit(" ", 1)[0] for line in lines[:3]] == ["lines", "code lines", "public names"]
+    total, code, public = (int(line.rsplit(" ", 1)[1]) for line in lines[:3])
     package = Path(magic3.__file__).parent
     assert total == sum(len(path.read_text().splitlines()) for path in package.glob("*.py"))
     assert 0 < code < total
     assert public == len(magic3.__all__)
+    # One line per module, in file name order, summing to the totals.
+    modules = [re.fullmatch(r"(\S+\.py): lines (\d+), code lines (\d+)", line).groups() for line in lines[3:]]
+    assert [name for name, _, _ in modules] == sorted(path.name for path in package.glob("*.py"))
+    assert sum(int(n) for _, n, _ in modules) == total
+    assert sum(int(n) for _, _, n in modules) == code
+    assert all(0 < int(c) <= int(n) for _, n, c in modules)
     spec = importlib.util.spec_from_file_location("src_stats", ROOT / "scripts" / "src_stats.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)

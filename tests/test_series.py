@@ -5,8 +5,14 @@ from magic3 import (
     count_closed,
     count_families,
     expand,
+    iter_brute_grids,
+    iter_brute_squares,
+    iter_decompositions,
+    iter_family_grids,
+    iter_family_squares,
     magic_gf,
     poly_mul,
+    reconcile,
 )
 
 EXPECTED_PREFIX = [0, 0, 0, 0, 8, 24, 32, 56, 80, 104, 136, 176, 208]
@@ -91,3 +97,32 @@ class TestClosedForm:
                 for n in range(len(values) - 2)
             ]
             assert len(set(second)) == 1
+
+
+# Every function of the magic parameter s; a stream is asked for its first item.
+S_CALLS = {
+    "count_closed": count_closed,
+    "count_families": count_families,
+    "reconcile": reconcile,
+    **{
+        stream.__name__: lambda s, stream=stream: next(iter(stream(s)))
+        for stream in (
+            iter_decompositions,
+            iter_family_grids,
+            iter_family_squares,
+            iter_brute_grids,
+            iter_brute_squares,
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("s, kind", [(4.0, "float"), (4.5, "float"), (True, "bool")])
+@pytest.mark.parametrize("name", sorted(S_CALLS))
+def test_s_must_be_an_int(name, s, kind):
+    # A float or a bool s once compared with 0 and ran on: count_closed(4.5)
+    # gave 16.0 and reconcile(True) a CountReport with s=True.
+    with pytest.raises(TypeError) as info:
+        S_CALLS[name](s)
+    assert type(info.value) is TypeError
+    assert str(info.value) == f"s must be int, got {kind}"

@@ -93,6 +93,43 @@ def test_only_validate_construct_and_reduce_mint_through_certify():
     ] == []
 
 
+def test_value_types_set_their_fields_one_way():
+    # A checked `__init__` sets its fields by one call of the `__setstate__`
+    # that `_value_type` installs for pickle and copy; only the three
+    # unchecked mints set slots by the descriptors' `_SET_*` setters; and
+    # `object.__setattr__`, past the frozen `__setattr__`, is called only
+    # inside `_value_type` (in that `__setstate__`).
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    (value_type,) = [
+        node for node in trees["core.py"].body if isinstance(node, ast.FunctionDef) and node.name == "_value_type"
+    ]
+
+    def setattr_calls(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "object.__setattr__"]
+
+    assert len(setattr_calls(value_type)) == sum(len(setattr_calls(tree)) for tree in trees.values()) == 1
+    calls = [call for path in SOURCES for call in _calls(path)]
+    assert sorted({(f, fn) for f, fn, name, _ in calls if name and name.startswith("_SET_")}) == [
+        ("core.py", "_certify"),
+        ("core.py", "_square"),
+        ("decompose.py", "_decomposition"),
+    ]
+    setstate_calls = {
+        node.name: [ast.unparse(call.func) for call in ast.walk(init) if isinstance(call, ast.Call)].count(
+            "self.__setstate__"
+        )
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and "_value_type" in map(ast.unparse, node.decorator_list)
+        for init in node.body
+        if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+    }
+    assert setstate_calls == dict.fromkeys(
+        ["Square", "MagicSquare", "Decomposition", "ReducedMagicSquare", "RationalSeries", "CountReport"], 1
+    )
+
+
 def test_public_names_are_the_imported_names():
     # A name deleted from the imports and not from `__all__`, or the other
     # way round, shows here.

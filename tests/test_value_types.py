@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magic3 import (
@@ -31,9 +31,14 @@ from magic3 import (
     ReducedMagicSquare,
     Square,
     apply,
+    construct,
+    decompose,
+    format_square,
     parse_square,
+    reduce,
     validate,
 )
+from strategies import magic_squares
 
 ID = DihedralElement.ID
 R90 = DihedralElement.R90
@@ -275,6 +280,108 @@ class TestDecompositionChecks:
             Decomposition("F1", -1, 0, 0, "id")
         with pytest.raises(ValueError, match="^i must be nonnegative, got -1$"):
             Decomposition(Family.F1, -1, True, 0, ID)
+
+
+# The int dunders that the library's arithmetic, comparisons and hashing can reach.
+DUNDERS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__floordiv__", "__mod__",
+    "__neg__", "__int__", "__index__", "__lt__", "__le__", "__eq__", "__hash__",
+)
+
+
+def misreporting(name):
+    """An int subclass whose `name` misreports: one more than int's result, or its negation."""
+    method = getattr(int, name)
+
+    def wrong(self, *args):
+        result = method(self, *args)
+        if result is NotImplemented:
+            return result
+        return not result if isinstance(result, bool) else result + 1
+
+    return type(f"Wrong{name}", (int,), {name: wrong})
+
+
+def leaves(value):
+    """(type, value) of each field of a value type, recursively, and of each item of a tuple."""
+    if dataclasses.is_dataclass(value):
+        return [leaf for f in dataclasses.fields(value) for leaf in leaves(getattr(value, f.name))]
+    if isinstance(value, tuple):
+        return [leaf for item in value for leaf in leaves(item)]
+    return [(type(value), value)]
+
+
+def result_or_error(call, *args):
+    try:
+        return leaves(call(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_as_plain(call, plain, wrapped):
+    """call(*wrapped) stores only exact ints, and gives the result or error of call(*plain)."""
+    got = result_or_error(call, *wrapped)
+    assert got == result_or_error(call, *plain)
+    if isinstance(got, list):
+        assert all(kind is int for kind, value in got if isinstance(value, int))
+
+
+# Entries near both ends of the range, and one past each end.
+ints = st.one_of(st.integers(-2, 40), st.integers(ENTRY_MAX - 40, ENTRY_MAX + 2))
+
+
+@st.composite
+def entry_tuples(draw):
+    """Nine ints: a magic square, maybe shifted to the top of the range or one past it, or nine equal, or any nine."""
+    kind = draw(st.sampled_from(["magic", "equal", "any"]))
+    if kind == "magic":
+        entries = draw(magic_squares).entries
+        shift = draw(st.sampled_from([0, ENTRY_MAX - max(entries) + draw(st.integers(-1, 1))]))
+        return tuple(value + shift for value in entries)
+    if kind == "equal":
+        return (draw(ints),) * 9
+    return tuple(draw(st.lists(ints, min_size=9, max_size=9)))
+
+
+SQUARE_CALLS = (
+    Square,
+    lambda entries: format_square(Square(entries)),
+    lambda entries: validate(Square(entries)),
+    lambda entries: decompose(validate(Square(entries))),
+    lambda entries: reduce(validate(Square(entries))),
+)
+DECOMPOSITION_CALLS = (Decomposition, lambda *fields: construct(Decomposition(*fields)))
+
+
+@pytest.mark.parametrize("dunder", DUNDERS)
+class TestIntSubclassesPastTheBoundary:
+    """An int subclass whose one dunder misreports gives what plain ints give.
+
+    `Square` and `Decomposition` store the exact int it holds, so every field
+    past them is a plain int, and each call returns the plain-int result or
+    raises the plain-int error.
+    """
+
+    @settings(max_examples=50, deadline=None)
+    @given(entries=entry_tuples(), wrap=st.lists(st.booleans(), min_size=9, max_size=9))
+    def test_square_calls(self, dunder, entries, wrap):
+        wrong = misreporting(dunder)
+        wrapped = tuple(wrong(value) if w else value for value, w in zip(entries, wrap))
+        for call in SQUARE_CALLS:
+            assert_as_plain(call, [entries], [wrapped])
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        family=st.sampled_from(Family),
+        coordinates=st.lists(ints, min_size=3, max_size=3),
+        wrap=st.lists(st.booleans(), min_size=3, max_size=3),
+        symmetry=st.sampled_from(DihedralElement),
+    )
+    def test_decomposition_calls(self, dunder, family, coordinates, wrap, symmetry):
+        wrong = misreporting(dunder)
+        wrapped = [wrong(value) if w else value for value, w in zip(coordinates, wrap)]
+        for call in DECOMPOSITION_CALLS:
+            assert_as_plain(call, [family, *coordinates, symmetry], [family, *wrapped, symmetry])
 
 
 def parse_by_token(text):
