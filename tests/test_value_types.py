@@ -27,6 +27,7 @@ from magic3 import (
     EntryRangeError,
     Family,
     MagicSquare,
+    MagicSquareError,
     RationalSeries,
     ReducedMagicSquare,
     Square,
@@ -314,7 +315,7 @@ def leaves(value):
 def result_or_error(call, *args):
     try:
         return leaves(call(*args))
-    except Exception as exc:
+    except (TypeError, ValueError, MagicSquareError) as exc:
         return type(exc), str(exc)
 
 
