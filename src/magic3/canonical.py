@@ -26,6 +26,7 @@ from .core import (
     Square,
     _IMAGE,
     _certify,
+    _square,
     _value_type,
     permutation,
 )
@@ -93,11 +94,12 @@ def reduce(m: MagicSquare) -> tuple[ReducedMagicSquare, int, DihedralElement]:
     The symmetry g is applied first and i * ONES subtracted second (the two
     commute, but a fixed order keeps g reproducible).  The inverse transform
     apply(g.inverse, reduced + i * ONES) recovers the input exactly.  g's image
-    is magic, and less its minimum i it stays so with center s - i and no
-    negative entry, so the reduced square is minted without checking again.
+    is magic, and less its minimum i it stays so with center s - i; each entry
+    is a certified entry less the minimum, an exact int in [0, 2(s - i)], so
+    the reduced square and its certificate are minted without checking again.
     """
     e = m.square.entries
     _, g, least = _orientation(e)
     i = e[least]
-    reduced = _certify(Square(tuple(value - i for value in _IMAGE[g](e))), m.s - i)
+    reduced = _certify(_square(tuple(value - i for value in _IMAGE[g](e))), m.s - i)
     return ReducedMagicSquare(square=reduced, r=reduced.square.c3, s=reduced.s), i, g

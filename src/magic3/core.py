@@ -11,8 +11,9 @@ sums (three rows, three columns, both diagonals) equal to the magic sum m and
 all nine entries pairwise distinct.  The magic sum is always three times the
 center entry, so the parameter s = m / 3 is an integer.  Every `MagicSquare`
 is certified; only `validate`, `construct` and `reduce` mint through `_certify`.
-Likewise only `parse_square` and `construct`, whose entries are exact ints in
-range by construction, mint a `Square` through `_square` without its checks.
+Likewise only `parse_square`, `construct` and `reduce`, whose entries are exact
+ints in range by construction, mint a `Square` through `_square` without its
+checks.
 
 The module also defines the six constant squares from which every magic
 square of order three is built:
@@ -141,17 +142,27 @@ def permutation(g: DihedralElement) -> tuple[int, ...]:
     return _PERM[g]
 
 
+def _natural(name: str, value: int) -> int:
+    """The int rule: value as an exact int; TypeError on a bool or a non-int, ValueError if negative.
+
+    `int.__int__` reads the exact int a subclass holds, past any `__int__` or comparison it overrides.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be int, got {type(value).__name__}")
+    if (value := int.__int__(value)) < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    return value
+
+
 def check_entries(entries: tuple[int, ...]) -> tuple[int, ...]:
     """The entries as exact ints; raises TypeError on a bool or a non-int, EntryRangeError out of range.
 
-    An int subclass other than bool is admitted as the exact int it holds.
+    `_natural`'s rule written inline for each entry, with an upper bound and the entry range's wording.
     """
     exact = []
     for value in entries:
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"entry must be int, got {type(value).__name__}")
-        # `int.__int__` reads the exact int that a subclass holds, past any
-        # `__int__` or comparison it overrides.
         value = int.__int__(value)
         if value < 0:
             raise EntryRangeError(f"entry {value} is negative")
@@ -280,10 +291,10 @@ class Square:
 class MagicSquare:
     """A certified magic square: equal line sums and distinct entries.
 
-    Building one, or a `dataclasses.replace` copy, raises as `validate` does, or
-    ValueError if magic_sum or s disagree with the square.  Only `validate`,
-    `construct` and `reduce`, having proved their squares magic, mint through
-    `_certify`, which checks nothing.
+    Building one, or a `dataclasses.replace` copy, raises as `validate` and
+    then `_natural` do, or ValueError if magic_sum or s disagree with the
+    square.  Only `validate`, `construct` and `reduce`, having proved their
+    squares magic, mint through `_certify`, which checks nothing.
     """
 
     square: Square
@@ -292,17 +303,17 @@ class MagicSquare:
 
     def __init__(self, square: Square, magic_sum: int, s: int) -> None:
         checked = validate(square)
-        if (magic_sum, s) != (checked.magic_sum, checked.s):
+        if (_natural("magic_sum", magic_sum), _natural("s", s)) != (checked.magic_sum, checked.s):
             raise ValueError(f"the square has magic_sum {checked.magic_sum} and s {checked.s}")
-        self.__setstate__((square, magic_sum, s))
+        self.__setstate__((square, checked.magic_sum, checked.s))
 
     @property
     def entries(self) -> tuple[int, ...]:
         return self.square.entries
 
 
-# The unchecked mints set slots by the descriptors' `__set__`, the cheapest way
-# past a frozen `__setattr__`.
+# The mints that check nothing set slots by the descriptors' `__set__`, the
+# cheapest way past a frozen `__setattr__`.
 _SET_ENTRIES, _SET_SQUARE, _SET_MAGIC_SUM, _SET_S = (
     s.__set__ for s in (Square.entries, MagicSquare.square, MagicSquare.magic_sum, MagicSquare.s)
 )
@@ -330,9 +341,8 @@ def add(x: Square, y: Square) -> Square:
 
 
 def scale(n: int, x: Square) -> Square:
-    """Entry-wise product by a nonnegative integer, exact."""
-    if n < 0:
-        raise ValueError(f"scale factor must be nonnegative, got {n}")
+    """Entry-wise product by a nonnegative integer, exact; n is read as `_natural` reads it."""
+    n = _natural("scale factor", n)
     return Square(tuple(n * a for a in x.entries))
 
 

@@ -51,6 +51,7 @@ from .core import (
     MagicSquare,
     Square,
     _certify,
+    _natural,
     _square,
     _value_type,
     permutation,
@@ -96,15 +97,13 @@ class Decomposition:
     symmetry: DihedralElement
 
     def __init__(self, family: Family, i: int, j: int, k: int, symmetry: DihedralElement) -> None:
-        # Name the first bad field.  An int subclass other than bool passes,
-        # and is stored as the exact int it holds (see `check_entries`).
-        for name, value, kind in (("family", family, Family), ("i", i, int), ("j", j, int),
-                                  ("k", k, int), ("symmetry", symmetry, DihedralElement)):
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise TypeError(f"{name} must be {kind.__name__}, got {type(value).__name__}")
-            if kind is int and (value := int.__int__(value)) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
-        self.__setstate__((family, int.__int__(i), int.__int__(j), int.__int__(k), symmetry))
+        # Name the first bad field; i, j and k are read by the int rule, `_natural`.
+        if not isinstance(family, Family):
+            raise TypeError(f"family must be Family, got {type(family).__name__}")
+        i, j, k = _natural("i", i), _natural("j", j), _natural("k", k)
+        if not isinstance(symmetry, DihedralElement):
+            raise TypeError(f"symmetry must be DihedralElement, got {type(symmetry).__name__}")
+        self.__setstate__((family, i, j, k, symmetry))
 
     # Written out: `selftest` compares every round trip, and this runs at half
     # the cost of `_value_type`'s `__eq__` over a getter.

@@ -30,14 +30,14 @@ certifies one row at a time and names a failure from that row alone; no grid
 is walked on its own.
 
 So both grid streams certify what they yield without building a `Square`
-per grid: each checks every row's two end grids (`_family_row_ends`, and
-`_brute_rows`, see `iter_brute_grids`) before it yields any grid of the row,
-and raises MismatchError at the first row that fails.  No entry exceeds 2s,
-as opposite cells sum to 2s, and each stream's first grid holds 2s, so only
-that grid gets the `Square` entry checks (`_check_first_family_grid` for the
-family streams and `iter_decompositions`).  A negative s raises ValueError on
-the first item of every stream, and the `iter_*_squares` streams mint by
-`validate`.
+per grid: each checks every row's two end grids (`_family_row`, which also
+gives its steps, and `_brute_rows`, see `iter_brute_grids`) before it yields
+any grid of the row, and raises MismatchError at the first row that fails.
+No entry exceeds 2s, as opposite cells sum to 2s, and each stream's first
+grid holds 2s, so only that grid gets the `Square` entry checks, before the
+first row (`_check_first_family_grid`, `_brute_pieces`).  Each public call
+reads s once by the int rule, `core._natural`, so a bad s raises on the
+first item of every stream; the `iter_*_squares` streams mint by `validate`.
 
 Output orders are deterministic: family grids are lexicographic by
 (family, i, j, k, symmetry index), brute force by (a1, a2).  Each stream is
@@ -62,11 +62,12 @@ from .core import (
     MagicSquare,
     MagicSquareError,
     Square,
+    _natural,
     check_entries,
     validate,
 )
 from .decompose import _INVERSE_IMAGES, Decomposition, Family, _decomposition, base_grid
-from .series import CountReport, _check_s, count_closed, expand, magic_gf
+from .series import CountReport, count_closed, expand, magic_gf
 
 # `reconcile` keeps one byte per (a1, a2) pair, (2s + 1)**2 in all; this s is
 # the largest whose cell marks fit in 256 MiB.
@@ -92,8 +93,8 @@ def _family_rows(s: int) -> Iterator[tuple[Family, int, range, range]]:
     """Nonempty lattice rows (family, i, js, ks), lexicographic; a row's points are zip(js, ks).
 
     With rest = s - base_s - i, j steps by k_step from rest % k_step up to rest / 3.
+    Callers read s by the int rule first; this checks nothing.
     """
-    _check_s(s)
     for family in Family:
         budget, step = s - family.base_s, family.k_step
         for i in range(budget + 1):
@@ -103,16 +104,17 @@ def _family_rows(s: int) -> Iterator[tuple[Family, int, range, range]]:
                 yield family, i, js, range((rest - 3 * js[0]) // step, -1, -3)
 
 
-def _check_first_family_grid(s: int) -> None:
-    """Raise as `_check_s` does, then as `Square` would on the first family grid (F1, 0, 0, s - 4) if s >= 4.
+def _check_first_family_grid(s: int) -> int:
+    """s read by the int rule; raises as `Square` would on the first family grid (F1, 0, 0, s - 4) if s >= 4.
 
     It holds 2s, the largest entry at s, so each family stream that calls
     this before its first item raises on an s past the 64-bit range, and
     before it takes the `len` of a row, which can then pass `sys.maxsize`.
     """
-    _check_s(s)
+    s = _natural("s", s)
     if s >= 4:
         check_entries(base_grid(Family.F1, 0, 0, s - 4))
+    return s
 
 
 def iter_decompositions(s: int) -> Iterator[Decomposition]:
@@ -123,7 +125,7 @@ def iter_decompositions(s: int) -> Iterator[Decomposition]:
     the 64-bit range raises EntryRangeError on the first item, as
     `iter_family_grids` does.
     """
-    _check_first_family_grid(s)
+    s = _check_first_family_grid(s)
     for family, i, js, ks in _family_rows(s):
         for j, k in zip(js, ks):
             for g in ELEMENTS:
@@ -144,20 +146,19 @@ def _family_pieces(
 ) -> Iterator[Iterator[tuple]]:
     """The grids of `iter_family_grids(s)`, in order, as one iterator per piece of a lattice row.
 
-    Each row is certified by its two end base grids (`_family_row_ends`) and
-    cut into pieces of at most `_FAMILY_PIECE` points.  Along a row every
-    base-grid entry is affine in j, so in a piece of m points each of the
-    nine cells starts at its value in the piece's first base grid and steps
-    by a whole number, and column(first, step, m) gives its m values, as for
-    `_brute_pieces`.  The eight images permute the nine columns, and the
-    piece interleaves their `zip`s point by point.  The first base grid
-    gets the `Square` entry checks before the first row.
+    Each row is certified by `_family_row`, which gives its first base grid
+    and each cell's whole-number step from point to point, and is cut into
+    pieces of at most `_FAMILY_PIECE` points.  In a piece of m points each
+    cell starts at its value in the piece's first base grid, and
+    column(first, step, m) gives its m values, as for `_brute_pieces`.  The
+    eight images permute the nine columns, and the piece interleaves their
+    `zip`s point by point.  The first base grid gets the `Square` entry
+    checks before the first row.
     """
-    _check_first_family_grid(s)
+    s = _check_first_family_grid(s)
     for family, i, js, ks in _family_rows(s):
         n = len(js)
-        first, last = _family_row_ends(s, family, i, js, ks)
-        steps = [(y - x) // max(n - 1, 1) for x, y in zip(first, last)]
+        first, steps = _family_row(s, family, i, js, ks)
         for start in range(0, n, _FAMILY_PIECE):
             m = min(_FAMILY_PIECE, n - start)
             columns = [column(x + start * d, d, m) for x, d in zip(first, steps)]
@@ -170,7 +171,7 @@ def iter_family_grids(s: int) -> Iterator[tuple[int, ...]]:
     The eight images of each lattice point's base grid, in symmetry index
     order; each permutes the base grid's entries.  Raises MismatchError at
     the first lattice row whose end grids fail, with the message and square
-    that `reconcile` names (`_family_row_ends`).
+    that `reconcile` names (`_family_row`).
     """
     return chain.from_iterable(_family_pieces(s))
 
@@ -223,13 +224,14 @@ def iter_brute_grids(s: int) -> Iterator[tuple[int, ...]]:
       piece's grids are one `zip` of the cells' ranges and repeats, built
       from the row's first end grid, and `compress` passes over the cuts
       inside the piece (see `_brute_pieces`);
-    * the first grid gets the `Square` entry checks, so an s past the 64-bit
-      range raises EntryRangeError as `Square` would on it.  No later grid
-      can fail them: every cell is nonnegative and no entry exceeds 2s.  The
-      first grid holds 2s: at a1 = 0 the only pair is a2 = 2s, whose a3 = s
-      repeats the center, and at a1 = 1 the first pair a2 = 2s - 2 gives
-      (1, 2s-2, s+1, 2s, s, 0, s-1, 2, 2s-1), whose entries are distinct for
-      every s >= 4.  Below s = 4 there are no grids.
+    * the first grid gets the `Square` entry checks, once, before the first
+      row, so an s past the 64-bit range raises EntryRangeError as `Square`
+      would on it.  No later grid can fail them: every cell is nonnegative
+      and no entry exceeds 2s.  The first grid is the forced grid of cell
+      4s - 1, and it holds 2s: at a1 = 0 the only pair is a2 = 2s, whose
+      a3 = s repeats the center, and at a1 = 1 the first pair a2 = 2s - 2
+      gives (1, 2s-2, s+1, 2s, s, 0, s-1, 2, 2s-1), whose entries are
+      distinct for every s >= 4.  Below s = 4 there are no grids.
     """
     return chain.from_iterable(_brute_pieces(s))
 
@@ -314,18 +316,16 @@ def _brute_pieces(
     and column(first, step, m) gives its m values, `_cell_values`, or what
     stands for each of them, such as its decimal string.  The piece's grids
     are one `zip` of its nine columns, passed through `compress` with a keep
-    mask that is 0 at the cuts inside it.  The first grid gets the `Square`
-    entry checks before the first piece is built; it is the forced grid of
-    its cell, as the row's certificate proves (see `iter_brute_grids`).
+    mask that is 0 at the cuts inside it.  s is read by the int rule, and
+    the sweep's first grid, the forced grid of cell 4s - 1 when s >= 4 (see
+    `iter_brute_grids`), gets the `Square` entry checks before the first row.
     """
-    _check_s(s)
-    unchecked = True
+    s = _natural("s", s)
+    if s >= 4:
+        check_entries(_forced_grid(s, 4 * s - 1))
     for cell, (first, last), n, cuts in _brute_rows(s):
         if len(cuts) == n:
             continue
-        if unchecked:
-            check_entries(_forced_grid(s, cell + next(k for k in range(n) if k not in cuts)))
-            unchecked = False
         steps = [(y > x) - (y < x) for x, y in zip(first, last)]
         for start in range(0, n, _BRUTE_PIECE):
             m = min(_BRUTE_PIECE, n - start)
@@ -343,25 +343,23 @@ def iter_brute_squares(s: int) -> Iterator[MagicSquare]:
 
 def count_families(s: int) -> int:
     """Number of squares produced by the family expansion at parameter s, counted by rows."""
-    _check_first_family_grid(s)
+    s = _check_first_family_grid(s)
     return len(_INVERSE_IMAGES) * sum(len(js) for _, _, js, _ in _family_rows(s))
 
 
-def _family_row_ends(
-    s: int, family: Family, i: int, js: range, ks: range
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The first and last base grids of a lattice row, which certify every point of it.
+def _family_row(s: int, family: Family, i: int, js: range, ks: range) -> tuple[tuple[int, ...], list[int]]:
+    """(first, steps): a lattice row's first base grid, and what each cell steps by from point to point.
 
-    Raises MismatchError naming the first of them that is not a magic square
-    with magic sum 3s and entries in [0, 2s] (the six equations written
-    out), or naming the last if an entry does not step between them by a
-    whole number over the row's n - 1 steps.  Past that, every point of the
-    row is an integer grid between the two and passes too (see the module
-    docstring).
+    The row's first and last base grids certify it.  Raises MismatchError
+    naming the first that is not a magic square with magic sum 3s and entries
+    in [0, 2s] (the six equations written out), or the last if a cell's
+    `divmod` over the n - 1 steps leaves a remainder.  Past that, every point
+    of the row is an integer grid between the two and passes too.
     """
     two_s, three_s, n = 2 * s, 3 * s, len(js)
-    ends = first, last = base_grid(family, i, js[0], ks[0]), base_grid(family, i, js[-1], ks[-1])
-    for g in ends:
+    steps, gaps = [], n - 1 or 1
+    first, last = base_grid(family, i, js[0], ks[0]), base_grid(family, i, js[-1], ks[-1])
+    for g in (first, last):
         a1, a2, a3, b1, b2, b3, c1, c2, c3 = g
         # Opposite cells sum to 2s, so no entry exceeds 2s when none is negative.
         if not (
@@ -375,49 +373,48 @@ def _family_row_ends(
                 f"with magic sum {three_s}",
                 square=g,
             )
-    if n > 1:
-        for x, y in zip(first, last):
-            if (y - x) % (n - 1):
-                raise MismatchError(
-                    f"family expansion gave a lattice row at s={s} whose entries do not step "
-                    f"evenly over its {n} points",
-                    square=last,
-                )
-    return ends
+    for x, y in zip(first, last):
+        step, rest = divmod(y - x, gaps)
+        if rest:
+            raise MismatchError(
+                f"family expansion gave a lattice row at s={s} whose entries do not step "
+                f"evenly over its {n} points",
+                square=last,
+            )
+        steps.append(step)
+    return first, steps
 
 
 def _mark_family_rows(s: int, marks: bytearray) -> int:
     """Move the cell of every family grid from 0 to 1, one lattice row at a time; return their number.
 
-    Each row is certified by its two end base grids (`_family_row_ends`) and
-    marked as one slice per image (see the module docstring).  Raises
-    MismatchError at the first row whose ends fail, or whose image slice
-    does not step or holds a marked cell (see `reconcile`).
+    Each row is certified by `_family_row` and marked as one slice per
+    image (see the module docstring).  Raises MismatchError at the first row
+    whose ends fail, or whose image slice does not step or holds a marked
+    cell (see `reconcile`).
     """
     w, images = 2 * s + 1, _INVERSE_IMAGES
     # The base-grid cells that each image reads its a1 and a2 from.
     sources = [image(range(9))[:2] for image in images]
     count = 0
     for family, i, js, ks in _family_rows(s):
-        first, last = _family_row_ends(s, family, i, js, ks)
-        n = len(js)
-        # Each slice has n - 1 gaps of a whole step (`_family_row_ends`); one of one point has none.
-        gaps, ones = n - 1 or 1, b"\1" * n
+        first, steps = _family_row(s, family, i, js, ks)
+        n, ones = len(js), b"\1" * len(js)
         for image, (p1, p2) in zip(images, sources):
-            a, b = first[p1] * w + first[p2], last[p1] * w + last[p2]
-            low, high = (a, b) if a <= b else (b, a)
-            step = (high - low) // gaps or 1
-            # The first marked offset into the slice, which runs from a to b
-            # if a <= b; a slice of n > 1 cells that does not step repeats the
-            # row's first grid.
-            at = marks[low : high + 1 : step].find(1) if high > low or n == 1 else 1
+            # The image's n cells in row order, from start by step.  A repeat is named at the
+            # lowest marked cell's point, or at the second point if n > 1 cells do not step.
+            start, step = first[p1] * w + first[p2], steps[p1] * w + steps[p2]
+            stop, by = (start + n * step, step) if step else (start + 1, 1)
+            if stop < 0:
+                stop = None
+            cells = marks[start:stop:by]
+            at = (cells.find(1) if by > 0 else cells.rfind(1)) if step or n == 1 else 1
             if at >= 0:
-                at = at if a <= b else n - 1 - at
                 raise MismatchError(
                     f"family expansion repeated a square at s={s}",
                     square=image(base_grid(family, i, js[at], ks[at])),
                 )
-            marks[low : high + 1 : step] = ones
+            marks[start:stop:by] = ones
         count += n * len(images)
     return count
 
@@ -463,7 +460,7 @@ def reconcile(s: int, include_brute: bool = True) -> CountReport:
     without the brute-force stream, and stops at its first failing lattice
     row.  MismatchError names the row's first end base grid that is not a
     magic square with magic sum 3s and entries in [0, 2s], or its last if an
-    entry does not step between them by a whole number (`_family_row_ends`);
+    entry does not step between them by a whole number (`_family_row`);
     otherwise, as a repeat, the first image whose slice does not step or holds a marked
     cell, at that cell's point of the row (the row's second point if the
     slice does not step).  The brute half names the forced grid of the first
@@ -475,7 +472,7 @@ def reconcile(s: int, include_brute: bool = True) -> CountReport:
     Raises ValueError for a negative s, and for an s past COUNT_MAX_S, whose
     cell marks would pass 256 MiB; both before any work is done.
     """
-    _check_s(s)
+    s = _natural("s", s)
     if s > COUNT_MAX_S:
         raise ValueError(
             f"s must be at most {COUNT_MAX_S}, got {s}: count keeps (2s+1)**2 bytes "

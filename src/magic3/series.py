@@ -13,7 +13,7 @@ rounded; its division by 3 is exact, as `count_closed` proves.
 
 from __future__ import annotations
 
-from .core import _value_type
+from .core import _natural, _value_type
 
 
 @_value_type
@@ -88,14 +88,6 @@ def magic_gf() -> RationalSeries:
     return _MAGIC_GF
 
 
-def _check_s(s: int) -> None:
-    """Raise TypeError for a magic parameter s that is a bool or not an int, ValueError for a negative one."""
-    if isinstance(s, bool) or not isinstance(s, int):
-        raise TypeError(f"s must be int, got {type(s).__name__}")
-    if s < 0:
-        raise ValueError(f"s must be nonnegative, got {s}")
-
-
 def count_closed(s: int) -> int:
     """Closed-form count of magic squares with magic sum 3s.
 
@@ -104,6 +96,6 @@ def count_closed(s: int) -> int:
     The division is exact: mod 3 the five terms are 0, s, 0, 0 and 2s, as
     -20 = 1 and 8 = 2 mod 3, so the numerator is 3s = 0 mod 3.
     """
-    _check_s(s)
+    s = _natural("s", s)
     parity = 1 if s % 2 == 0 else -1
     return (6 * s * s - 20 * s + 3 - 3 * parity + 8 * (s % 3)) // 3

@@ -224,6 +224,17 @@ class TestBruteForce:
     def test_empty_when_too_small(self):
         assert list(iter_brute_squares(2)) == []
 
+    def test_only_the_first_grid_gets_the_entry_checks(self, monkeypatch):
+        # The sweep checks the forced grid of cell 4s - 1, (a1, a2) =
+        # (1, 2s - 2), before its first row; it must be the first it yields.
+        for s in range(4, 401):
+            assert next(iter_brute_grids(s)) == _forced_grid(s, 4 * s - 1), s
+        checked = []
+        monkeypatch.setattr(enumeration, "check_entries", checked.append)
+        grids = list(iter_brute_grids(30))
+        assert checked == grids[:1] and len(grids) > 1
+        assert checked == [_forced_grid(30, 119)]
+
     def test_count_at_seven(self):
         assert len(list(iter_brute_squares(7))) == 56
 
@@ -943,6 +954,17 @@ class TestRowWalk:
             with pytest.raises(MismatchError) as info:
                 walk()
             assert (str(info.value), info.value.square) == (message, square)
+
+    def test_a_falling_slice_may_end_at_cell_zero(self, monkeypatch):
+        # No sound row's slice runs past cell 0 (its stop, one step beyond
+        # its last cell, is at least 53 up to s = 300), but a faulty row's
+        # may: its n cells, 10 and 0 here, are still the ones marked.
+        monkeypatch.setattr(enumeration, "_INVERSE_IMAGES", _INVERSE_IMAGES[:1])
+        monkeypatch.setattr(enumeration, "_family_rows", lambda s: iter([(Family.F1, 0, range(2), range(3, -1, -3))]))
+        monkeypatch.setattr(enumeration, "_family_row", lambda s, *row: ((1,) * 9, [-1] * 9))
+        marks = bytearray(9 * 9)
+        assert enumeration._mark_family_rows(4, marks) == 2
+        assert [cell for cell, mark in enumerate(marks) if mark] == [0, 10]
 
     def test_images_are_the_ones_core_checks_at_import(self):
         # `core` checks `_PERM`'s images; the row walk reads these.

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from magic3 import (
@@ -126,3 +128,71 @@ def test_s_must_be_an_int(name, s, kind):
         S_CALLS[name](s)
     assert type(info.value) is TypeError
     assert str(info.value) == f"s must be int, got {kind}"
+
+
+def _misreporting(name):
+    """int's `name`, misreporting: one more than int's result, or its negation."""
+    method = getattr(int, name)
+
+    def wrong(self, *args):
+        result = method(self, *args)
+        if result is NotImplemented:
+            return result
+        return not result if isinstance(result, bool) else result + 1
+
+    return wrong
+
+
+# An s whose arithmetic and `<` misreport the int it holds.  Computed with as
+# it reports, s = 10 gave count_closed 139 and count_families 104 (136 is
+# right), and reconcile a MismatchError for a disagreement that is not real.
+LyingS = type("LyingS", (int,), {
+    name: _misreporting(name) for name in ("__sub__", "__rsub__", "__mul__", "__rmul__", "__lt__")
+})
+
+# Every function of s, with each stream drained.
+S_RESULTS = {
+    "count_closed": count_closed,
+    "count_families": count_families,
+    "reconcile": reconcile,
+    **{
+        stream.__name__: lambda s, stream=stream: list(stream(s))
+        for stream in (
+            iter_decompositions,
+            iter_family_grids,
+            iter_family_squares,
+            iter_brute_grids,
+            iter_brute_squares,
+        )
+    },
+}
+
+
+def int_leaves(value):
+    """Every int inside a result: the fields of a value type, and the items of a tuple or list."""
+    if dataclasses.is_dataclass(value):
+        return [leaf for f in dataclasses.fields(value) for leaf in int_leaves(getattr(value, f.name))]
+    if isinstance(value, (tuple, list)):
+        return [leaf for item in value for leaf in int_leaves(item)]
+    return [value] if isinstance(value, int) else []
+
+
+def outcome(call, s):
+    """call(s), or the type and message of the ValueError it raises."""
+    try:
+        return call(s)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# At s = -1 the subclass's `<` says it is not below 0.
+@pytest.mark.parametrize("s", [-1, 0, 4, 10, 13])
+@pytest.mark.parametrize("name", sorted(S_RESULTS))
+def test_an_int_subclass_s_is_read_as_the_int_it_holds(name, s):
+    got = outcome(S_RESULTS[name], LyingS(s))
+    assert got == outcome(S_RESULTS[name], s)
+    assert [type(v) for v in int_leaves(got)] == [int] * len(int_leaves(got))
+    if name == "reconcile" and s >= 0:
+        assert type(got.s) is int
+    if s < 0:
+        assert got == (ValueError, "s must be nonnegative, got -1")

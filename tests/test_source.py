@@ -65,7 +65,9 @@ def test_only_validate_construct_and_reduce_mint_through_certify():
     # skip the checks of a `Square` and a `Decomposition` in the same way, each
     # for callers whose values are exact ints in range by construction, or, in
     # `decompose` (once per family branch), nonnegative ints by the proof of
-    # the reduced form in its module docstring.
+    # the reduced form in its module docstring.  `reduce` mints its reduced
+    # square through `_square`: each entry is a certified entry less the
+    # minimum, an exact int in [0, 2s'].
     calls = [call for path in SOURCES for call in _calls(path)]
     assert sorted((f, fn, source) for f, fn, name, source in calls if name == "__new__") == [
         ("core.py", "_certify", "object.__new__(MagicSquare)"),
@@ -73,6 +75,7 @@ def test_only_validate_construct_and_reduce_mint_through_certify():
         ("decompose.py", "_decomposition", "object.__new__(Decomposition)"),
     ]
     assert sorted((f, fn) for f, fn, name, _ in calls if name == "_square") == [
+        ("canonical.py", "reduce"),
         ("core.py", "parse_square"),
         ("decompose.py", "construct"),
     ]
@@ -128,6 +131,62 @@ def test_value_types_set_their_fields_one_way():
     assert setstate_calls == dict.fromkeys(
         ["Square", "MagicSquare", "Decomposition", "ReducedMagicSquare", "RationalSeries", "CountReport"], 1
     )
+
+
+def _function(path, name):
+    """The top-level function `name` of a source file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (function,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+    return function
+
+
+def test_each_check_is_written_once():
+    # The int rule, `core._natural`, reads every int argument but the
+    # entries: a bool or a non-int raises TypeError, a subclass is read as the
+    # exact int it holds, a negative int raises ValueError.  `check_entries`
+    # runs the same rule inline on each entry, with its own range wording.
+    # No other function writes a copy of it.
+    rule = sorted(
+        (path.name, function)
+        for path in SOURCES
+        for function, node in _scoped_nodes(path)
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "int.__int__"
+        or isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+        and ast.unparse(node.args[1]) == "bool"
+    )
+    assert rule == [("core.py", "_natural")] * 2 + [("core.py", "check_entries")] * 2
+    # Each public call reads s once, at its head: the s gates are these, and
+    # the row walks they feed never check s again.
+    enumeration, series = (Path(magic3.__file__).parent / name for name in ("enumeration.py", "series.py"))
+    gates = sorted(
+        fn for path in (enumeration, series) for _, fn, name, source in _calls(path)
+        if name in ("_natural", "_check_first_family_grid")
+    )
+    assert gates == sorted([
+        "_brute_pieces", "_check_first_family_grid", "_family_pieces", "count_closed",
+        "count_families", "iter_decompositions", "reconcile",
+    ])
+    for walk in ("_family_rows", "_brute_rows", "_mark_family_rows", "_compare_brute_rows"):
+        called = {getattr(node.func, "id", None) for node in ast.walk(_function(enumeration, walk))
+                  if isinstance(node, ast.Call)}
+        assert called & {"_natural", "_check_first_family_grid", "check_entries", "isinstance"} == set(), walk
+    # The entry range is checked by `Square` and once at the head of each
+    # grid stream, on its first grid, never inside the sweep's row loop.
+    calls = [call for path in SOURCES for call in _calls(path)]
+    assert sorted((f, fn) for f, fn, name, _ in calls if name == "check_entries") == [
+        ("core.py", "__init__"),
+        ("enumeration.py", "_brute_pieces"),
+        ("enumeration.py", "_check_first_family_grid"),
+    ]
+    core = Path(magic3.__file__).parent / "core.py"
+    (square,) = [node for node in ast.parse(core.read_text()).body
+                 if isinstance(node, ast.ClassDef) and node.name == "Square"]
+    assert "check_entries" in {getattr(node.func, "id", None) for node in ast.walk(square) if isinstance(node, ast.Call)}
+    loops = [node for node in ast.walk(_function(enumeration, "_brute_pieces")) if isinstance(node, ast.For)]
+    assert loops and not [
+        node for loop in loops for node in ast.walk(loop)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_entries"
+    ]
 
 
 def test_public_names_are_the_imported_names():

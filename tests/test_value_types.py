@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from magic3 import (
     ENTRY_MAX,
+    ONES,
     SEED_F1,
     CountReport,
     DihedralElement,
@@ -37,6 +38,7 @@ from magic3 import (
     format_square,
     parse_square,
     reduce,
+    scale,
     validate,
 )
 from strategies import magic_squares
@@ -383,6 +385,38 @@ class TestIntSubclassesPastTheBoundary:
         wrapped = [wrong(value) if w else value for value, w in zip(coordinates, wrap)]
         for call in DECOMPOSITION_CALLS:
             assert_as_plain(call, [family, *coordinates, symmetry], [family, *wrapped, symmetry])
+
+
+class TestScalarIntArguments:
+    """`MagicSquare`'s magic_sum and s and `scale`'s factor are read by the int rule, as s and i, j, k are."""
+
+    @pytest.mark.parametrize(
+        "magic_sum, s, error, message",
+        [
+            (12.0, 4.0, TypeError, "magic_sum must be int, got float"),
+            (12, 4.0, TypeError, "s must be int, got float"),
+            (True, 4, TypeError, "magic_sum must be int, got bool"),
+            (-12, 4, ValueError, "magic_sum must be nonnegative, got -12"),
+        ],
+    )
+    def test_magic_square_rejects_a_field_by_name(self, magic_sum, s, error, message):
+        # A float pair that compared equal was once stored as it came.
+        with pytest.raises(error) as info:
+            MagicSquare(SEED_F1, magic_sum, s)
+        assert (type(info.value), str(info.value)) == (error, message)
+
+    def test_magic_square_stores_the_certificates_ints(self):
+        m = MagicSquare(SEED_F1, Lying(12), misreporting("__eq__")(4))
+        assert m == validate(SEED_F1) and (type(m.magic_sum), type(m.s)) == (int, int)
+
+    def test_scale_reads_its_factor_as_the_int_it_holds(self):
+        with pytest.raises(TypeError) as info:
+            scale(True, ONES)
+        assert (type(info.value), str(info.value)) == (TypeError, "scale factor must be int, got bool")
+        with pytest.raises(ValueError, match="^scale factor must be nonnegative, got -1$"):
+            scale(Lying(-1), ONES)
+        # A factor that misreports its product once added 1 to every entry.
+        assert scale(misreporting("__mul__")(2), SEED_F1) == scale(2, SEED_F1)
 
 
 def parse_by_token(text):
