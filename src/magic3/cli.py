@@ -18,15 +18,15 @@ from functools import cache
 from itertools import chain, islice
 
 from . import selftest
-from .canonical import reduce
 from .core import (
     DihedralElement,
+    MagicSquare,
     MagicSquareError,
     format_square,
     parse_square,
     validate,
 )
-from .decompose import Decomposition, Family, construct, decompose
+from .decompose import Decomposition, Family, construct, decompose, reduce
 from .enumeration import COUNT_MAX_S, MismatchError, _brute_pieces, _family_pieces, reconcile
 
 _JSON_COMPACT = {"separators": (",", ":")}
@@ -76,20 +76,24 @@ def _square_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _magic_arg(args: argparse.Namespace) -> MagicSquare:
+    """The certified square of the `square` words that `_square_arg` adds."""
+    return validate(parse_square(" ".join(args.square)))
+
+
 def _cmd_verify(args: argparse.Namespace) -> None:
-    magic = validate(parse_square(" ".join(args.square)))
+    magic = _magic_arg(args)
     print(f"magic m={magic.magic_sum} s={magic.s}")
 
 
 def _cmd_reduce(args: argparse.Namespace) -> None:
-    magic = validate(parse_square(" ".join(args.square)))
-    reduced, shift, g = reduce(magic)
+    reduced, shift, g = reduce(_magic_arg(args))
     obj = {"reduced": list(reduced.entries), "i": shift, "symmetry": g.tag}
     print(json.dumps(obj, **_JSON_COMPACT))
 
 
 def _cmd_decompose(args: argparse.Namespace) -> None:
-    d = decompose(validate(parse_square(" ".join(args.square))))
+    d = decompose(_magic_arg(args))
     print(json.dumps(d.to_json_obj(), **_JSON_COMPACT))
 
 

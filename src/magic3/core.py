@@ -10,10 +10,9 @@ leave that range raises instead of wrapping.
 sums (three rows, three columns, both diagonals) equal to the magic sum m and
 all nine entries pairwise distinct.  The magic sum is always three times the
 center entry, so the parameter s = m / 3 is an integer.  Every `MagicSquare`
-is certified; only `validate`, `construct` and `reduce` mint through `_certify`.
-Likewise only `parse_square`, `construct` and `reduce`, whose entries are exact
-ints in range by construction, mint a `Square` through `_square` without its
-checks.
+is certified; only `validate` and `construct` mint through `_certify`.
+Likewise only `parse_square` and `construct`, whose entries are exact ints in
+range by construction, mint a `Square` through `_square` without its checks.
 
 The module also defines the six constant squares from which every magic
 square of order three is built:
@@ -142,28 +141,28 @@ def permutation(g: DihedralElement) -> tuple[int, ...]:
     return _PERM[g]
 
 
-def _natural(name: str, value: int) -> int:
-    """The int rule: value as an exact int; TypeError on a bool or a non-int, ValueError if negative.
+def _integer(name: str, value: int) -> int:
+    """The int rule's type half: value as an exact int; TypeError on a bool or a non-int.
 
     `int.__int__` reads the exact int a subclass holds, past any `__int__` or comparison it overrides.
     """
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be int, got {type(value).__name__}")
-    if (value := int.__int__(value)) < 0:
+    return int.__int__(value)
+
+
+def _natural(name: str, value: int) -> int:
+    """The int rule: `_integer`, then ValueError if negative."""
+    if (value := _integer(name, value)) < 0:
         raise ValueError(f"{name} must be nonnegative, got {value}")
     return value
 
 
 def check_entries(entries: tuple[int, ...]) -> tuple[int, ...]:
-    """The entries as exact ints; raises TypeError on a bool or a non-int, EntryRangeError out of range.
-
-    `_natural`'s rule written inline for each entry, with an upper bound and the entry range's wording.
-    """
+    """The entries as exact ints by `_integer`; raises EntryRangeError out of range, in the entry range's wording."""
     exact = []
     for value in entries:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"entry must be int, got {type(value).__name__}")
-        value = int.__int__(value)
+        value = _integer("entry", value)
         if value < 0:
             raise EntryRangeError(f"entry {value} is negative")
         if value > ENTRY_MAX:
@@ -293,8 +292,8 @@ class MagicSquare:
 
     Building one, or a `dataclasses.replace` copy, raises as `validate` and
     then `_natural` do, or ValueError if magic_sum or s disagree with the
-    square.  Only `validate`, `construct` and `reduce`, having proved their
-    squares magic, mint through `_certify`, which checks nothing.
+    square.  Only `validate` and `construct`, having proved their squares
+    magic, mint through `_certify`, which checks nothing.
     """
 
     square: Square

@@ -13,22 +13,22 @@ rounded; its division by 3 is exact, as `count_closed` proves.
 
 from __future__ import annotations
 
-from .core import _natural, _value_type
+from .core import _integer, _natural, _value_type
 
 
 @_value_type
 class RationalSeries:
     """A rational power series num(t) / den(t) with den(0) = 1.
 
-    The unit constant term makes the expansion recurrence integral, so all
-    coefficients are exact integers.
+    Every coefficient is read by `_integer`, and the unit constant term makes
+    the expansion recurrence integral, so all coefficients are exact integers.
     """
 
     numerator: tuple[int, ...]
     denominator: tuple[int, ...]
 
     def __init__(self, numerator: tuple[int, ...], denominator: tuple[int, ...]) -> None:
-        numerator, denominator = tuple(numerator), tuple(denominator)
+        numerator, denominator = (tuple(_integer("coefficient", c) for c in p) for p in (numerator, denominator))
         if not denominator or denominator[0] != 1:
             raise ValueError("denominator must have constant term 1")
         self.__setstate__((numerator, denominator))
@@ -36,7 +36,7 @@ class RationalSeries:
 
 @_value_type
 class CountReport:
-    """Per-s counts from every route; all present fields must agree."""
+    """Per-s counts from every route, each read by `_natural`; all present counts must agree."""
 
     s: int
     closed_form: int
@@ -45,11 +45,11 @@ class CountReport:
     brute: int | None = None
 
     def __init__(self, s: int, closed_form: int, series: int, families: int, brute: int | None = None) -> None:
+        s, closed_form = _natural("s", s), _natural("closed_form", closed_form)
+        series, families = _natural("series", series), _natural("families", families)
+        brute = None if brute is None else _natural("brute", brute)
         self.__setstate__((s, closed_form, series, families, brute))
-        counts = {closed_form, series, families}
-        if brute is not None:
-            counts.add(brute)
-        if len(counts) != 1:
+        if len({closed_form, series, families, brute} - {None}) != 1:
             raise ValueError(f"count report fields disagree: {self}")
 
 

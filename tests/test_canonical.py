@@ -37,7 +37,7 @@ T2 = validate(SEED_F2)
 
 
 def rs_grid(r, s):
-    """The (r, s) shape of a reduced square, as the `magic3.canonical` docstring draws it."""
+    """The (r, s) shape of a reduced square, as the `magic3.decompose` docstring draws it."""
     return Square((2 * s - r, 0, s + r, 2 * r, s, 2 * s - 2 * r, s - r, 2 * s, r))
 
 
@@ -153,7 +153,7 @@ class TestCoordinateBijection:
             for m in iter_brute_squares(s):
                 if 0 in m.entries and is_canonical(m.square):
                     from_brute.add(m.entries)
-            # the (r, s) grid of `magic3.canonical`: 1 <= r, 2r + 1 <= s and s != 3r
+            # the (r, s) grid of `magic3.decompose`: 1 <= r, 2r + 1 <= s and s != 3r
             from_coords = {
                 rs_grid(r, s).entries for r in range(1, (s - 1) // 2 + 1) if s != 3 * r
             }

@@ -10,6 +10,8 @@ import sys
 import time
 import tracemalloc
 from dataclasses import replace
+from functools import cache
+from operator import attrgetter
 
 import pytest
 
@@ -26,7 +28,6 @@ from magic3 import (
     enumeration,
     format_square,
     iter_brute_grids,
-    iter_brute_squares,
     iter_decompositions,
     iter_family_grids,
     selftest,
@@ -122,20 +123,24 @@ class WriteLog:
         pass
 
 
-def collected_rendering(source: str, s: int) -> list[tuple[str, str]]:
-    """(format, stdout) of `enumerate s` as the collected squares render it.
+@cache
+def collected_renderings(s: int) -> dict[str, tuple[tuple[str, str], ...]]:
+    """(format, stdout) of `enumerate s` for each source, as the collected squares render it.
 
-    The family squares are built one at a time, by `construct` on each of
-    `iter_decompositions(s)`, so that no piece of a lattice row is shared
-    with the renderer under test.
+    Built once per test session.  The squares are built one at a time, by
+    `construct` on each of `iter_decompositions(s)`, so that no piece of a
+    lattice row or of the sweep is shared with the renderer under test, and
+    no piece size or name table bound is read.  The brute sweep walks
+    (a1, a2) in order, the sort order of its grids, so it renders the same
+    squares sorted by entries.
     """
-    if source == "brute":
-        squares = tuple(iter_brute_squares(s))
-    else:
-        squares = tuple(construct(d) for d in iter_decompositions(s))
-    text = "".join(format_square(m.square) + "\n" for m in squares)
-    array = json.dumps([list(m.entries) for m in squares], separators=(",", ":")) + "\n"
-    return [("text", text), ("json", array)]
+    families = [construct(d) for d in iter_decompositions(s)]
+    renderings = {}
+    for source, squares in (("families", families), ("brute", sorted(families, key=attrgetter("entries")))):
+        text = "".join(format_square(m.square) + "\n" for m in squares)
+        array = json.dumps([list(m.entries) for m in squares], separators=(",", ":")) + "\n"
+        renderings[source] = (("text", text), ("json", array))
+    return renderings
 
 
 def first_write_peak_bytes(s: int, source: str) -> int:
@@ -278,7 +283,7 @@ class TestEnumerate:
     def test_stream_matches_collected_rendering(self, source):
         # 230 and 269 are the ends of the benchmark's band of s.
         for s in (*range(0, 41), 230, 269):
-            for fmt, expected in collected_rendering(source, s):
+            for fmt, expected in collected_renderings(s)[source]:
                 assert main_stdout(["enumerate", str(s), "--source", source, "--format", fmt]) == (0, expected)
 
     @pytest.mark.parametrize("source", ["families", "brute"])
@@ -287,7 +292,7 @@ class TestEnumerate:
         # value; with the bound at 10, every s from 5 on does.
         monkeypatch.setattr(cli, "_NAME_TABLE_BOUND", 10)
         for s in (*range(0, 41), 230):
-            for fmt, expected in collected_rendering(source, s):
+            for fmt, expected in collected_renderings(s)[source]:
                 assert main_stdout(["enumerate", str(s), "--source", source, "--format", fmt]) == (0, expected)
 
     @pytest.mark.parametrize("source", ["families", "brute"])
@@ -300,7 +305,7 @@ class TestEnumerate:
         offsets = {c % 3 for s in range(0, 41) for _, _, n, cuts in enumeration._brute_rows(s) if len(cuts) < n for c in cuts}
         assert offsets == {0, 1, 2}
         for s in (*range(0, 41), 230):
-            for fmt, expected in collected_rendering(source, s):
+            for fmt, expected in collected_renderings(s)[source]:
                 assert main_stdout(["enumerate", str(s), "--source", source, "--format", fmt]) == (0, expected)
 
     @pytest.mark.parametrize("source", ["families", "brute"])

@@ -269,6 +269,7 @@ class TestUncheckedMint:
             counted = decompose(validate(Square(tuple(map(Count, m.entries)))))
             assert counted == d == Decomposition(*fields(counted))
             assert [type(x) for x in (counted.i, counted.j, counted.k)] == [int, int, int]
+            assert reduce(m) == ladder_reduce(m)
 
 
 # Four affinely independent (i, j, k): the origin and one step along each axis.

@@ -57,17 +57,17 @@ def test_only_value_type_uses_the_dataclass_decorator():
     assert uses == [("core.py", "_value_type")]
 
 
-def test_only_validate_construct_and_reduce_mint_through_certify():
+def test_only_validate_and_construct_mint_through_certify():
     # Building a `MagicSquare` runs `validate`'s checks.  Only `_certify`
-    # skips them, by `object.__new__`, and only the three functions that have
-    # proved their squares magic call it; `canonical` and `decompose` trust
-    # every certificate and call no `validate`.  `_square` and `_decomposition`
+    # skips them, by `object.__new__`, and only the two functions that have
+    # proved their squares magic call it; `decompose` trusts every
+    # certificate and calls no `validate`.  `_square` and `_decomposition`
     # skip the checks of a `Square` and a `Decomposition` in the same way, each
     # for callers whose values are exact ints in range by construction, or, in
     # `decompose` (once per family branch), nonnegative ints by the proof of
-    # the reduced form in its module docstring.  `reduce` mints its reduced
-    # square through `_square`: each entry is a certified entry less the
-    # minimum, an exact int in [0, 2s'].
+    # the reduced form in its module docstring.  `reduce` mints nothing
+    # through `_certify` or `_square` itself: it hands `construct` the
+    # decomposition at i = 0 with no symmetry, whose fields `decompose` proved.
     calls = [call for path in SOURCES for call in _calls(path)]
     assert sorted((f, fn, source) for f, fn, name, source in calls if name == "__new__") == [
         ("core.py", "_certify", "object.__new__(MagicSquare)"),
@@ -75,25 +75,20 @@ def test_only_validate_construct_and_reduce_mint_through_certify():
         ("decompose.py", "_decomposition", "object.__new__(Decomposition)"),
     ]
     assert sorted((f, fn) for f, fn, name, _ in calls if name == "_square") == [
-        ("canonical.py", "reduce"),
         ("core.py", "parse_square"),
         ("decompose.py", "construct"),
     ]
     assert sorted((f, fn) for f, fn, name, _ in calls if name == "_decomposition") == [
         ("decompose.py", "decompose"),
         ("decompose.py", "decompose"),
+        ("decompose.py", "reduce"),
         ("enumeration.py", "iter_decompositions"),
     ]
     assert sorted((f, fn) for f, fn, name, _ in calls if name == "_certify") == [
-        ("canonical.py", "reduce"),
         ("core.py", "validate"),
         ("decompose.py", "construct"),
     ]
-    assert [
-        (f, fn)
-        for f, fn, name, _ in calls
-        if name == "validate" and f in ("canonical.py", "decompose.py")
-    ] == []
+    assert [(f, fn) for f, fn, name, _ in calls if name == "validate" and f == "decompose.py"] == []
 
 
 def test_value_types_set_their_fields_one_way():
@@ -141,11 +136,11 @@ def _function(path, name):
 
 
 def test_each_check_is_written_once():
-    # The int rule, `core._natural`, reads every int argument but the
-    # entries: a bool or a non-int raises TypeError, a subclass is read as the
-    # exact int it holds, a negative int raises ValueError.  `check_entries`
-    # runs the same rule inline on each entry, with its own range wording.
-    # No other function writes a copy of it.
+    # The int rule's type half, `core._integer`, reads every int argument:
+    # a bool or a non-int raises TypeError, a subclass is read as the exact
+    # int it holds.  `_natural` adds the sign check, and `check_entries` the
+    # entry range, each around a call of `_integer`.  No other function
+    # writes a copy of it.
     rule = sorted(
         (path.name, function)
         for path in SOURCES
@@ -154,13 +149,14 @@ def test_each_check_is_written_once():
         or isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
         and ast.unparse(node.args[1]) == "bool"
     )
-    assert rule == [("core.py", "_natural")] * 2 + [("core.py", "check_entries")] * 2
+    assert rule == [("core.py", "_integer")] * 2
     # Each public call reads s once, at its head: the s gates are these, and
-    # the row walks they feed never check s again.
+    # the row walks they feed never check s again.  `CountReport.__init__`
+    # reads its fields by the rule too, but it is a value type, not a gate.
     enumeration, series = (Path(magic3.__file__).parent / name for name in ("enumeration.py", "series.py"))
     gates = sorted(
         fn for path in (enumeration, series) for _, fn, name, source in _calls(path)
-        if name in ("_natural", "_check_first_family_grid")
+        if name in ("_natural", "_check_first_family_grid") and fn != "__init__"
     )
     assert gates == sorted([
         "_brute_pieces", "_check_first_family_grid", "_family_pieces", "count_closed",

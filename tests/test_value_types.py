@@ -35,6 +35,7 @@ from magic3 import (
     apply,
     construct,
     decompose,
+    expand,
     format_square,
     parse_square,
     reduce,
@@ -45,6 +46,7 @@ from strategies import magic_squares
 
 ID = DihedralElement.ID
 R90 = DihedralElement.R90
+FD = DihedralElement.FD
 SEED_F1_ENTRIES = (7, 0, 5, 2, 4, 6, 3, 8, 1)
 SEED_F1_REPR = "Square(entries=(7, 0, 5, 2, 4, 6, 3, 8, 1))"
 
@@ -77,7 +79,7 @@ CASES = {
         ReducedMagicSquare,
         (validate(SEED_F1), 1, 4),
         {"square": validate(SEED_F1), "r": 1, "s": 4},
-        ("r", 2),
+        ("square", validate(apply(FD, SEED_F1))),
         f"ReducedMagicSquare(square=MagicSquare(square={SEED_F1_REPR}, magic_sum=12, s=4), r=1, s=4)",
     ),
     "RationalSeries": (
@@ -388,7 +390,7 @@ class TestIntSubclassesPastTheBoundary:
 
 
 class TestScalarIntArguments:
-    """`MagicSquare`'s magic_sum and s and `scale`'s factor are read by the int rule, as s and i, j, k are."""
+    """Every int field of a value type, and `scale`'s factor, is read by the int rule, as s and i, j, k are."""
 
     @pytest.mark.parametrize(
         "magic_sum, s, error, message",
@@ -417,6 +419,37 @@ class TestScalarIntArguments:
             scale(Lying(-1), ONES)
         # A factor that misreports its product once added 1 to every entry.
         assert scale(misreporting("__mul__")(2), SEED_F1) == scale(2, SEED_F1)
+
+    @pytest.mark.parametrize(
+        "cls, args, error, message",
+        [
+            # Each was accepted, or refused for another reason, before these fields followed the rule.
+            (ReducedMagicSquare, (validate(SEED_F1), "x", -3.0), TypeError, "r must be int, got str"),
+            (ReducedMagicSquare, (validate(SEED_F1), 1, -4), ValueError, "s must be nonnegative, got -4"),
+            (ReducedMagicSquare, (validate(SEED_F1), 2, 4), ValueError, "the square has c3 1 and s 4"),
+            (CountReport, (4.5, 8.0, 8, 8), TypeError, "s must be int, got float"),
+            (CountReport, (4, 8, 8, 8, True), TypeError, "brute must be int, got bool"),
+            (CountReport, (4, -8, -8, -8), ValueError, "closed_form must be nonnegative, got -8"),
+            (RationalSeries, ((0.5,), (1,)), TypeError, "coefficient must be int, got float"),
+            (RationalSeries, ((1,), (True, -1)), TypeError, "coefficient must be int, got bool"),
+        ],
+    )
+    def test_the_other_value_types_reject_a_field_by_name(self, cls, args, error, message):
+        with pytest.raises(error) as info:
+            cls(*args)
+        assert (type(info.value), str(info.value)) == (error, message)
+
+    def test_the_other_value_types_store_the_ints_they_hold(self):
+        reduced = ReducedMagicSquare(validate(SEED_F1), Lying(1), misreporting("__eq__")(4))
+        report = CountReport(Lying(4), Lying(8), misreporting("__eq__")(8), misreporting("__hash__")(8), Lying(8))
+        # Coefficients that misreport their arithmetic once made `expand` drift.
+        series = RationalSeries((Lying(0), misreporting("__sub__")(8)), (1, misreporting("__mul__")(-1)))
+        assert reduced == ReducedMagicSquare(validate(SEED_F1), 1, 4)
+        assert report == CountReport(4, 8, 8, 8, 8)
+        assert series == RationalSeries((0, 8), (1, -1))
+        assert expand(series, 6) == [0, 8, 8, 8, 8, 8]
+        for value in (reduced, report, series):
+            assert {kind for kind, leaf in leaves(value)} == {int}
 
 
 def parse_by_token(text):
