@@ -22,6 +22,7 @@ from .core import (
     DihedralElement,
     MagicSquare,
     MagicSquareError,
+    _digits,
     format_square,
     parse_square,
     validate,
@@ -51,17 +52,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_arg(text: str) -> int:
-    """An argparse type: an integer in ASCII digits 0-9 with an optional leading "-".
+    """An argparse type: a number of the text format (`core._digits`), with an optional leading "-".
 
-    The square grammar's digits, so `int`'s "+8", " 8", "1_0" and non-ASCII
-    digits are refused; a "-" is kept so that a negative value gets its
-    domain message.  Leading zeros are stripped first, as `parse_square`
-    does, so they do not count toward `int`'s limit of 4,300 digits.
+    `int`'s "+8", " 8", "1_0" and non-ASCII digits are refused; the "-" is
+    kept so that a negative value gets its domain message.  Only significant
+    digits count toward `int`'s limit of 4,300 digits.
     """
-    sign, digits = ("-", text[1:]) if text[:1] == "-" else ("", text)
-    if digits.isascii() and digits.isdigit():
+    if (digits := _digits(text[1:] if text[:1] == "-" else text)) is not None:
         try:
-            return int(sign + (digits.lstrip("0") or "0"))
+            return -int(digits) if text[:1] == "-" else int(digits)
         except ValueError:  # `int` refuses more than 4,300 significant digits
             pass
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
@@ -71,8 +70,8 @@ def _square_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "square",
         nargs="+",
-        help="nine integers, row-major, each written in ASCII digits 0-9 only "
-        "(no sign, not even '+'); commas and row semicolons allowed",
+        help="nine integers, row-major, each one or more ASCII digits 0-9 (no sign, not even '+'), "
+        "separated by runs of commas, semicolons and ASCII whitespace",
     )
 
 

@@ -30,6 +30,7 @@ safe to share across threads without synchronization.
 
 from __future__ import annotations
 
+import re
 from dataclasses import FrozenInstanceError, dataclass, fields
 from enum import Enum
 from operator import attrgetter, itemgetter
@@ -38,6 +39,9 @@ from typing import Callable, Iterable, TypeVar
 ENTRY_MAX = 2**64 - 1
 # One square in the text format, nine integers joined by spaces.
 _TEXT_FORMAT = " ".join(["%d"] * 9)
+# The text format's separators: runs of commas, semicolons and the ten ASCII
+# whitespace characters that `str.split` splits ASCII text on.
+_SEPARATORS = re.compile("[,; \t\n\x0b\x0c\r\x1c-\x1f]+")
 
 
 class MagicSquareError(Exception):
@@ -412,35 +416,45 @@ def validate(x: Square) -> MagicSquare:
     return _certify(x, m // 3)
 
 
+def _digits(text: str) -> str | None:
+    """The significant digits ("0" for zero) of a number, one or more ASCII digits 0-9; else None."""
+    return (text.lstrip("0") or "0") if text.isascii() and text.isdigit() else None
+
+
+def _entry(token: str) -> int:
+    """The value of one entry of the text format; ValueError naming the token otherwise."""
+    if (digits := _digits(token)) is None:
+        raise ValueError(f"entry {token!r} is not a string of ASCII digits 0-9")
+    # Past 20 significant digits (ENTRY_MAX has 20) the token is out of
+    # range, and `int` would refuse one of more than 4,300 digits.
+    if len(digits) > 20 or (value := int(digits)) > ENTRY_MAX:
+        raise ValueError(f"entry {digits} exceeds the unsigned 64-bit range")
+    return value
+
+
 def parse_square(text: str) -> Square:
     """Parse the text square format: nine base-10 integers in row-major order.
 
-    Each entry is one or more ASCII digits 0-9 and nothing else: no sign
-    (not even "+"), no "_" digit separators, no non-ASCII digits.
-    Separators are whitespace and/or commas; semicolons between rows are
-    accepted and ignored.  Raises ValueError on anything else.
+    A number is one or more ASCII digits 0-9 and nothing else: no sign (not
+    even "+"), no "_" digit separators, no non-ASCII digits.  The nine are
+    separated by runs of commas, semicolons and ASCII whitespace, the ten
+    characters of `_SEPARATORS` (space, tab, LF, VT, FF, CR and the file,
+    group, record and unit separators 0x1c-0x1f); runs at either end are
+    ignored.  Raises ValueError on anything else.
     """
-    tokens = text.replace(",", " ").replace(";", " ").split()
+    # `str.split` splits ASCII text where the pattern does, in one pass in C.
+    tokens = (text.replace(",", " ").replace(";", " ").split() if (ascii_text := text.isascii())
+              else list(filter(None, _SEPARATORS.split(text))))
     if len(tokens) != 9:
         raise ValueError(f"expected 9 entries, got {len(tokens)}")
-    # One pass in C (at most 9 x 20 digits, under int's digit limit); the loop names a bad token.
-    # `int` of ASCII digits is an exact int >= 0, so nine of them at most ENTRY_MAX need no check.
-    digits = "".join(tokens)
-    if len(digits) <= 9 * 20 and digits.isascii() and digits.isdigit():
+    # `_digits`'s test on the nine tokens in one pass in C (the tokens of ASCII text are ASCII; at
+    # most 9 x 20 digits, under int's digit limit); `_entry` names a bad token.  `int` of ASCII
+    # digits is an exact int >= 0, so nine of them at most ENTRY_MAX need no check.
+    if len(digits := "".join(tokens)) <= 9 * 20 and ascii_text and digits.isdigit():
         entries = tuple(map(int, tokens))
         if max(entries) <= ENTRY_MAX:
             return _square(entries)
-    values = []
-    for token in tokens:
-        if not (token.isascii() and token.isdigit()):
-            raise ValueError(f"entry {token!r} is not a string of ASCII digits 0-9")
-        # Past 20 significant digits (ENTRY_MAX has 20) the token is out of
-        # range, and `int` would refuse one of more than 4,300 digits.
-        digits = token.lstrip("0") or "0"
-        if len(digits) > 20 or (value := int(digits)) > ENTRY_MAX:
-            raise ValueError(f"entry {digits} exceeds the unsigned 64-bit range")
-        values.append(value)
-    return Square(tuple(values))
+    return Square(tuple(map(_entry, tokens)))
 
 
 def format_square(x: Square) -> str:

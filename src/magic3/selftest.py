@@ -17,12 +17,18 @@ from __future__ import annotations
 
 from typing import Callable
 
+from .core import _integer
 from .decompose import construct, decompose
 from .enumeration import COUNT_MAX_S, MismatchError, iter_decompositions, reconcile
 
 
 def run(max_s: int, echo: Callable[[str], None] = print) -> None:
-    """Check counts, set equality, round-trips, and disjointness for s <= max_s."""
+    """Check counts, set equality, round-trips, and disjointness for s <= max_s.
+
+    max_s is read by the int rule's type half, `core._integer`: a bool or a
+    non-int raises TypeError.
+    """
+    max_s = _integer("max_s", max_s)
     if max_s < 4:
         raise ValueError(f"--max-s must be at least 4, got {max_s}")
     if max_s > COUNT_MAX_S:

@@ -494,6 +494,17 @@ class TestCount:
             "count failed: brute-force grid at s=10 has a line sum other than 30\n"
         )
 
+    @pytest.mark.parametrize("flags, brute", [(["--no-brute"], "None"), ([], "208")])
+    def test_counts_that_disagree_name_all_four(self, monkeypatch, flags, brute):
+        monkeypatch.setattr(enumeration, "count_closed", lambda s: count_closed(s) + 1)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc, out = main_stdout(["count", "12", *flags])
+        assert (rc, out) == (3, "")
+        assert err.getvalue() == (
+            f"count failed: counts disagree at s=12: closed=209 series=208 families=208 brute={brute}\n"
+        )
+
     def test_family_fault_is_named_before_the_brute_half(self, monkeypatch):
         # With F1's center lowered by one, the first F1 row at s = 6, the
         # point (i, j, k) = (0, 0, 2), fails at its base grid.

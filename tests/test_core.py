@@ -1,5 +1,6 @@
 import itertools
 import re
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -22,6 +23,7 @@ from magic3 import (
     Square,
     add,
     apply,
+    cli,
     compose,
     format_square,
     parse_square,
@@ -138,6 +140,12 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             Square((1, 2, 3))
 
+    @pytest.mark.parametrize("row, col", [(3, 0), (0, 3), (-1, 0), (0, -1)])
+    def test_cells_outside_the_grid_are_refused(self, row, col):
+        with pytest.raises(IndexError) as info:
+            SEED_F1.at(row, col)
+        assert str(info.value) == f"cell ({row}, {col}) is outside the grid"
+
     def test_named_cells_match_row_major_order(self):
         sq = Square(tuple(range(9)))
         names = [sq.a1, sq.a2, sq.a3, sq.b1, sq.b2, sq.b3, sq.c1, sq.c2, sq.c3]
@@ -230,9 +238,37 @@ class TestValidate:
         assert max(m.entries) <= 2 * m.s
 
 
+LO_SHU = Square((2, 7, 6, 9, 5, 1, 4, 3, 8))
+# The whitespace that `str.split` splits ASCII text on, and every other code point it splits at.
+ASCII_WHITESPACE = [chr(c) for c in range(128) if chr(c).isspace()]
+OTHER_WHITESPACE = [chr(c) for c in range(128, sys.maxunicode + 1) if chr(c).isspace()]
+
+
 class TestTextFormat:
     def test_parses_plain_spaces(self):
         assert parse_square("7 0 5 2 4 6 3 8 1") == SEED_F1
+
+    def test_whitespace_is_the_ten_ascii_characters(self):
+        assert ASCII_WHITESPACE == [*"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "]
+
+    @pytest.mark.parametrize("separator", [*ASCII_WHITESPACE, ",", ";"], ids=ascii)
+    def test_each_separator_is_accepted(self, separator):
+        assert parse_square(separator.join("276951438")) == LO_SHU
+
+    @pytest.mark.parametrize("text", ["2,,7 6 9 5 1 4 3 8", " ;2 7 6 9 5 1 4 3 8 ;", "2\t,; 7 6 9 5 1 4 3 8"])
+    def test_runs_and_leading_and_trailing_separators_are_one_separator(self, text):
+        assert parse_square(text) == LO_SHU
+
+    @pytest.mark.parametrize("separator", OTHER_WHITESPACE, ids=ascii)
+    def test_no_other_whitespace_separates(self, separator):
+        # Not a separator: "2", it and "7" are one token, so the text holds 8.
+        with pytest.raises(ValueError) as info:
+            parse_square("2" + separator + "7 6 9 5 1 4 3 8")
+        assert str(info.value) == "expected 9 entries, got 8"
+
+    def test_the_cli_refuses_a_word_that_other_whitespace_joins(self, capsys):
+        assert cli.main(["verify", "2\u30007", "6", "9", "5", "1", "4", "3", "8"]) == 1
+        assert capsys.readouterr() == ("", "magic3: error: expected 9 entries, got 8\n")
 
     def test_parses_commas_and_row_semicolons(self):
         assert parse_square("7,0,5; 2,4,6; 3,8,1") == SEED_F1

@@ -1,6 +1,7 @@
 """Checks on the library's source text."""
 
 import ast
+import sys
 from pathlib import Path
 
 import magic3
@@ -183,6 +184,19 @@ def test_each_check_is_written_once():
         node for loop in loops for node in ast.walk(loop)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_entries"
     ]
+    # The text format's rule: `core._digits` reads a number's digits, and
+    # `parse_square` runs its test over nine tokens at once; `cli` reads its
+    # integer arguments through `_digits`.  The separators are one pattern,
+    # compiled in `core`.
+    digit_tests = sorted({
+        (f, fn) for f, fn, name, source in calls
+        if name in ("isdigit", "isascii") or name == "lstrip" and source.endswith(".lstrip('0')")
+    })
+    assert digit_tests == [("core.py", "_digits"), ("core.py", "parse_square")]
+    assert ("cli.py", "_int_arg") in {(f, fn) for f, fn, name, _ in calls if name == "_digits"}
+    assert [(f, fn, source.split("(")[0]) for f, fn, name, source in calls if name == "compile"] == [
+        ("core.py", "", "re.compile")
+    ]
 
 
 def test_public_names_are_the_imported_names():
@@ -259,3 +273,17 @@ def test_cli_renders_both_sources_through_one_path():
     assert [(f, fn) for f, fn, name, _ in _calls(path) if name == "_column_names"] == [
         ("cli.py", "_cmd_enumerate")
     ]
+
+
+def test_cli_model_shares_no_code_with_magic3():
+    # The CLI's spec model checks it from outside, as `bench/oracle.py` checks
+    # the benchmark: it imports the standard library only, by name.
+    path = Path(__file__).parent / "cli_model.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = {alias.name for node in imports if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module for node in imports if isinstance(node, ast.ImportFrom)}
+    assert imports and all(getattr(node, "level", 0) == 0 for node in imports)
+    assert {module.split(".")[0] for module in modules} <= set(sys.stdlib_module_names)
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name)
+            and node.id in ("__import__", "importlib", "magic3")] == []

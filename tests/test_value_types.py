@@ -40,6 +40,7 @@ from magic3 import (
     parse_square,
     reduce,
     scale,
+    selftest,
     validate,
 )
 from strategies import magic_squares
@@ -438,6 +439,20 @@ class TestScalarIntArguments:
         with pytest.raises(error) as info:
             cls(*args)
         assert (type(info.value), str(info.value)) == (error, message)
+
+    @pytest.mark.parametrize(
+        "max_s, message",
+        [
+            (True, "max_s must be int, got bool"),
+            (12.0, "max_s must be int, got float"),
+            (4.5, "max_s must be int, got float"),
+        ],
+    )
+    def test_selftest_reads_its_bound_by_the_rule(self, max_s, message):
+        # A bool was once refused as too small, and a float by `range`, naming nothing.
+        with pytest.raises(TypeError) as info:
+            selftest.run(max_s, echo=lambda line: None)
+        assert str(info.value) == message
 
     def test_the_other_value_types_store_the_ints_they_hold(self):
         reduced = ReducedMagicSquare(validate(SEED_F1), Lying(1), misreporting("__eq__")(4))
