@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from functools import cache
-from itertools import chain, islice
 
 from . import selftest
 from .core import (
@@ -32,9 +31,6 @@ from .enumeration import COUNT_MAX_S, MismatchError, _brute_pieces, _family_piec
 
 _JSON_COMPACT = {"separators": (",", ":")}
 
-# `enumerate` writes this many squares per write: enough that the per-write
-# cost vanishes, few enough that a pending chunk stays a few tens of kB.
-_ENUMERATE_CHUNK = 1024
 # While 2s is below this bound, `enumerate` slices each column of decimal
 # strings from one table of those of 0..2s, made once per call (at most
 # 4.09 MB, 3.90 MiB, at 2s = 2**16 - 2): at s = 250 that writes about twice
@@ -131,24 +127,26 @@ def _cmd_enumerate(args: argparse.Namespace) -> None:
     # columns, so each entry is converted once for its eight squares.  Both
     # streams check each row's two end grids, so every value is in 0..2s, the
     # table's range.  They also check their first grid, which holds the
-    # largest entry, 2s, so a range error or a negative s raises in the first
-    # chunk, before anything is written.
-    # Written 1,024 squares a chunk, with the bytes of printing every square
-    # (or one JSON array of them).
+    # largest entry, 2s, so a range error or a negative s raises before
+    # anything is written; a row that fails its check raises after the rows
+    # before it are written and before any square of its own.
+    # Each piece is one write, with the bytes of printing its squares (or
+    # its part of one JSON array of them).  A brute piece can be empty, and
+    # writes nothing.
     s, json_format = args.s, args.format == "json"
     table = [str(v) for v in range(2 * s + 1)] if 2 * s < _NAME_TABLE_BOUND else None
-    join = ",".join if json_format else " ".join
+    join, between = (",".join, "],[") if json_format else (" ".join, "\n")
     stream = _brute_pieces if args.source == "brute" else _family_pieces
-    pieces = stream(s, lambda first, step, m: _column_names(table, first, step, m))
-    lines = map(join, chain.from_iterable(pieces))
     write = sys.stdout.write
     opening = "[["
-    for chunk in iter(lambda: list(islice(lines, _ENUMERATE_CHUNK)), []):
+    for piece in stream(s, lambda first, step, m: _column_names(table, first, step, m)):
+        if not (lines := between.join(map(join, piece))):
+            continue
         if json_format:
-            write(opening + "],[".join(chunk) + "]")
+            write(opening + lines + "]")
             opening = ",["
         else:
-            write("\n".join(chunk) + "\n")
+            write(lines + "\n")
     if json_format:
         write("[]\n" if opening == "[[" else "]\n")
 

@@ -244,6 +244,8 @@ class Square:
         return cls(tuple(value for row in rows for value in row))
 
     def at(self, row: int, col: int) -> int:
+        """The entry at (row, col), each read by `_integer`; IndexError outside the grid."""
+        row, col = _integer("row", row), _integer("col", col)
         if not (0 <= row <= 2 and 0 <= col <= 2):
             raise IndexError(f"cell ({row}, {col}) is outside the grid")
         return self.entries[row * 3 + col]

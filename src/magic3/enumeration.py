@@ -42,14 +42,18 @@ first item of every stream; the `iter_*_squares` streams mint by `validate`.
 Output orders are deterministic: family grids are lexicographic by
 (family, i, j, k, symmetry index), brute force by (a1, a2).  Each stream is
 a chain of pieces of certified rows, one iterator of grids per piece
-(`_family_pieces`, `_brute_pieces`): at most `_FAMILY_PIECE` points of a
-lattice row, or `_BRUTE_PIECE` grids of an a1 row less the cuts inside
-them.  Each of a piece's nine cells is a first value and a step, and
-column(first, step, m) gives its m values, or what stands for each of them.
-A piece holds nine such columns and at most 7 cuts, so a consumer that does
-not keep what the streams yield runs in memory that does not depend on s.
-`magic3 enumerate` is one: its columns are slices, or repeats, of a table of
-decimal strings, and it joins each grid of strings into a line.
+(`_family_pieces`, `_brute_pieces`), and `_PIECE` alone sets their size: a
+piece is at most `_PIECE` offsets of an a1 row less the cuts inside them,
+or `_PIECE // 8` points of a lattice row with their eight images each.  A
+brute piece whose offsets are all cut is empty.  Each of a piece's nine
+cells is a first value and a step, and column(first, step, m) gives its m
+values, or what stands for each of them.  A piece holds nine such columns
+and at most 7 cuts, so a consumer that does not keep what the streams
+yield runs in memory that does not depend on s.  A row's pieces come after
+its end grids pass, so a failing row raises after every piece of the rows
+before it and before any of its own.  `magic3 enumerate` is such a
+consumer: its columns are slices, or repeats, of a table of decimal
+strings, and it writes each piece as one write of its lines.
 """
 
 from __future__ import annotations
@@ -72,13 +76,13 @@ from .series import CountReport, count_closed, expand, magic_gf
 # `reconcile` keeps one byte per (a1, a2) pair, (2s + 1)**2 in all; this s is
 # the largest whose cell marks fit in 256 MiB.
 COUNT_MAX_S = 8191
-# `_family_pieces` cuts each lattice row into pieces of at most this many
-# points, so that the nine columns of one piece stay small whatever s is.
-_FAMILY_PIECE = 128
-# `_brute_pieces` cuts each a1 row into pieces of at most this many grids, so
-# that the nine columns of one piece stay small whatever s is, and the work
-# per piece is spread over many grids: up to s = 511 every row is one piece.
-_BRUTE_PIECE = 1024
+# Each grid stream cuts its rows into pieces of at most this many grids, so
+# that the nine columns of one piece, and what a consumer builds from one
+# piece, stay small whatever s is, while the work per piece is spread over
+# many grids: a brute piece is at most this many offsets of an a1 row (up to
+# s = 511 every row is one piece), a family piece at most an eighth as many
+# lattice points, as each point gives eight grids.
+_PIECE = 1024
 
 
 class MismatchError(MagicSquareError):
@@ -148,19 +152,19 @@ def _family_pieces(
 
     Each row is certified by `_family_row`, which gives its first base grid
     and each cell's whole-number step from point to point, and is cut into
-    pieces of at most `_FAMILY_PIECE` points.  In a piece of m points each
-    cell starts at its value in the piece's first base grid, and
-    column(first, step, m) gives its m values, as for `_brute_pieces`.  The
-    eight images permute the nine columns, and the piece interleaves their
-    `zip`s point by point.  The first base grid gets the `Square` entry
-    checks before the first row.
+    pieces of at most `_PIECE // 8` points, so at most `_PIECE` grids, and
+    no piece is empty.  In a piece of m points each cell starts at its value
+    in the piece's first base grid, and column(first, step, m) gives its m
+    values, as for `_brute_pieces`.  The eight images permute the nine
+    columns, and the piece interleaves their `zip`s point by point.  The
+    first base grid gets the `Square` entry checks before the first row.
     """
     s = _check_first_family_grid(s)
     for family, i, js, ks in _family_rows(s):
         n = len(js)
         first, steps = _family_row(s, family, i, js, ks)
-        for start in range(0, n, _FAMILY_PIECE):
-            m = min(_FAMILY_PIECE, n - start)
+        for start in range(0, n, _PIECE // 8):
+            m = min(_PIECE // 8, n - start)
             columns = [column(x + start * d, d, m) for x, d in zip(first, steps)]
             yield chain.from_iterable(zip(*[zip(*image(columns)) for image in _INVERSE_IMAGES]))
 
@@ -220,10 +224,11 @@ def iter_brute_grids(s: int) -> Iterator[tuple[int, ...]]:
       an equal pair is dropped (only a1 = s does this).  Any other difference
       is zero at one a2 at most, which is cut from the row when it is an
       integer in it, so a row loses at most 7 grids;
-    * the row is cut into pieces of at most `_BRUTE_PIECE` grids.  A
-      piece's grids are one `zip` of the cells' ranges and repeats, built
-      from the row's first end grid, and `compress` passes over the cuts
-      inside the piece (see `_brute_pieces`);
+    * the row is cut into pieces of at most `_PIECE` offsets.  A piece's
+      grids are one `zip` of the cells' ranges and repeats, built from the
+      row's first end grid, and `compress` passes over the cuts inside the
+      piece, so a piece whose offsets are all cut yields no grid (see
+      `_brute_pieces`);
     * the first grid gets the `Square` entry checks, once, before the first
       row, so an s past the 64-bit range raises EntryRangeError as `Square`
       would on it.  No later grid can fail them: every cell is nonnegative
@@ -311,8 +316,10 @@ def _brute_pieces(
     """The grids of `iter_brute_grids(s)`, in order, as one iterator per piece of an a1 row.
 
     Each certified a1 row that yields a grid is cut into pieces of at most
-    `_BRUTE_PIECE` offsets.  In a piece of m grids each of the nine cells
-    starts at its value in the piece's first grid and steps by -1, 0 or +1,
+    `_PIECE` offsets.  A piece can still be empty: the a1 = 512 row at
+    s = 768 has 1,025 offsets and its last one cut, so its second piece
+    holds no grid.  In a piece of m offsets each of the nine cells starts
+    at its value at the piece's first offset and steps by -1, 0 or +1,
     and column(first, step, m) gives its m values, `_cell_values`, or what
     stands for each of them, such as its decimal string.  The piece's grids
     are one `zip` of its nine columns, passed through `compress` with a keep
@@ -327,8 +334,8 @@ def _brute_pieces(
         if len(cuts) == n:
             continue
         steps = [(y > x) - (y < x) for x, y in zip(first, last)]
-        for start in range(0, n, _BRUTE_PIECE):
-            m = min(_BRUTE_PIECE, n - start)
+        for start in range(0, n, _PIECE):
+            m = min(_PIECE, n - start)
             keep = bytearray(b"\1") * m
             for c in cuts:
                 if start <= c < start + m:

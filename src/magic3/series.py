@@ -54,7 +54,8 @@ class CountReport:
 
 
 def poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Exact product of two integer polynomials in coefficient form."""
+    """Exact product of two integer polynomials in coefficient form, each coefficient read by `_integer`."""
+    a, b = (tuple(_integer("coefficient", c) for c in p) for p in (a, b))
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
@@ -66,8 +67,9 @@ def expand(f: RationalSeries, n: int) -> list[int]:
     """First n power-series coefficients of f, by the division recurrence.
 
     c[m] = num[m] - sum(den[d] * c[m - d] for d >= 1), exact at every step.
+    n is read by the int rule, `_natural`.
     """
-    num, den = f.numerator, f.denominator
+    n, num, den = _natural("n", n), f.numerator, f.denominator
     coeffs: list[int] = []
     for m in range(n):
         c = num[m] if m < len(num) else 0

@@ -4,7 +4,6 @@ import io
 import itertools
 import json
 import os
-import re
 import subprocess
 import sys
 import time
@@ -117,6 +116,32 @@ class WriteLog:
 
     def write(self, text: str) -> int:
         self.writes.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+class SquareCounter:
+    """A stdout that counts the squares written to it, and keeps what kind of write each was.
+
+    A write is "lines" if it is whole nonempty text lines, or the "[[" or
+    ",[" it starts with if it is a JSON piece: rows with no "[]" in them.
+    Any other write, such as "\n", "[]\n" or a lone ",[", is kept whole.
+    """
+
+    def __init__(self, fmt: str) -> None:
+        self.json, self.squares, self.kinds = fmt == "json", 0, []
+
+    def write(self, text: str) -> int:
+        if self.json and text[:2] in ("[[", ",[") and text.endswith("]") and "[]" not in text:
+            self.squares += text.count("]")
+            self.kinds.append(text[:2])
+        elif not self.json and text[:1] not in ("", "\n") and text.endswith("\n") and "\n\n" not in text:
+            self.squares += text.count("\n")
+            self.kinds.append("lines")
+        else:
+            self.kinds.append(text)
         return len(text)
 
     def flush(self) -> None:
@@ -296,17 +321,29 @@ class TestEnumerate:
                 assert main_stdout(["enumerate", str(s), "--source", source, "--format", fmt]) == (0, expected)
 
     @pytest.mark.parametrize("source", ["families", "brute"])
-    def test_pieces_of_three(self, source, monkeypatch):
-        # With pieces of three, every row longer than three spans several
-        # pieces, and cuts fall on each offset of a piece (checked below), so
-        # a run that crosses a piece edge or a cut that is dropped shows.
-        monkeypatch.setattr(enumeration, "_BRUTE_PIECE", 3)
-        monkeypatch.setattr(enumeration, "_FAMILY_PIECE", 3)
-        offsets = {c % 3 for s in range(0, 41) for _, _, n, cuts in enumeration._brute_rows(s) if len(cuts) < n for c in cuts}
-        assert offsets == {0, 1, 2}
+    def test_pieces_of_eight(self, source, monkeypatch):
+        # With pieces of eight grids, a family piece is one lattice point, and
+        # every a1 row longer than eight spans several pieces; cuts fall on
+        # each offset of a piece (checked below), so a run that crosses a
+        # piece edge or a cut that is dropped shows.  Some brute pieces are
+        # all cuts (two at s = 6), and each must write nothing.
+        monkeypatch.setattr(enumeration, "_PIECE", 8)
+        offsets = {c % 8 for s in range(0, 41) for _, _, n, cuts in enumeration._brute_rows(s) if len(cuts) < n for c in cuts}
+        assert offsets == set(range(8))
+        name = "_brute_pieces" if source == "brute" else "_family_pieces"
+        stream, sizes = getattr(cli, name), []
+
+        def recording(s, column):
+            for piece in stream(s, column):
+                piece = list(piece)
+                sizes.append(len(piece))
+                yield iter(piece)
+
+        monkeypatch.setattr(cli, name, recording)
         for s in (*range(0, 41), 230):
             for fmt, expected in collected_renderings(s)[source]:
                 assert main_stdout(["enumerate", str(s), "--source", source, "--format", fmt]) == (0, expected)
+        assert min(sizes) == (0 if source == "brute" else 8) and max(sizes) == 8
 
     @pytest.mark.parametrize("source", ["families", "brute"])
     def test_no_column_is_longer_than_a_piece(self, source, monkeypatch):
@@ -314,7 +351,7 @@ class TestEnumerate:
         # lattice rows 199 points, so whole rows would make longer columns;
         # the first write comes before any such row, so the memory tests above
         # cannot see this.
-        piece = enumeration._BRUTE_PIECE if source == "brute" else enumeration._FAMILY_PIECE
+        piece = enumeration._PIECE if source == "brute" else enumeration._PIECE // 8
         column_names, sizes = cli._column_names, []
 
         def recording(table, first, step, m):
@@ -346,23 +383,58 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("source", ["families", "brute"])
-    def test_every_write_but_the_last_holds_one_chunk(self, source, fmt):
-        # 6,800 squares at s = 60: six full chunks and 656 squares; none at 3.
-        for s, squares in ((60, 6800), (3, 0)):
+    def test_each_write_holds_one_nonempty_piece(self, source, fmt):
+        # At s = 60 every row is one piece (an a1 row holds at most 121 grids,
+        # a lattice row at most 19 points), so the writes are the rows that
+        # yield a square, in stream order, each with exactly its squares.  A
+        # brute row is an a1, its squares' first entry, and a family row a
+        # (family, i).  At s = 3 there are no squares.
+        for s in (60, 3):
             out = WriteLog()
             with contextlib.redirect_stdout(out):
                 assert cli.main(["enumerate", str(s), "--source", source, "--format", fmt]) == 0
-            writes = out.writes
-            if fmt == "json":
-                closing = writes.pop()
-                assert closing == ("]\n" if squares else "[]\n")
-            rows = [len(re.findall(r"\[\d" if fmt == "json" else "\n", w)) for w in writes]
-            assert rows == [1024] * (squares // 1024) + [squares % 1024] * (squares % 1024 > 0)
+            (_, text), (_, array) = collected_renderings(s)[source]
+            lines = text.splitlines()
+            if source == "brute":
+                keys = [line.split()[0] for line in lines]
+            else:
+                keys = [(d.family, d.i) for d in iter_decompositions(s)]
+            rows = [[line for _, line in row] for _, row in itertools.groupby(zip(keys, lines), key=lambda kl: kl[0])]
+            if fmt == "text":
+                expected = ["\n".join(row) + "\n" for row in rows]
+            else:
+                expected = [
+                    ("," if k else "[") + "[" + "],[".join(line.replace(" ", ",") for line in row) + "]"
+                    for k, row in enumerate(rows)
+                ] + ["]\n" if rows else "[]\n"]
+                assert "".join(expected) == array
+            assert len(rows) == (0 if s == 3 else 118 if source == "brute" else 112)
+            assert out.writes == expected
+
+    def test_an_a1_row_ends_in_an_empty_piece_at_768(self):
+        # n = 1,025 offsets: the row's second piece is its last offset, cut.
+        rows = {cell // 1537: (n, cuts) for cell, _, n, cuts in enumeration._brute_rows(768)}
+        for a1 in (512, 1024):
+            n, cuts = rows[a1]
+            assert (n, cuts[-1]) == (enumeration._PIECE + 1, enumeration._PIECE) == (1025, 1024)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_empty_pieces_write_nothing(self, fmt):
+        # At s = 768 two rows end in an empty piece (see above); every write
+        # is one nonempty piece, and together they hold every square.
+        out = SquareCounter(fmt)
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["enumerate", "768", "--source", "brute", "--format", fmt]) == 0
+        assert out.squares == count_closed(768)
+        if fmt == "json":
+            assert out.kinds == ["[["] + [",["] * (len(out.kinds) - 2) + ["]\n"]
+        else:
+            assert out.kinds == ["lines"] * len(out.kinds)
 
     @pytest.mark.parametrize("source", ["families", "brute"])
     def test_memory_is_bounded_at_the_table_bound(self, source):
         # The table of 0..2s holds 2**16 strings at most; from the bound on,
-        # no table is made, so the first chunk costs what it costs at small s.
+        # no table is made, so the first piece costs what it costs at small s.
         first_write_peak_bytes(4, source)  # first-call set-up, not counted
         small = first_write_peak_bytes(60, source)
         below = first_write_peak_bytes(cli._NAME_TABLE_BOUND // 2 - 1, source)
@@ -372,12 +444,18 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("source", ["families", "brute"])
-    def test_first_chunk_at_the_largest_s(self, source, fmt):
-        # 2s = 2**64 - 2: twenty-digit entries, and the whole first chunk
-        # (128 lattice points of the family expansion).
+    def test_first_piece_at_the_largest_s(self, source, fmt):
+        # 2s = 2**64 - 2: twenty-digit entries, and the whole first piece.
+        # In the family expansion that is 128 points of the first lattice row,
+        # 1,024 squares; in the sweep it is the first row that yields a
+        # square, a1 = 1 (the one pair of a1 = 0 repeats the center), whose
+        # three pairs less its cut give two squares.
         s = 2**63 - 1
-        stream = iter_brute_grids if source == "brute" else iter_family_grids
-        grids = list(itertools.islice(stream(s), 1024))
+        if source == "brute":
+            grids = list(itertools.takewhile(lambda grid: grid[0] == 1, iter_brute_grids(s)))
+        else:
+            grids = list(itertools.islice(iter_family_grids(s), 1024))
+        assert len(grids) == (2 if source == "brute" else 1024)
         if fmt == "text":
             expected = "".join(format_square(Square(grid)) + "\n" for grid in grids)
         else:
@@ -398,12 +476,14 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("source", ["families", "brute"])
-    def test_entry_out_of_range_fails_before_a_write(self, monkeypatch, source, fmt):
+    def test_entry_out_of_range_fails_before_its_row_is_written(self, monkeypatch, source, fmt):
         # ZERO_SUM added to F2's seed, or to each forced grid, keeps every
         # grid magic, but at s = 5 (families) or 6 (brute) one row's first
         # grid holds -1, which is not in the table of the strings of 0..2s.
-        # Its row's end check fails before the first chunk is written, and no
-        # square is written with another's string.
+        # Its row's end check fails before any square of that row is written,
+        # and no square is written with another's string: stdout holds the
+        # rows before it, which are the grids the stream yields before it
+        # raises (the two F1 points at s = 5, or 12 grids of the sweep).
         if source == "families":
             edit_seed(monkeypatch, "F2", lambda seed: plus(seed, ZERO_SUM))
             s, failure = 5, "family expansion gave a grid at s=5 that is not a magic square with magic sum 15"
@@ -412,10 +492,19 @@ class TestEnumerate:
             monkeypatch.setattr(enumeration, "_forced_grid", shifted_forced_grid)
             s, failure = 6, "brute-force grid at s=6 has an entry outside [0, 12]"
             square = (7, -1, 12, 11, 6, 1, 0, 13, 5)
+        grids = []
+        with pytest.raises(MismatchError):
+            for grid in (iter_brute_grids if source == "brute" else iter_family_grids)(s):
+                grids.append(grid)
+        assert len(grids) == (16 if source == "families" else 12)
+        if fmt == "text":
+            expected = "".join(" ".join(map(str, grid)) + "\n" for grid in grids)
+        else:
+            expected = json.dumps([list(grid) for grid in grids], separators=(",", ":"))[:-1]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             rc, out = main_stdout(["enumerate", str(s), "--source", source, "--format", fmt])
-        assert (rc, out) == (3, "")
+        assert (rc, out) == (3, expected)
         assert err.getvalue() == (
             f"enumerate failed: {failure}\ncounterexample: {' '.join(map(str, square))}\n"
         )
@@ -613,6 +702,24 @@ class TestUsage:
     def test_no_verb(self):
         result = run_cli()
         assert result.returncode == 1
+
+    def test_a_square_word_that_starts_with_a_dash_follows_a_double_dash(self):
+        # argparse reads a word that starts with "-" and is not a negative
+        # number as an option, so the grammar never sees it; after "--" it is
+        # a square word, and the grammar names its bad entry.
+        word = "-7,0,5,2,4,6,3,8,1"
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(["verify", "--", word]) == 1
+        assert (out.getvalue(), err.getvalue()) == ("", "magic3: error: entry '-7' is not a string of ASCII digits 0-9\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as info:
+            cli.main(["verify", word])
+        assert (info.value.code, out.getvalue()) == (1, "")
+        assert err.getvalue() == (
+            "usage: magic3 verify [-h] square [square ...]\n"
+            "magic3 verify: error: the following arguments are required: square\n"
+        )
 
     @pytest.mark.parametrize("argv", [["count", "-1"], ["count", "-1", "--no-brute"], ["enumerate", "-1"]])
     def test_negative_s_is_usage_error(self, argv):

@@ -53,23 +53,37 @@ def test_class_census():
 
 def test_src_stats():
     lines = run_script("src_stats.py")
-    assert [line.rsplit(" ", 1)[0] for line in lines[:3]] == ["lines", "code lines", "public names"]
-    total, code, public = (int(line.rsplit(" ", 1)[1]) for line in lines[:3])
+    totals = ["lines", "code lines", "public names", "int constants"]
+    assert [line.rsplit(" ", 1)[0] for line in lines[:4]] == totals
+    total, code, public, knobs = (int(line.rsplit(" ", 1)[1]) for line in lines[:4])
     package = Path(magic3.__file__).parent
     assert total == sum(len(path.read_text().splitlines()) for path in package.glob("*.py"))
     assert 0 < code < total
     assert public == len(magic3.__all__)
     # One line per module, in file name order, summing to the totals.
-    modules = [re.fullmatch(r"(\S+\.py): lines (\d+), code lines (\d+)", line).groups() for line in lines[3:]]
-    assert [name for name, _, _ in modules] == sorted(path.name for path in package.glob("*.py"))
-    assert sum(int(n) for _, n, _ in modules) == total
-    assert sum(int(n) for _, _, n in modules) == code
-    assert all(0 < int(c) <= int(n) for _, n, c in modules)
+    pattern = r"(\S+\.py): lines (\d+), code lines (\d+), int constants (\d+)"
+    modules = [re.fullmatch(pattern, line).groups() for line in lines[4:]]
+    assert [name for name, _, _, _ in modules] == sorted(path.name for path in package.glob("*.py"))
+    assert sum(int(n) for _, n, _, _ in modules) == total
+    assert sum(int(n) for _, _, n, _ in modules) == code
+    assert sum(int(n) for _, _, _, n in modules) == knobs
+    assert all(0 < int(c) <= int(n) for _, n, c, _ in modules)
     spec = importlib.util.spec_from_file_location("src_stats", ROOT / "scripts" / "src_stats.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     source = '"""Module,\ntwo lines."""\nx = "not a docstring"\n\n\ndef f():\n    "One line."\n    return x\n'
     assert script.docstring_lines(ast.parse(source)) == {1, 2, 7}
+    # The tuning knobs: capitalised names bound to an int by arithmetic on
+    # literals.  A tuple, a float, a call, a lowercase name, a bool and a
+    # function's local are not knobs.
+    source = (
+        "A = 1\n_B: int = 2**16\nC, D = 1, 2\nE = 2**64 - 1\nF = 1.5\nG = len('x')\n"
+        "h = 3\nI = True\nJ = K = -4\n\n\ndef f():\n    L = 5\n"
+    )
+    assert script.int_constants(ast.parse(source)) == ["A", "_B", "E", "J", "K"]
+    # The package's knobs, one piece size among them.
+    names = [name for path in package.glob("*.py") for name in script.int_constants(ast.parse(path.read_text()))]
+    assert knobs == len(names) and sorted(names) == ["COUNT_MAX_S", "ENTRY_MAX", "_NAME_TABLE_BOUND", "_PIECE"]
 
 
 def test_parity_digest_invocations():

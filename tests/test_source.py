@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import magic3
+from magic3 import cli, enumeration
 
 SOURCES = sorted(Path(magic3.__file__).parent.glob("*.py"))
 
@@ -161,7 +162,7 @@ def test_each_check_is_written_once():
     )
     assert gates == sorted([
         "_brute_pieces", "_check_first_family_grid", "_family_pieces", "count_closed",
-        "count_families", "iter_decompositions", "reconcile",
+        "count_families", "expand", "iter_decompositions", "reconcile",
     ])
     for walk in ("_family_rows", "_brute_rows", "_mark_family_rows", "_compare_brute_rows"):
         called = {getattr(node.func, "id", None) for node in ast.walk(_function(enumeration, walk))
@@ -273,6 +274,38 @@ def test_cli_renders_both_sources_through_one_path():
     assert [(f, fn) for f, fn, name, _ in _calls(path) if name == "_column_names"] == [
         ("cli.py", "_cmd_enumerate")
     ]
+
+
+def _int_constants(module):
+    """The names that a module's top-level assignments bind to an int."""
+    path = Path(module.__file__)
+    targets = [
+        target.id
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    ]
+    return [name for name in targets if type(getattr(module, name)) is int]
+
+
+def test_the_batch_size_of_enumerate_is_decided_once():
+    # `enumeration` cuts each row into pieces of at most `_PIECE` grids, and
+    # `enumerate` writes each piece as it comes: `cli` cuts the stream no
+    # further, and has no batch size of its own.
+    path = Path(cli.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "itertools"] == []
+    assert {name for _, _, name, _ in _calls(path)} & {"islice", "chain", "from_iterable"} == set()
+    assert _int_constants(cli) == ["_NAME_TABLE_BOUND"]
+    assert _int_constants(enumeration) == ["COUNT_MAX_S", "_PIECE"]
+    assert [name for name in vars(enumeration) if "PIECE" in name] == ["_PIECE"]
+    path = Path(enumeration.__file__)
+    readers = {
+        function for function, node in _scoped_nodes(path)
+        if isinstance(node, ast.Name) and node.id == "_PIECE" and isinstance(node.ctx, ast.Load)
+    }
+    assert readers == {"_family_pieces", "_brute_pieces"}
 
 
 def test_cli_model_shares_no_code_with_magic3():

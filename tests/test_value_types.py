@@ -37,7 +37,9 @@ from magic3 import (
     decompose,
     expand,
     format_square,
+    magic_gf,
     parse_square,
+    poly_mul,
     reduce,
     scale,
     selftest,
@@ -453,6 +455,26 @@ class TestScalarIntArguments:
         with pytest.raises(TypeError) as info:
             selftest.run(max_s, echo=lambda line: None)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "function, args, error, message",
+        [
+            # `expand` read True as 1 and returned [0], returned [] for -3,
+            # and refused 2.0 by `range`'s TypeError, naming nothing.
+            (expand, (magic_gf(), True), TypeError, "n must be int, got bool"),
+            (expand, (magic_gf(), -3), ValueError, "n must be nonnegative, got -3"),
+            (expand, (magic_gf(), 2.0), TypeError, "n must be int, got float"),
+            # `Square.at` read True as row 1, and `poly_mul` multiplied floats.
+            (SEED_F1.at, (True, 0), TypeError, "row must be int, got bool"),
+            (SEED_F1.at, (0, 1.0), TypeError, "col must be int, got float"),
+            (poly_mul, ((1.5,), (2,)), TypeError, "coefficient must be int, got float"),
+            (poly_mul, ((1, -1), (True,)), TypeError, "coefficient must be int, got bool"),
+        ],
+    )
+    def test_the_other_int_arguments_follow_the_rule(self, function, args, error, message):
+        with pytest.raises(error) as info:
+            function(*args)
+        assert (type(info.value), str(info.value)) == (error, message)
 
     def test_the_other_value_types_store_the_ints_they_hold(self):
         reduced = ReducedMagicSquare(validate(SEED_F1), Lying(1), misreporting("__eq__")(4))
