@@ -146,6 +146,25 @@ class TestArithmetic:
             SEED_F1.at(row, col)
         assert str(info.value) == f"cell ({row}, {col}) is outside the grid"
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # Both once returned a Square: only the flattened count was checked.
+            ([[1, 2], [3, 4, 5, 6], [7, 8, 9]], "row 1 has 2 entries, expected 3"),
+            ([list(range(9))], "row 1 has 9 entries, expected 3"),
+            ([[1, 2, 3], [4, 5, 6], [7, 8]], "row 3 has 2 entries, expected 3"),
+            ([[1, 2, 3], [4, 5, 6]], "a square has 3 rows, got 2"),
+            ([[1, 2, 3]] * 4, "a square has 3 rows, got 4"),
+        ],
+    )
+    def test_from_rows_requires_three_rows_of_three(self, rows, message):
+        with pytest.raises(ValueError) as info:
+            Square.from_rows(rows)
+        assert (type(info.value), str(info.value)) == (ValueError, message)
+
+    def test_from_rows_reads_the_rows_top_first(self):
+        assert Square.from_rows(iter([range(0, 3), range(3, 6), (6, 7, 8)])) == Square(tuple(range(9)))
+
     def test_named_cells_match_row_major_order(self):
         sq = Square(tuple(range(9)))
         names = [sq.a1, sq.a2, sq.a3, sq.b1, sq.b2, sq.b3, sq.c1, sq.c2, sq.c3]
@@ -170,6 +189,21 @@ class TestDihedralGroup:
         for g in ELEMENTS:
             assert compose(g, g.inverse) is ID
             assert compose(g.inverse, g) is ID
+
+    @pytest.mark.parametrize(
+        "call, args, message",
+        [
+            # Each once raised a bare KeyError: 'id'.
+            (apply, ("id", SEED_F1), "g must be DihedralElement, got str"),
+            (compose, ("id", "r90"), "g must be DihedralElement, got str"),
+            (compose, (ID, "r90"), "h must be DihedralElement, got str"),
+            (compose, (None, ID), "g must be DihedralElement, got NoneType"),
+        ],
+    )
+    def test_an_element_that_is_not_a_dihedral_element_is_refused(self, call, args, message):
+        with pytest.raises(TypeError) as info:
+            call(*args)
+        assert (type(info.value), str(info.value)) == (TypeError, message)
 
     def test_rotation_inverses(self):
         assert DihedralElement.R90.inverse is DihedralElement.R270

@@ -61,21 +61,18 @@ def test_only_value_type_uses_the_dataclass_decorator():
 
 def test_only_validate_and_construct_mint_through_certify():
     # Building a `MagicSquare` runs `validate`'s checks.  Only `_certify`
-    # skips them, by `object.__new__`, and only the two functions that have
-    # proved their squares magic call it; `decompose` trusts every
-    # certificate and calls no `validate`.  `_square` and `_decomposition`
-    # skip the checks of a `Square` and a `Decomposition` in the same way, each
-    # for callers whose values are exact ints in range by construction, or, in
-    # `decompose` (once per family branch), nonnegative ints by the proof of
-    # the reduced form in its module docstring.  `reduce` mints nothing
-    # through `_certify` or `_square` itself: it hands `construct` the
-    # decomposition at i = 0 with no symmetry, whose fields `decompose` proved.
+    # skips them, by retagging a twin (see `core._twin`), and only the two
+    # functions that have proved their squares magic call it; `decompose`
+    # trusts every certificate and calls no `validate`.  `_square` and
+    # `_decomposition` skip the checks of a `Square` and a `Decomposition` in
+    # the same way, each for callers whose values are exact ints in range by
+    # construction, or, in `decompose` (once per family branch), nonnegative
+    # ints by the proof of the reduced form in its module docstring.  `reduce`
+    # mints nothing through `_certify` or `_square` itself: it hands
+    # `construct` the decomposition at i = 0 with no symmetry, whose fields
+    # `decompose` proved.
     calls = [call for path in SOURCES for call in _calls(path)]
-    assert sorted((f, fn, source) for f, fn, name, source in calls if name == "__new__") == [
-        ("core.py", "_certify", "object.__new__(MagicSquare)"),
-        ("core.py", "_square", "object.__new__(Square)"),
-        ("decompose.py", "_decomposition", "object.__new__(Decomposition)"),
-    ]
+    assert [(f, fn, source) for f, fn, name, source in calls if name == "__new__"] == []
     assert sorted((f, fn) for f, fn, name, _ in calls if name == "_square") == [
         ("core.py", "parse_square"),
         ("decompose.py", "construct"),
@@ -95,26 +92,54 @@ def test_only_validate_and_construct_mint_through_certify():
 
 def test_value_types_set_their_fields_one_way():
     # A checked `__init__` sets its fields by one call of the `__setstate__`
-    # that `_value_type` installs for pickle and copy; only the three
-    # unchecked mints set slots by the descriptors' `_SET_*` setters; and
-    # `object.__setattr__`, past the frozen `__setattr__`, is called only
-    # inside `_value_type` (in that `__setstate__`).
+    # that `_value_type` installs for pickle and copy.  The three unchecked
+    # mints each make a twin, a plain class that `core._twin` builds from the
+    # value type's own `__slots__`, store its fields and retag it by
+    # `__class__`; nothing else makes a twin or assigns `__class__`.
+    # `object.__setattr__`, past the frozen `__setattr__`, is called only in
+    # `_value_type`'s `__setstate__`, and no slot descriptor's setter or
+    # `object.__new__` is used anywhere.
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
-    (value_type,) = [
-        node for node in trees["core.py"].body if isinstance(node, ast.FunctionDef) and node.name == "_value_type"
+    scoped = [(name, function, node) for name, path in zip(trees, SOURCES) for function, node in _scoped_nodes(path)]
+    assert [(f, fn) for f, fn, node in scoped if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "object.__setattr__"] == [("core.py", "__setstate__")]
+    assert [(f, fn) for f, fn, node in scoped if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "type" and len(node.args) == 3] == [("core.py", "_twin")]
+    assert [(f, fn) for f, fn, node in scoped
+            if isinstance(node, ast.Attribute) and node.attr == "__slots__"] == [("core.py", "_twin")]
+    assert [(f, node.lineno) for f, fn, node in scoped if isinstance(node, (ast.Name, ast.Attribute))
+            and getattr(node, "id", getattr(node, "attr", "")).startswith("_SET_")] == []
+    # Each twin is bound once, at module level, to `_twin` of its value type.
+    twins = {
+        node.targets[0].id: (f, ast.unparse(node.value))
+        for f, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.Assign) and "_twin(" in ast.unparse(node.value)
+    }
+    assert twins == {
+        "_SquareTwin": ("core.py", "_twin(Square)"),
+        "_MagicSquareTwin": ("core.py", "_twin(MagicSquare)"),
+        "_DecompositionTwin": ("decompose.py", "_twin(Decomposition)"),
+    }
+    assert [(f, fn) for f, fn, node in scoped if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "_twin"] == [("core.py", "")] * 2 + [("decompose.py", "")]
+    # Each mint makes one twin of its type and retags it as that type; no
+    # other code names a twin after its binding or assigns `__class__`.
+    made = sorted(
+        (f, fn, node.func.id) for f, fn, node in scoped
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") in twins
+    )
+    retagged = sorted(
+        (f, fn, "_" + ast.unparse(node.value) + "Twin") for f, fn, node in scoped
+        if isinstance(node, ast.Assign) and any(getattr(t, "attr", None) == "__class__" for t in node.targets)
+    )
+    assert made == retagged == [
+        ("core.py", "_certify", "_MagicSquareTwin"),
+        ("core.py", "_square", "_SquareTwin"),
+        ("decompose.py", "_decomposition", "_DecompositionTwin"),
     ]
-
-    def setattr_calls(tree):
-        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-                and ast.unparse(node.func) == "object.__setattr__"]
-
-    assert len(setattr_calls(value_type)) == sum(len(setattr_calls(tree)) for tree in trees.values()) == 1
-    calls = [call for path in SOURCES for call in _calls(path)]
-    assert sorted({(f, fn) for f, fn, name, _ in calls if name and name.startswith("_SET_")}) == [
-        ("core.py", "_certify"),
-        ("core.py", "_square"),
-        ("decompose.py", "_decomposition"),
-    ]
+    assert sorted((f, fn) for f, fn, node in scoped if isinstance(node, ast.Name) and node.id in twins
+                  and isinstance(node.ctx, ast.Load)) == [(f, fn) for f, fn, _ in made]
     setstate_calls = {
         node.name: [ast.unparse(call.func) for call in ast.walk(init) if isinstance(call, ast.Call)].count(
             "self.__setstate__"

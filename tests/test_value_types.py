@@ -45,6 +45,8 @@ from magic3 import (
     selftest,
     validate,
 )
+from magic3.core import _certify, _MagicSquareTwin, _square, _SquareTwin
+from magic3.decompose import _decomposition, _DecompositionTwin
 from strategies import magic_squares
 
 ID = DihedralElement.ID
@@ -170,6 +172,72 @@ class TestValueTypeContract:
             assert type(y) is cls and y == x and hash(y) == hash(x) and repr(y) == text
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(y, FIELDS[name][0], None)
+
+
+# Each unchecked mint, and a public call through it: the value it returns, and
+# the twin it retagged.  Each gives the positional instance of CASES[name].
+MINTS = {
+    "Square-_square": ("Square", lambda: _square(SEED_F1_ENTRIES), _SquareTwin),
+    "Square-parse_square": ("Square", lambda: parse_square("7 0 5 2 4 6 3 8 1"), _SquareTwin),
+    "MagicSquare-_certify": ("MagicSquare", lambda: _certify(SEED_F1, 4), _MagicSquareTwin),
+    "MagicSquare-validate": ("MagicSquare", lambda: validate(SEED_F1), _MagicSquareTwin),
+    "Decomposition-_decomposition": (
+        "Decomposition", lambda: _decomposition(Family.F2, 1, 2, 3, R90), _DecompositionTwin,
+    ),
+    "Decomposition-decompose": (
+        "Decomposition", lambda: decompose(construct(Decomposition(Family.F2, 1, 2, 3, R90))), _DecompositionTwin,
+    ),
+}
+# A field the checked constructor refuses, for `dataclasses.replace`.
+BAD_FIELDS = {
+    "Square": {"entries": (-1,) + SEED_F1_ENTRIES[1:]},
+    "MagicSquare": {"s": 5},
+    "Decomposition": {"k": -1},
+}
+
+
+def raised(call, *args, **kwargs):
+    with pytest.raises(Exception) as info:
+        call(*args, **kwargs)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("mint", sorted(MINTS))
+class TestMintedValueContract:
+    """A value minted unchecked is the checked value, as frozen as it."""
+
+    def test_is_the_value_type_and_equals_the_checked_value(self, mint):
+        name, make, _ = MINTS[mint]
+        cls, args, _, _, text = CASES[name]
+        x, checked = make(), cls(*args)
+        assert type(x) is cls and not hasattr(x, "__dict__")
+        assert x == checked and hash(x) == hash(checked) and repr(x) == text
+
+    def test_pickle_and_copy_give_an_equal_value(self, mint):
+        name, make, _ = MINTS[mint]
+        cls, args, _, _, text = CASES[name]
+        x = make()
+        pickled = [pickle.loads(pickle.dumps(x, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for y in (*pickled, copy.copy(x), copy.deepcopy(x)):
+            assert type(y) is cls and y == x == cls(*args) and hash(y) == hash(x) and repr(y) == text
+
+    def test_replace_with_a_bad_field_raises_as_the_checked_constructor_does(self, mint):
+        name, make, _ = MINTS[mint]
+        cls, _, kwargs, _, _ = CASES[name]
+        bad = BAD_FIELDS[name]
+        assert raised(dataclasses.replace, make(), **bad) == raised(cls, **{**kwargs, **bad})
+
+    def test_no_public_route_unfreezes_it(self, mint):
+        name, make, twin = MINTS[mint]
+        cls, _, _, (field, value), _ = CASES[name]
+        x = make()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, field, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(x, field)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.__class__ = twin
+        assert type(x) is cls and x == make()
 
 
 def test_import_generates_no_dataclass_code():
