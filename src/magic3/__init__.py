@@ -3,7 +3,13 @@
 Validation, canonical reduction, unique two-family decomposition, exhaustive
 enumeration with an independent brute-force oracle, and exact counting via a
 closed form and a rational generating series.
+
+`import magic3` loads `core` and `decompose`, which the square functions
+need.  The counting routes, `enumeration`, `series` and `selftest`, load the
+first time one of their names is read from the package (see `__getattr__`).
 """
+
+from importlib import import_module as _import_module
 
 from .core import (
     ELEMENTS,
@@ -19,6 +25,7 @@ from .core import (
     EntryRangeError,
     MagicSquare,
     MagicSquareError,
+    MismatchError,
     NotMagicError,
     Square,
     add,
@@ -39,24 +46,42 @@ from .decompose import (
     is_canonical,
     reduce,
 )
-from .enumeration import (
-    MismatchError,
-    count_families,
-    iter_brute_grids,
-    iter_brute_squares,
-    iter_decompositions,
-    iter_family_grids,
-    iter_family_squares,
-    reconcile,
-)
-from .series import (
-    CountReport,
-    RationalSeries,
-    count_closed,
-    expand,
-    magic_gf,
-    poly_mul,
-)
+
+# The submodule that each lazy name is read from; a submodule's own name
+# loads it.
+_LAZY = {
+    name: module
+    for module, names in {
+        "enumeration": (
+            "count_families",
+            "iter_brute_grids",
+            "iter_brute_squares",
+            "iter_decompositions",
+            "iter_family_grids",
+            "iter_family_squares",
+            "reconcile",
+        ),
+        "series": ("CountReport", "RationalSeries", "count_closed", "expand", "magic_gf", "poly_mul"),
+        "selftest": (),
+    }.items()
+    for name in (module, *names)
+}
+
+
+def __getattr__(name: str):
+    """A lazy name (PEP 562): import its submodule, keep the value in the package, and return it."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _import_module(f".{_LAZY[name]}", __name__)
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    """The package's names, the lazy ones included before they are read."""
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "CountReport",

@@ -6,28 +6,32 @@ input square is not magic), 3 two routes disagreed (stderr then starts with
 then holds one line).  All JSON goes to stdout, one object or array per
 invocation, with no trailing commentary.  Identical invocations produce
 byte-identical output.
+
+The square verbs need only `core` and `decompose`.  `enumerate`, `count` and
+`selftest` import the counting routes (`enumeration`, `series`, `selftest`)
+when they run, and only the three verbs that print JSON import `json`, so a
+square verb's cold start loads neither.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
 
-from . import selftest
 from .core import (
+    COUNT_MAX_S,
     DihedralElement,
     MagicSquare,
     MagicSquareError,
+    MismatchError,
     _digits,
     format_square,
     parse_square,
     validate,
 )
 from .decompose import Decomposition, Family, construct, decompose, reduce
-from .enumeration import COUNT_MAX_S, MismatchError, _brute_pieces, _family_pieces, reconcile
 
 _JSON_COMPACT = {"separators": (",", ":")}
 
@@ -82,12 +86,16 @@ def _cmd_verify(args: argparse.Namespace) -> None:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> None:
+    import json
+
     reduced, shift, g = reduce(_magic_arg(args))
     obj = {"reduced": list(reduced.entries), "i": shift, "symmetry": g.tag}
     print(json.dumps(obj, **_JSON_COMPACT))
 
 
 def _cmd_decompose(args: argparse.Namespace) -> None:
+    import json
+
     d = decompose(_magic_arg(args))
     print(json.dumps(d.to_json_obj(), **_JSON_COMPACT))
 
@@ -133,10 +141,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> None:
     # Each piece is one write, with the bytes of printing its squares (or
     # its part of one JSON array of them).  A brute piece can be empty, and
     # writes nothing.
+    from . import enumeration
+
     s, json_format = args.s, args.format == "json"
     table = [str(v) for v in range(2 * s + 1)] if 2 * s < _NAME_TABLE_BOUND else None
     join, between = (",".join, "],[") if json_format else (" ".join, "\n")
-    stream = _brute_pieces if args.source == "brute" else _family_pieces
+    stream = enumeration._brute_pieces if args.source == "brute" else enumeration._family_pieces
     write = sys.stdout.write
     opening = "[["
     for piece in stream(s, lambda first, step, m: _column_names(table, first, step, m)):
@@ -152,6 +162,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> None:
 
 
 def _cmd_count(args: argparse.Namespace) -> None:
+    import json
+
+    from .enumeration import reconcile
+
     report = reconcile(args.s, include_brute=not args.no_brute)
     obj = {
         "s": report.s,
@@ -164,6 +178,8 @@ def _cmd_count(args: argparse.Namespace) -> None:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> None:
+    from . import selftest
+
     selftest.run(args.max_s)
 
 

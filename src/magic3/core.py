@@ -14,6 +14,11 @@ is certified; only `validate` and `construct` mint through `_certify`.
 Likewise only `parse_square` and `construct`, whose entries are exact ints in
 range by construction, mint a `Square` through `_square` without its checks.
 
+`MismatchError`, raised when two counting or enumeration routes disagree,
+and `COUNT_MAX_S`, the largest s whose count fits its memory bound, live
+here beside the other domain errors and `ENTRY_MAX`, so that the CLI can
+catch the one and name the other without loading the counting routes.
+
 The module also defines the six constant squares from which every magic
 square of order three is built:
 
@@ -37,6 +42,9 @@ from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, TypeVar
 
 ENTRY_MAX = 2**64 - 1
+# `reconcile` keeps one byte per (a1, a2) pair, (2s + 1)**2 in all; this s is
+# the largest whose cell marks fit in 256 MiB.
+COUNT_MAX_S = 8191
 # One square in the text format, nine integers joined by spaces.
 _TEXT_FORMAT = " ".join(["%d"] * 9)
 # The text format's separators: runs of commas, semicolons and the ten ASCII
@@ -72,6 +80,14 @@ class DuplicateEntriesError(MagicSquareError):
     def __init__(self, value: int) -> None:
         super().__init__(f"entry {value} appears more than once")
         self.value = value
+
+
+class MismatchError(MagicSquareError):
+    """Two counting or enumeration routes disagreed; never fires on a sound build."""
+
+    def __init__(self, message: str, square: tuple[int, ...] | None = None) -> None:
+        super().__init__(message)
+        self.square = square
 
 
 class DihedralElement(Enum):
@@ -145,15 +161,18 @@ def compose(g: DihedralElement, h: DihedralElement) -> DihedralElement:
 
 
 def permutation(g: DihedralElement) -> tuple[int, ...]:
-    """Row-major index permutation of g: apply(g, x).entries[p] == x.entries[perm[p]]."""
-    return _PERM[g]
+    """Row-major index permutation of g: apply(g, x).entries[p] == x.entries[perm[p]].
+
+    TypeError, naming g, for a g that is not a `DihedralElement`.
+    """
+    return _PERM[_member("g", g, DihedralElement)]
 
 
-_E = TypeVar("_E", bound=Enum)
+_T = TypeVar("_T")
 
 
-def _member(name: str, value: _E, cls: type[_E]) -> _E:
-    """value if it is a member of the enum cls; else TypeError naming the field and value's type."""
+def _member(name: str, value: _T, cls: type[_T]) -> _T:
+    """value if it is an instance of cls; else TypeError naming the field and value's type."""
     if not isinstance(value, cls):
         raise TypeError(f"{name} must be {cls.__name__}, got {type(value).__name__}")
     return value
@@ -187,9 +206,6 @@ def check_entries(entries: tuple[int, ...]) -> tuple[int, ...]:
             raise EntryRangeError(f"entry {value} exceeds the unsigned 64-bit range")
         exact.append(value)
     return tuple(exact)
-
-
-_T = TypeVar("_T")
 
 
 def _value_type(cls: type[_T]) -> type[_T]:
@@ -317,10 +333,11 @@ class Square:
 class MagicSquare:
     """A certified magic square: equal line sums and distinct entries.
 
-    Building one, or a `dataclasses.replace` copy, raises as `validate` and
-    then `_natural` do, or ValueError if magic_sum or s disagree with the
-    square.  Only `validate` and `construct`, having proved their squares
-    magic, mint through `_certify`, which checks nothing.
+    Building one, or a `dataclasses.replace` copy, raises TypeError for a
+    square that is not a `Square`, then as `validate` and `_natural` do, or
+    ValueError if magic_sum or s disagree with the square.  Only `validate`
+    and `construct`, having proved their squares magic, mint through
+    `_certify`, which checks nothing.
     """
 
     square: Square
@@ -328,7 +345,7 @@ class MagicSquare:
     s: int
 
     def __init__(self, square: Square, magic_sum: int, s: int) -> None:
-        checked = validate(square)
+        checked = validate(_member("square", square, Square))
         if (_natural("magic_sum", magic_sum), _natural("s", s)) != (checked.magic_sum, checked.s):
             raise ValueError(f"the square has magic_sum {checked.magic_sum} and s {checked.s}")
         self.__setstate__((square, checked.magic_sum, checked.s))

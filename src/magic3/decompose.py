@@ -89,8 +89,9 @@ _INVERSE_IMAGES = tuple(itemgetter(*permutation(g.inverse)) for g in ELEMENTS)
 class ReducedMagicSquare:
     """A magic square in reduced form, with r = c3 and s = b2.
 
-    r and s are read by the int rule, `_natural`, and must be the square's
-    c3 and s, or ValueError; that the square is reduced is not checked.
+    TypeError for a square that is not a `MagicSquare`.  r and s are read by
+    the int rule, `_natural`, and must be the square's c3 and s, or
+    ValueError; that the square is reduced is not checked.
     """
 
     square: MagicSquare
@@ -98,6 +99,7 @@ class ReducedMagicSquare:
     s: int
 
     def __init__(self, square: MagicSquare, r: int, s: int) -> None:
+        square = _member("square", square, MagicSquare)
         if (_natural("r", r), _natural("s", s)) != (square.square.c3, square.s):
             raise ValueError(f"the square has c3 {square.square.c3} and s {square.s}")
         self.__setstate__((square, square.square.c3, square.s))

@@ -54,6 +54,10 @@ its end grids pass, so a failing row raises after every piece of the rows
 before it and before any of its own.  `magic3 enumerate` is such a
 consumer: its columns are slices, or repeats, of a table of decimal
 strings, and it writes each piece as one write of its lines.
+
+`MismatchError` and `COUNT_MAX_S`, the bound on the s of `reconcile`, are
+defined in `core`, so that the CLI reads them without loading this module;
+they are imported here, and read from here as before.
 """
 
 from __future__ import annotations
@@ -62,9 +66,10 @@ from itertools import chain, compress
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
+    COUNT_MAX_S,
     ELEMENTS,
     MagicSquare,
-    MagicSquareError,
+    MismatchError,
     Square,
     _natural,
     check_entries,
@@ -73,9 +78,6 @@ from .core import (
 from .decompose import _INVERSE_IMAGES, Decomposition, Family, _decomposition, base_grid
 from .series import CountReport, count_closed, expand, magic_gf
 
-# `reconcile` keeps one byte per (a1, a2) pair, (2s + 1)**2 in all; this s is
-# the largest whose cell marks fit in 256 MiB.
-COUNT_MAX_S = 8191
 # Each grid stream cuts its rows into pieces of at most this many grids, so
 # that the nine columns of one piece, and what a consumer builds from one
 # piece, stay small whatever s is, while the work per piece is spread over
@@ -83,14 +85,6 @@ COUNT_MAX_S = 8191
 # s = 511 every row is one piece), a family piece at most an eighth as many
 # lattice points, as each point gives eight grids.
 _PIECE = 1024
-
-
-class MismatchError(MagicSquareError):
-    """Two counting or enumeration routes disagreed; never fires on a sound build."""
-
-    def __init__(self, message: str, square: tuple[int, ...] | None = None) -> None:
-        super().__init__(message)
-        self.square = square
 
 
 def _family_rows(s: int) -> Iterator[tuple[Family, int, range, range]]:

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .core import _integer
+from .core import COUNT_MAX_S, MismatchError, _integer
 from .decompose import construct, decompose
-from .enumeration import COUNT_MAX_S, MismatchError, iter_decompositions, reconcile
+from .enumeration import iter_decompositions, reconcile
 
 
 def run(max_s: int, echo: Callable[[str], None] = print) -> None:

@@ -10,12 +10,15 @@ dihedral image of a magic square, less its minimum, is magic.  The consumers
 `canonical_symmetry`, `reduce` and `decompose` never call `validate`.
 """
 
+import importlib
+import pkgutil
 import subprocess
 import sys
 from dataclasses import replace
 
 import pytest
 
+import magic3
 from magic3 import (
     SEED_F1,
     SEED_F2,
@@ -69,6 +72,12 @@ def validate_calls(monkeypatch):
         calls.append(x.entries)
         return validate(x)
 
+    # The package loads its counting routes on first use: load every module
+    # (but `__main__`, which runs the CLI) now, so that none comes in later
+    # with the real `validate`.
+    for module in pkgutil.iter_modules(magic3.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"magic3.{module.name}")
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "magic3" and getattr(module, "validate", None) is validate:
             monkeypatch.setattr(module, "validate", counting)

@@ -330,8 +330,9 @@ class TestEnumerate:
         monkeypatch.setattr(enumeration, "_PIECE", 8)
         offsets = {c % 8 for s in range(0, 41) for _, _, n, cuts in enumeration._brute_rows(s) if len(cuts) < n for c in cuts}
         assert offsets == set(range(8))
+        # `enumerate` reads its stream off `enumeration` when it runs.
         name = "_brute_pieces" if source == "brute" else "_family_pieces"
-        stream, sizes = getattr(cli, name), []
+        stream, sizes = getattr(enumeration, name), []
 
         def recording(s, column):
             for piece in stream(s, column):
@@ -339,7 +340,7 @@ class TestEnumerate:
                 sizes.append(len(piece))
                 yield iter(piece)
 
-        monkeypatch.setattr(cli, name, recording)
+        monkeypatch.setattr(enumeration, name, recording)
         for s in (*range(0, 41), 230):
             for fmt, expected in collected_renderings(s)[source]:
                 assert main_stdout(["enumerate", str(s), "--source", source, "--format", fmt]) == (0, expected)

@@ -30,6 +30,7 @@ from magic3 import (
     scale,
     validate,
 )
+from magic3.core import permutation
 from strategies import magic_squares
 
 ZERO = Square((0,) * 9)
@@ -198,6 +199,7 @@ class TestDihedralGroup:
             (compose, ("id", "r90"), "g must be DihedralElement, got str"),
             (compose, (ID, "r90"), "h must be DihedralElement, got str"),
             (compose, (None, ID), "g must be DihedralElement, got NoneType"),
+            (permutation, ("id",), "g must be DihedralElement, got str"),
         ],
     )
     def test_an_element_that_is_not_a_dihedral_element_is_refused(self, call, args, message):

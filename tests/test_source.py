@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import magic3
-from magic3 import cli, enumeration
+from magic3 import cli, core, enumeration
 
 SOURCES = sorted(Path(magic3.__file__).parent.glob("*.py"))
 
@@ -225,9 +225,22 @@ def test_each_check_is_written_once():
     ]
 
 
+def _defined_names(path):
+    """The names that a file's top-level functions, classes and assignments define."""
+    names = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {target.id for target in node.targets if isinstance(target, ast.Name)}
+    return names
+
+
 def test_public_names_are_the_imported_names():
-    # A name deleted from the imports and not from `__all__`, or the other
-    # way round, shows here.
+    # `__all__` is the package's eager imports and its lazy names, the keys of
+    # `_LAZY` less the three submodules that it loads.  A name deleted from
+    # either and not from `__all__`, or the other way round, shows here, and so
+    # does a lazy name that its submodule does not define.
     init = Path(magic3.__file__)
     imported = {
         alias.asname or alias.name
@@ -236,10 +249,16 @@ def test_public_names_are_the_imported_names():
         for alias in node.names
         if not (alias.asname or alias.name).startswith("_")
     }
+    submodules = {"enumeration", "series", "selftest"}
+    assert {module for name, module in magic3._LAZY.items() if name == module} == submodules
+    lazy = set(magic3._LAZY) - submodules
+    assert not imported & lazy
     names = magic3.__all__
     assert names == sorted(set(names))
     assert [name for name in names if not hasattr(magic3, name)] == []
-    assert set(names) == imported
+    assert set(names) == imported | lazy
+    home = {name: init.with_name(f"{module}.py") for name, module in magic3._LAZY.items() if name in lazy}
+    assert [name for name, path in home.items() if name not in _defined_names(path)] == []
 
 
 # The brute-force sweep, and the brute half of `reconcile` that compares it
@@ -323,7 +342,8 @@ def test_the_batch_size_of_enumerate_is_decided_once():
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "itertools"] == []
     assert {name for _, _, name, _ in _calls(path)} & {"islice", "chain", "from_iterable"} == set()
     assert _int_constants(cli) == ["_NAME_TABLE_BOUND"]
-    assert _int_constants(enumeration) == ["COUNT_MAX_S", "_PIECE"]
+    assert _int_constants(enumeration) == ["_PIECE"]
+    assert _int_constants(core) == ["ENTRY_MAX", "COUNT_MAX_S"]
     assert [name for name in vars(enumeration) if "PIECE" in name] == ["_PIECE"]
     path = Path(enumeration.__file__)
     readers = {

@@ -243,7 +243,8 @@ class TestMintedValueContract:
 def test_import_generates_no_dataclass_code():
     # `dataclasses` runs the source of each method that it generates with
     # `exec` (in `_create_fn` up to Python 3.12); a fresh import of the
-    # package and its CLI calls it never.  A module global shadows the builtin.
+    # package, every name of it (which loads the lazy submodules), and its CLI
+    # calls it never.  A module global shadows the builtin.
     probe = (
         "import dataclasses\n"
         "calls = []\n"
@@ -251,7 +252,10 @@ def test_import_generates_no_dataclass_code():
         "    calls.append(source)\n"
         "    return exec(source, *args)\n"
         "dataclasses.exec = record\n"
-        "import magic3, magic3.cli\n"
+        "import magic3, magic3.cli, magic3.selftest\n"
+        "from magic3 import *\n"
+        "import sys\n"
+        "print(sorted(name for name in sys.modules if name.startswith('magic3')))\n"
         "print(magic3.__file__)\n"
         "print(calls)\n"
     )
@@ -259,7 +263,11 @@ def test_import_generates_no_dataclass_code():
     env = {**os.environ, "PYTHONPATH": str(src)}
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
-    imported, calls = result.stdout.splitlines()
+    loaded, imported, calls = result.stdout.splitlines()
+    # Every module of the package but `__main__`, which runs the CLI.
+    modules = ["magic3"] + [f"magic3.{path.stem}" for path in (src / "magic3").glob("*.py")
+                            if path.stem not in ("__init__", "__main__")]
+    assert loaded == str(sorted(modules))
     assert Path(imported).parent == src / "magic3"
     assert calls == "[]"
 
@@ -458,6 +466,24 @@ class TestIntSubclassesPastTheBoundary:
         wrapped = [wrong(value) if w else value for value, w in zip(coordinates, wrap)]
         for call in DECOMPOSITION_CALLS:
             assert_as_plain(call, [family, *coordinates, symmetry], [family, *wrapped, symmetry])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # The first and third each once raised AttributeError naming a field of the square;
+        # the second stored a MagicSquare as its own square.
+        (lambda: MagicSquare((7, 0, 5, 2, 4, 6, 3, 8, 1), 12, 4), "square must be Square, got tuple"),
+        (lambda: MagicSquare(validate(SEED_F1), 12, 4), "square must be Square, got MagicSquare"),
+        (lambda: ReducedMagicSquare(SEED_F1, 1, 4), "square must be MagicSquare, got Square"),
+        (lambda: ReducedMagicSquare(None, 1, 4), "square must be MagicSquare, got NoneType"),
+        (lambda: dataclasses.replace(validate(SEED_F1), square=SEED_F1.entries), "square must be Square, got tuple"),
+    ],
+)
+def test_checked_constructors_read_their_square_by_type(build, message):
+    with pytest.raises(TypeError) as info:
+        build()
+    assert (type(info.value), str(info.value)) == (TypeError, message)
 
 
 class TestScalarIntArguments:
