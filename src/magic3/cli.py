@@ -36,11 +36,13 @@ from .decompose import Decomposition, Family, construct, decompose, reduce
 _JSON_COMPACT = {"separators": (",", ":")}
 
 # While 2s is below this bound, `enumerate` slices each column of decimal
-# strings from one table of those of 0..2s, made once per call (at most
-# 4.09 MB, 3.90 MiB, at 2s = 2**16 - 2): at s = 250 that writes about twice
-# the squares per second that `str` on each value does.  From the bound on,
-# it calls `str` on each value, so memory does not grow with s.
-_NAME_TABLE_BOUND = 2**16
+# strings from two tables of those of 0..2s, each string followed by the
+# separator that comes after a value inside a line or at its end, made once
+# per call (together at most 4.14 MB for text and 4.20 MB, 4.01 MiB, for
+# JSON, at 2s = 2**15 - 2): at s = 250 that writes two to five times the
+# squares per second that building each value's string does.  From the bound
+# on, it builds each value's string, so memory does not grow with s.
+_NAME_TABLE_BOUND = 2**15
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,17 +113,17 @@ def _cmd_construct(args: argparse.Namespace) -> None:
     print(format_square(construct(d).square))
 
 
-def _column_names(table: list[str] | None, first: int, step: int, m: int) -> list[str]:
-    """The decimal strings of the m values first, first + step, ...
+def _column_names(table: list[str] | None, suffix: str, first: int, step: int, m: int) -> list[str]:
+    """The decimal strings of the m values first, first + step, ..., each followed by suffix.
 
-    One slice of table, the strings of 0..2s, or a repeat of one of them if
-    step is 0; with no table (past `_NAME_TABLE_BOUND`), `str` of each value.
+    One slice of table, those strings of 0..2s, or a repeat of one of them
+    if step is 0; with no table (past `_NAME_TABLE_BOUND`), built for each value.
     """
-    if not step:
-        return [str(first) if table is None else table[first]] * m
-    stop = first + m * step
     if table is None:
-        return list(map(str, range(first, stop, step)))
+        return [f"{v}{suffix}" for v in range(first, first + m * step, step)] if step else [f"{first}{suffix}"] * m
+    if not step:
+        return [table[first]] * m
+    stop = first + m * step
     # A column that falls to 0 stops at None: a stop of -1 would count from the end.
     return table[first : stop if stop >= 0 else None : step]
 
@@ -129,34 +131,40 @@ def _column_names(table: list[str] | None, first: int, step: int, m: int) -> lis
 def _cmd_enumerate(args: argparse.Namespace) -> None:
     # Renders the stream's pieces of rows (see `magic3.enumeration`) with
     # decimal strings for values.  Each cell of a piece is an arithmetic
-    # progression of values in 0..2s, so its strings are one slice of the
-    # table of those of 0..2s, or a repeat, and `join` builds the lines with
-    # no Python step per square; a family piece's eight images share its
-    # columns, so each entry is converted once for its eight squares.  Both
-    # streams check each row's two end grids, so every value is in 0..2s, the
-    # table's range.  They also check their first grid, which holds the
-    # largest entry, 2s, so a range error or a negative s raises before
-    # anything is written; a row that fails its check raises after the rows
-    # before it are written and before any square of its own.
+    # progression of values in 0..2s, so its strings are one slice of a table
+    # of those of 0..2s, or a repeat.  Each string carries the separator that
+    # follows it, from one table inside a line and from the other at its end,
+    # so one empty `join` per grid, or per family point and its eight images,
+    # builds the lines, with no Python step per square; the eight images share
+    # the point's columns, so each entry is converted once for its eight
+    # squares.  Both streams check each row's two end grids, so every value is
+    # in 0..2s, the tables' range.  They also check their first grid, which
+    # holds the largest entry, 2s, so a range error or a negative s raises
+    # before anything is written; a row that fails its check raises after the
+    # rows before it are written and before any square of its own.
     # Each piece is one write, with the bytes of printing its squares (or
     # its part of one JSON array of them).  A brute piece can be empty, and
     # writes nothing.
     from . import enumeration
 
     s, json_format = args.s, args.format == "json"
-    table = [str(v) for v in range(2 * s + 1)] if 2 * s < _NAME_TABLE_BOUND else None
-    join, between = (",".join, "],[") if json_format else (" ".join, "\n")
-    stream = enumeration._brute_pieces if args.source == "brute" else enumeration._family_pieces
+    suffixes = (",", "],[") if json_format else (" ", "\n")
+    tables = [[f"{v}{suffix}" for v in range(2 * s + 1)] if 2 * s < _NAME_TABLE_BOUND else None for suffix in suffixes]
+    column = lambda first, step, m, end: _column_names(tables[end], suffixes[end], first, step, m)
+    brute = args.source == "brute"
+    pieces = (enumeration._brute_pieces if brute else enumeration._family_pieces)(s)
+    rows = enumeration._brute_grids if brute else enumeration._family_points
     write = sys.stdout.write
     opening = "[["
-    for piece in stream(s, lambda first, step, m: _column_names(table, first, step, m)):
-        if not (lines := between.join(map(join, piece))):
+    for piece in pieces:
+        if not (lines := "".join(map("".join, rows(*piece, column)))):
             continue
         if json_format:
-            write(opening + lines + "]")
+            # The last square ends in "],[": its "]" closes it.
+            write(opening + lines[:-2])
             opening = ",["
         else:
-            write(lines + "\n")
+            write(lines)
     if json_format:
         write("[]\n" if opening == "[[" else "]\n")
 

@@ -41,19 +41,25 @@ first item of every stream; the `iter_*_squares` streams mint by `validate`.
 
 Output orders are deterministic: family grids are lexicographic by
 (family, i, j, k, symmetry index), brute force by (a1, a2).  Each stream is
-a chain of pieces of certified rows, one iterator of grids per piece
-(`_family_pieces`, `_brute_pieces`), and `_PIECE` alone sets their size: a
-piece is at most `_PIECE` offsets of an a1 row less the cuts inside them,
-or `_PIECE // 8` points of a lattice row with their eight images each.  A
-brute piece whose offsets are all cut is empty.  Each of a piece's nine
-cells is a first value and a step, and column(first, step, m) gives its m
-values, or what stands for each of them.  A piece holds nine such columns
-and at most 7 cuts, so a consumer that does not keep what the streams
-yield runs in memory that does not depend on s.  A row's pieces come after
-its end grids pass, so a failing row raises after every piece of the rows
-before it and before any of its own.  `magic3 enumerate` is such a
-consumer: its columns are slices, or repeats, of a table of decimal
-strings, and it writes each piece as one write of its lines.
+a chain of pieces of certified rows (`_family_pieces`, `_brute_pieces`),
+and `_PIECE` alone sets their size: a piece is at most `_PIECE` offsets of
+an a1 row less the cuts inside them, or `_PIECE // 8` points of a lattice
+row with their eight images each.  A brute piece whose offsets are all cut
+is empty.  A piece is handed out as its row's first grid and steps and its
+first offset and length m, so each of its cells is a first value and a step,
+and column(first, step, m, end) gives its m values, or what stands for each
+of them; end is true for a column of the cells that end a line, a grid's
+last.  `_brute_grids` zips a brute piece's nine columns; a family piece
+has two layouts, its grids (`_family_grids`) and one 72-tuple per point of
+its eight images' cells (`_family_points`), whose ninth cells, all corners,
+read four line-end columns.  A piece holds at most 13 such columns and
+7 cuts, so a consumer that does not keep what the streams yield runs in
+memory that does not depend on s.  A row's pieces come after its end grids
+pass, so a failing row raises after every piece of the rows before it and
+before any of its own.  `magic3 enumerate` is such a consumer: its columns
+are slices, or repeats, of two tables of decimal strings, each string
+followed by the separator inside a line or at its end, and it writes each
+piece as one write of one empty `join` per grid or point.
 
 `MismatchError` and `COUNT_MAX_S`, the bound on the s of `reconcile`, are
 defined in `core`, so that the CLI reads them without loading this module;
@@ -62,8 +68,9 @@ they are imported here, and read from here as before.
 
 from __future__ import annotations
 
-from itertools import chain, compress
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import chain, compress, starmap
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
 from .core import (
     COUNT_MAX_S,
@@ -130,37 +137,66 @@ def iter_decompositions(s: int) -> Iterator[Decomposition]:
                 yield _decomposition(family, i, j, k, g)
 
 
-def _cell_values(first: int, step: int, m: int) -> Sequence[int]:
+def _cell_values(first: int, step: int, m: int, end: bool = False) -> Sequence[int]:
     """The m values first, first + step, ... of a cell: a range, or a list of m firsts if step is 0.
 
     Either can be read more than once, as the eight images of a family
-    piece read the same columns.
+    piece read the same columns.  end, whether the cell ends its grid's
+    line, leaves the values as they are.
     """
     return range(first, first + m * step, step) if step else [first] * m
 
 
-def _family_pieces(
-    s: int, column: Callable[[int, int, int], Iterable] = _cell_values
-) -> Iterator[Iterator[tuple]]:
-    """The grids of `iter_family_grids(s)`, in order, as one iterator per piece of a lattice row.
+def _family_pieces(s: int) -> Iterator[tuple[tuple[int, ...], list[int], int, int]]:
+    """The pieces of `iter_family_grids(s)`, in order, as (first, steps, start, m): m points of a lattice row.
 
     Each row is certified by `_family_row`, which gives its first base grid
     and each cell's whole-number step from point to point, and is cut into
     pieces of at most `_PIECE // 8` points, so at most `_PIECE` grids, and
-    no piece is empty.  In a piece of m points each cell starts at its value
-    in the piece's first base grid, and column(first, step, m) gives its m
-    values, as for `_brute_pieces`.  The eight images permute the nine
-    columns, and the piece interleaves their `zip`s point by point.  The
-    first base grid gets the `Square` entry checks before the first row.
+    no piece is empty.  A piece is the row's points start to start + m - 1,
+    at which each base-grid cell x of first holds x + start * d, ... for its
+    step d.  `_family_grids` and `_family_points` build a piece's grids.
+    The first base grid gets the `Square` entry checks before the first row.
     """
     s = _check_first_family_grid(s)
     for family, i, js, ks in _family_rows(s):
         n = len(js)
         first, steps = _family_row(s, family, i, js, ks)
         for start in range(0, n, _PIECE // 8):
-            m = min(_PIECE // 8, n - start)
-            columns = [column(x + start * d, d, m) for x, d in zip(first, steps)]
-            yield chain.from_iterable(zip(*[zip(*image(columns)) for image in _INVERSE_IMAGES]))
+            yield first, steps, start, min(_PIECE // 8, n - start)
+
+
+def _family_grids(first: tuple[int, ...], steps: list[int], start: int, m: int) -> Iterator[tuple[int, ...]]:
+    """A family piece's grids: each point's eight images in turn, which permute its nine columns."""
+    columns = [_cell_values(x + start * d, d, m) for x, d in zip(first, steps)]
+    return chain.from_iterable(zip(*[zip(*image(columns)) for image in _INVERSE_IMAGES]))
+
+
+# A dihedral image moves a corner to cell 8, so each image's last cell is a
+# base-grid corner.  `_WIDE` lays a family piece's nine columns, then its four
+# corners' line-end columns, out as the 72 cells of a point's eight images in
+# output order: each image's first eight cells, then its ninth from a corner.
+_CORNERS = (0, 2, 6, 8)
+_WIDE = itemgetter(*[
+    cell if place < 8 else 9 + _CORNERS.index(cell)
+    for image in _INVERSE_IMAGES
+    for place, cell in enumerate(image(range(9)))
+])
+
+
+def _family_points(
+    first: tuple[int, ...], steps: list[int], start: int, m: int, column: Callable[[int, int, int, bool], Sequence]
+) -> Iterator[tuple]:
+    """A family piece as one 72-tuple per point: the cells of its eight images, in output order.
+
+    column(first, step, m, end) gives what stands for each of a cell's m
+    values, such as its decimal string, with end true for the column of an
+    image's last cell, the one that ends its line: nine columns and four
+    line-end ones, of the corners, per piece (see `_WIDE`).
+    """
+    columns = [column(x + start * d, d, m, False) for x, d in zip(first, steps)]
+    columns += [column(first[c] + start * steps[c], steps[c], m, True) for c in _CORNERS]
+    return zip(*_WIDE(columns))
 
 
 def iter_family_grids(s: int) -> Iterator[tuple[int, ...]]:
@@ -171,7 +207,7 @@ def iter_family_grids(s: int) -> Iterator[tuple[int, ...]]:
     the first lattice row whose end grids fail, with the message and square
     that `reconcile` names (`_family_row`).
     """
-    return chain.from_iterable(_family_pieces(s))
+    return chain.from_iterable(starmap(_family_grids, _family_pieces(s)))
 
 
 def iter_family_squares(s: int) -> Iterator[MagicSquare]:
@@ -222,7 +258,7 @@ def iter_brute_grids(s: int) -> Iterator[tuple[int, ...]]:
       grids are one `zip` of the cells' ranges and repeats, built from the
       row's first end grid, and `compress` passes over the cuts inside the
       piece, so a piece whose offsets are all cut yields no grid (see
-      `_brute_pieces`);
+      `_brute_pieces`, `_brute_grids`);
     * the first grid gets the `Square` entry checks, once, before the first
       row, so an s past the 64-bit range raises EntryRangeError as `Square`
       would on it.  No later grid can fail them: every cell is nonnegative
@@ -232,7 +268,7 @@ def iter_brute_grids(s: int) -> Iterator[tuple[int, ...]]:
       gives (1, 2s-2, s+1, 2s, s, 0, s-1, 2, 2s-1), whose entries are
       distinct for every s >= 4.  Below s = 4 there are no grids.
     """
-    return chain.from_iterable(_brute_pieces(s))
+    return chain.from_iterable(starmap(_brute_grids, _brute_pieces(s)))
 
 
 # One pair of cells on each line of the (a1, a2) plane where two cells of a
@@ -304,21 +340,17 @@ def _brute_rows(s: int) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], int,
             yield cell, ends, n, sorted(cuts)
 
 
-def _brute_pieces(
-    s: int, column: Callable[[int, int, int], Iterable] = _cell_values
-) -> Iterator[Iterator[tuple]]:
-    """The grids of `iter_brute_grids(s)`, in order, as one iterator per piece of an a1 row.
+def _brute_pieces(s: int) -> Iterator[tuple[tuple[int, ...], list[int], int, int, bytearray]]:
+    """The pieces of `iter_brute_grids(s)`, in order, as (first, steps, start, m, keep): m offsets of an a1 row.
 
     Each certified a1 row that yields a grid is cut into pieces of at most
     `_PIECE` offsets.  A piece can still be empty: the a1 = 512 row at
     s = 768 has 1,025 offsets and its last one cut, so its second piece
-    holds no grid.  In a piece of m offsets each of the nine cells starts
-    at its value at the piece's first offset and steps by -1, 0 or +1,
-    and column(first, step, m) gives its m values, `_cell_values`, or what
-    stands for each of them, such as its decimal string.  The piece's grids
-    are one `zip` of its nine columns, passed through `compress` with a keep
-    mask that is 0 at the cuts inside it.  s is read by the int rule, and
-    the sweep's first grid, the forced grid of cell 4s - 1 when s >= 4 (see
+    holds no grid.  A piece is the row's offsets start to start + m - 1, at
+    which each cell x of the row's first grid holds x + start * d, ... for
+    its step d, -1, 0 or +1; keep is a mask that is 0 at the cuts inside the
+    piece (see `_brute_grids`).  s is read by the int rule, and the sweep's
+    first grid, the forced grid of cell 4s - 1 when s >= 4 (see
     `iter_brute_grids`), gets the `Square` entry checks before the first row.
     """
     s = _natural("s", s)
@@ -334,7 +366,24 @@ def _brute_pieces(
             for c in cuts:
                 if start <= c < start + m:
                     keep[c - start] = 0
-            yield compress(zip(*[column(x + start * d, d, m) for x, d in zip(first, steps)]), keep)
+            yield first, steps, start, m, keep
+
+
+# Of a grid's nine cells, only the last ends its line.
+_LINE_ENDS = (False,) * 8 + (True,)
+
+
+def _brute_grids(
+    first: tuple[int, ...], steps: list[int], start: int, m: int, keep: bytearray,
+    column: Callable[[int, int, int, bool], Sequence] = _cell_values,
+) -> Iterator[tuple]:
+    """A brute piece's grids: one `zip` of its nine columns, passed through `compress` with keep.
+
+    column(first, step, m, end) gives a cell's m values, `_cell_values`, or
+    what stands for each of them, such as its decimal string, with end true
+    for the last cell, which ends the grid's line.
+    """
+    return compress(zip(*[column(x + start * d, d, m, end) for x, d, end in zip(first, steps, _LINE_ENDS)]), keep)
 
 
 def iter_brute_squares(s: int) -> Iterator[MagicSquare]:

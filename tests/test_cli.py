@@ -168,12 +168,12 @@ def collected_renderings(s: int) -> dict[str, tuple[tuple[str, str], ...]]:
     return renderings
 
 
-def first_write_peak_bytes(s: int, source: str) -> int:
+def first_write_peak_bytes(s: int, source: str, fmt: str) -> int:
     """tracemalloc peak of `enumerate s` up to its first write, where it is stopped."""
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(FirstWriteStdout()), pytest.raises(FirstWrite):
-            cli.main(["enumerate", str(s), "--source", source])
+            cli.main(["enumerate", str(s), "--source", source, "--format", fmt])
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -330,15 +330,16 @@ class TestEnumerate:
         monkeypatch.setattr(enumeration, "_PIECE", 8)
         offsets = {c % 8 for s in range(0, 41) for _, _, n, cuts in enumeration._brute_rows(s) if len(cuts) < n for c in cuts}
         assert offsets == set(range(8))
-        # `enumerate` reads its stream off `enumeration` when it runs.
+        # `enumerate` reads its stream off `enumeration` when it runs; a
+        # piece's size is the number of grids that the library builds from it.
         name = "_brute_pieces" if source == "brute" else "_family_pieces"
         stream, sizes = getattr(enumeration, name), []
+        grids = enumeration._brute_grids if source == "brute" else enumeration._family_grids
 
-        def recording(s, column):
-            for piece in stream(s, column):
-                piece = list(piece)
-                sizes.append(len(piece))
-                yield iter(piece)
+        def recording(s):
+            for piece in stream(s):
+                sizes.append(len(list(grids(*piece))))
+                yield piece
 
         monkeypatch.setattr(enumeration, name, recording)
         for s in (*range(0, 41), 230):
@@ -355,21 +356,23 @@ class TestEnumerate:
         piece = enumeration._PIECE if source == "brute" else enumeration._PIECE // 8
         column_names, sizes = cli._column_names, []
 
-        def recording(table, first, step, m):
+        def recording(table, suffix, first, step, m):
             sizes.append(m)
-            return column_names(table, first, step, m)
+            return column_names(table, suffix, first, step, m)
 
         monkeypatch.setattr(cli, "_column_names", recording)
         with contextlib.redirect_stdout(NullWriter()):
             assert cli.main(["enumerate", "600", "--source", source]) == 0
         assert max(sizes) == piece
 
-    def test_column_names_are_slices_of_the_table(self):
+    @pytest.mark.parametrize("suffix", [" ", "\n", ",", "],["])
+    def test_column_names_are_slices_of_the_table(self, suffix):
         # Every column that fits in 0..2s at s = 5 with a step from -4 to 4
         # (rows of either source step by -2 to 2): ascending, descending to 0
         # (which a stop of -1 would empty), to 1 or to 2, repeated, and of one
-        # value; the same strings from the table as from `str`.
-        table = [str(v) for v in range(11)]
+        # value; each string followed by the separator inside a line or at its
+        # end, of either format, the same from the table as built past its bound.
+        table = [str(v) + suffix for v in range(11)]
         cases = [
             (first, step, m)
             for first in range(11)
@@ -377,10 +380,11 @@ class TestEnumerate:
             for m in range(1, 12)
             if 0 <= first + (m - 1) * step <= 10
         ]
+        assert (10, -1, 11) in cases and (8, -4, 3) in cases
         for first, step, m in cases:
-            expected = [str(first + t * step) for t in range(m)]
-            assert cli._column_names(table, first, step, m) == expected
-            assert cli._column_names(None, first, step, m) == expected
+            expected = [str(first + t * step) + suffix for t in range(m)]
+            assert cli._column_names(table, suffix, first, step, m) == expected
+            assert cli._column_names(None, suffix, first, step, m) == expected
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("source", ["families", "brute"])
@@ -432,16 +436,41 @@ class TestEnumerate:
         else:
             assert out.kinds == ["lines"] * len(out.kinds)
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("source", ["families", "brute"])
-    def test_memory_is_bounded_at_the_table_bound(self, source):
-        # The table of 0..2s holds 2**16 strings at most; from the bound on,
-        # no table is made, so the first piece costs what it costs at small s.
-        first_write_peak_bytes(4, source)  # first-call set-up, not counted
-        small = first_write_peak_bytes(60, source)
-        below = first_write_peak_bytes(cli._NAME_TABLE_BOUND // 2 - 1, source)
-        above = first_write_peak_bytes(cli._NAME_TABLE_BOUND // 2, source)
+    def test_memory_is_bounded_at_the_table_bound(self, source, fmt):
+        # The two tables of 0..2s hold 2**15 strings each at most; from the
+        # bound on, no table is made, so the first piece costs what it costs
+        # at small s.
+        first_write_peak_bytes(4, source, fmt)  # first-call set-up, not counted
+        small = first_write_peak_bytes(60, source, fmt)
+        below = first_write_peak_bytes(cli._NAME_TABLE_BOUND // 2 - 1, source, fmt)
+        above = first_write_peak_bytes(cli._NAME_TABLE_BOUND // 2, source, fmt)
         assert below < 5 * 2**20
         assert above <= small + 0.5 * 2**20
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("source", ["families", "brute"])
+    def test_first_piece_at_the_table_bound(self, source, fmt):
+        # At s = bound // 2 - 1 the strings come from the tables, and at
+        # bound // 2 they are built for each value: the first piece is the
+        # same either side.  It is 128 points of the first lattice row, 1,024
+        # squares, or the two squares of the a1 = 1 row of the sweep (see
+        # below).
+        for s in (cli._NAME_TABLE_BOUND // 2 - 1, cli._NAME_TABLE_BOUND // 2):
+            if source == "brute":
+                grids = list(itertools.takewhile(lambda grid: grid[0] == 1, iter_brute_grids(s)))
+            else:
+                grids = list(itertools.islice(iter_family_grids(s), 1024))
+            assert len(grids) == (2 if source == "brute" else 1024)
+            if fmt == "text":
+                expected = "".join(format_square(Square(grid)) + "\n" for grid in grids)
+            else:
+                expected = json.dumps([list(grid) for grid in grids], separators=(",", ":"))[:-1]
+            out = FirstWriteStdout()
+            with contextlib.redirect_stdout(out), pytest.raises(FirstWrite):
+                cli.main(["enumerate", str(s), "--source", source, "--format", fmt])
+            assert out.text == expected
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("source", ["families", "brute"])

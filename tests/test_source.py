@@ -263,7 +263,7 @@ def test_public_names_are_the_imported_names():
 
 # The brute-force sweep, and the brute half of `reconcile` that compares it
 # with the family marks.
-SWEEP = ("iter_brute_grids", "_brute_pieces", "_brute_rows", "_forced_grid", "_compare_brute_rows")
+SWEEP = ("iter_brute_grids", "_brute_pieces", "_brute_grids", "_brute_rows", "_forced_grid", "_compare_brute_rows")
 
 
 def test_brute_sweep_uses_nothing_from_decompose():
@@ -306,7 +306,10 @@ def test_family_marks_use_nothing_from_the_sweep():
 
 def test_cli_renders_both_sources_through_one_path():
     # The piece format and the eight images stay in `enumeration`: `cli`
-    # passes one column function to whichever stream it renders.
+    # passes one column function to whichever stream it renders.  Each
+    # string carries the separator that follows it, so `enumerate` joins with
+    # the empty string alone: a join per line or per piece with a separator
+    # would show here.
     path = Path(magic3.__file__).parent / "cli.py"
     imported = {
         alias.name
@@ -314,10 +317,13 @@ def test_cli_renders_both_sources_through_one_path():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    assert "_INVERSE_IMAGES" not in imported
+    assert {"_INVERSE_IMAGES", "_WIDE", "_CORNERS"} & imported == set()
     assert [(f, fn) for f, fn, name, _ in _calls(path) if name == "_column_names"] == [
         ("cli.py", "_cmd_enumerate")
     ]
+    joins = [ast.unparse(node.value) for node in ast.walk(_function(path, "_cmd_enumerate"))
+             if isinstance(node, ast.Attribute) and node.attr == "join"]
+    assert joins == ["''"] * 2
 
 
 def _int_constants(module):
