@@ -10,6 +10,7 @@ first time one of their names is read from the package (see `__getattr__`).
 """
 
 from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 from .core import (
     ELEMENTS,
@@ -61,11 +62,18 @@ _LAZY = {
             "iter_family_squares",
             "reconcile",
         ),
-        "series": ("CountReport", "RationalSeries", "count_closed", "expand", "magic_gf", "poly_mul"),
+        "series": ("CountReport", "count_closed", "expand", "magic_gf"),
         "selftest": (),
     }.items()
     for name in (module, *names)
 }
+
+# The public names: the eager imports and the lazy names, less the submodules
+# (`from .core import` binds `core`; `decompose` is the function).
+__all__ = sorted(
+    {name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)}
+    | {name for name, module in _LAZY.items() if name != module}
+)
 
 
 def __getattr__(name: str):
@@ -82,52 +90,5 @@ def __dir__() -> list[str]:
     """The package's names, the lazy ones included before they are read."""
     return sorted({*globals(), *_LAZY})
 
-
-__all__ = [
-    "CountReport",
-    "Decomposition",
-    "DihedralElement",
-    "DuplicateEntriesError",
-    "ELEMENTS",
-    "ENTRY_MAX",
-    "EntryRangeError",
-    "Family",
-    "GEN1",
-    "GEN2",
-    "GEN3",
-    "MagicSquare",
-    "MagicSquareError",
-    "MismatchError",
-    "NotMagicError",
-    "ONES",
-    "RationalSeries",
-    "ReducedMagicSquare",
-    "SEED_F1",
-    "SEED_F2",
-    "Square",
-    "add",
-    "apply",
-    "canonical_symmetry",
-    "compose",
-    "construct",
-    "count_closed",
-    "count_families",
-    "decompose",
-    "expand",
-    "format_square",
-    "is_canonical",
-    "iter_brute_grids",
-    "iter_brute_squares",
-    "iter_decompositions",
-    "iter_family_grids",
-    "iter_family_squares",
-    "magic_gf",
-    "parse_square",
-    "poly_mul",
-    "reconcile",
-    "reduce",
-    "scale",
-    "validate",
-]
 
 __version__ = "0.1.0"

@@ -291,42 +291,11 @@ class Square:
         e = self.entries
         return (e[0:3], e[3:6], e[6:9])
 
-    # Named cells, top row then middle row then bottom row.
-    @property
-    def a1(self) -> int:
-        return self.entries[0]
 
-    @property
-    def a2(self) -> int:
-        return self.entries[1]
-
-    @property
-    def a3(self) -> int:
-        return self.entries[2]
-
-    @property
-    def b1(self) -> int:
-        return self.entries[3]
-
-    @property
-    def b2(self) -> int:
-        return self.entries[4]
-
-    @property
-    def b3(self) -> int:
-        return self.entries[5]
-
-    @property
-    def c1(self) -> int:
-        return self.entries[6]
-
-    @property
-    def c2(self) -> int:
-        return self.entries[7]
-
-    @property
-    def c3(self) -> int:
-        return self.entries[8]
+# Named cells, top row then middle row then bottom row: `a1` reads entries[0], ..., `c3` entries[8].
+for _index, _name in enumerate(("a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3")):
+    setattr(Square, _name, property(lambda self, index=_index: self.entries[index]))
+del _index, _name
 
 
 @_value_type

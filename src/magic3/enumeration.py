@@ -50,16 +50,16 @@ first offset and length m, so each of its cells is a first value and a step,
 and column(first, step, m, end) gives its m values, or what stands for each
 of them; end is true for a column of the cells that end a line, a grid's
 last.  `_brute_grids` zips a brute piece's nine columns; a family piece
-has two layouts, its grids (`_family_grids`) and one 72-tuple per point of
-its eight images' cells (`_family_points`), whose ninth cells, all corners,
-read four line-end columns.  A piece holds at most 13 such columns and
-7 cuts, so a consumer that does not keep what the streams yield runs in
-memory that does not depend on s.  A row's pieces come after its end grids
-pass, so a failing row raises after every piece of the rows before it and
-before any of its own.  `magic3 enumerate` is such a consumer: its columns
-are slices, or repeats, of two tables of decimal strings, each string
-followed by the separator inside a line or at its end, and it writes each
-piece as one write of one empty `join` per grid or point.
+has one layout, a 72-tuple per point of its eight images' cells
+(`_family_points`), whose ninth cells, all corners, read four line-end
+columns, and `iter_family_grids` cuts it into grids.  A piece holds at most
+13 such columns and 7 cuts, so a consumer that does not keep what the
+streams yield runs in memory that does not depend on s.  A row's pieces
+come after its end grids pass, so a failing row raises after every piece of
+the rows before it and before any of its own.  `magic3 enumerate` is such a
+consumer: its columns are slices, or repeats, of two tables of decimal
+strings, each string followed by the separator inside a line or at its end,
+and it writes each piece as one write of one empty `join` per grid or point.
 
 `MismatchError` and `COUNT_MAX_S`, the bound on the s of `reconcile`, are
 defined in `core`, so that the CLI reads them without loading this module;
@@ -155,8 +155,8 @@ def _family_pieces(s: int) -> Iterator[tuple[tuple[int, ...], list[int], int, in
     pieces of at most `_PIECE // 8` points, so at most `_PIECE` grids, and
     no piece is empty.  A piece is the row's points start to start + m - 1,
     at which each base-grid cell x of first holds x + start * d, ... for its
-    step d.  `_family_grids` and `_family_points` build a piece's grids.
-    The first base grid gets the `Square` entry checks before the first row.
+    step d; `_family_points` lays out its grids.  The first base grid gets
+    the `Square` entry checks before the first row.
     """
     s = _check_first_family_grid(s)
     for family, i, js, ks in _family_rows(s):
@@ -164,12 +164,6 @@ def _family_pieces(s: int) -> Iterator[tuple[tuple[int, ...], list[int], int, in
         first, steps = _family_row(s, family, i, js, ks)
         for start in range(0, n, _PIECE // 8):
             yield first, steps, start, min(_PIECE // 8, n - start)
-
-
-def _family_grids(first: tuple[int, ...], steps: list[int], start: int, m: int) -> Iterator[tuple[int, ...]]:
-    """A family piece's grids: each point's eight images in turn, which permute its nine columns."""
-    columns = [_cell_values(x + start * d, d, m) for x, d in zip(first, steps)]
-    return chain.from_iterable(zip(*[zip(*image(columns)) for image in _INVERSE_IMAGES]))
 
 
 # A dihedral image moves a corner to cell 8, so each image's last cell is a
@@ -205,9 +199,13 @@ def iter_family_grids(s: int) -> Iterator[tuple[int, ...]]:
     The eight images of each lattice point's base grid, in symmetry index
     order; each permutes the base grid's entries.  Raises MismatchError at
     the first lattice row whose end grids fail, with the message and square
-    that `reconcile` names (`_family_row`).
+    that `reconcile` names (`_family_row`).  Each grid is nine cells in turn
+    of a point's 72, which `_family_points` lays out as `magic3 enumerate`
+    renders them.
     """
-    return chain.from_iterable(starmap(_family_grids, _family_pieces(s)))
+    points = chain.from_iterable(_family_points(*piece, _cell_values) for piece in _family_pieces(s))
+    cells = chain.from_iterable(points)
+    return zip(*[cells] * 9)
 
 
 def iter_family_squares(s: int) -> Iterator[MagicSquare]:

@@ -13,7 +13,7 @@ rounded; its division by 3 is exact, as `count_closed` proves.
 
 from __future__ import annotations
 
-from .core import _integer, _natural, _value_type
+from .core import _integer, _member, _natural, _value_type
 
 
 @_value_type
@@ -53,9 +53,8 @@ class CountReport:
             raise ValueError(f"count report fields disagree: {self}")
 
 
-def poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Exact product of two integer polynomials in coefficient form, each coefficient read by `_integer`."""
-    a, b = (tuple(_integer("coefficient", c) for c in p) for p in (a, b))
+def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Exact product of two integer polynomials in coefficient form."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
@@ -67,9 +66,11 @@ def expand(f: RationalSeries, n: int) -> list[int]:
     """First n power-series coefficients of f, by the division recurrence.
 
     c[m] = num[m] - sum(den[d] * c[m - d] for d >= 1), exact at every step.
-    n is read by the int rule, `_natural`.
+    TypeError, naming f, for an f that is not a `RationalSeries`; n is read
+    by the int rule, `_natural`.
     """
-    n, num, den = _natural("n", n), f.numerator, f.denominator
+    f, n = _member("f", f, RationalSeries), _natural("n", n)
+    num, den = f.numerator, f.denominator
     coeffs: list[int] = []
     for m in range(n):
         c = num[m] if m < len(num) else 0
@@ -81,7 +82,7 @@ def expand(f: RationalSeries, n: int) -> list[int]:
 
 # The denominator is always computed from its factored form (1-t)(1-t^2)(1-t^3)
 # so the expanded coefficients cannot be mistranscribed.
-_DENOMINATOR = poly_mul(poly_mul((1, -1), (1, 0, -1)), (1, 0, 0, -1))
+_DENOMINATOR = _poly_mul(_poly_mul((1, -1), (1, 0, -1)), (1, 0, 0, -1))
 _MAGIC_GF = RationalSeries(numerator=(0, 0, 0, 0, 8, 16), denominator=_DENOMINATOR)
 
 

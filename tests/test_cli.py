@@ -331,14 +331,15 @@ class TestEnumerate:
         offsets = {c % 8 for s in range(0, 41) for _, _, n, cuts in enumeration._brute_rows(s) if len(cuts) < n for c in cuts}
         assert offsets == set(range(8))
         # `enumerate` reads its stream off `enumeration` when it runs; a
-        # piece's size is the number of grids that the library builds from it.
+        # piece's size is the number of grids that the library builds from
+        # it, eight per point of a family piece.
         name = "_brute_pieces" if source == "brute" else "_family_pieces"
         stream, sizes = getattr(enumeration, name), []
-        grids = enumeration._brute_grids if source == "brute" else enumeration._family_grids
+        rows, per_row = (enumeration._brute_grids, 1) if source == "brute" else (enumeration._family_points, 8)
 
         def recording(s):
             for piece in stream(s):
-                sizes.append(len(list(grids(*piece))))
+                sizes.append(per_row * len(list(rows(*piece, enumeration._cell_values))))
                 yield piece
 
         monkeypatch.setattr(enumeration, name, recording)

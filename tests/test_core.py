@@ -166,11 +166,10 @@ class TestArithmetic:
     def test_from_rows_reads_the_rows_top_first(self):
         assert Square.from_rows(iter([range(0, 3), range(3, 6), (6, 7, 8)])) == Square(tuple(range(9)))
 
-    def test_named_cells_match_row_major_order(self):
+    @pytest.mark.parametrize("index, name", enumerate(["a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3"]))
+    def test_named_cells_match_row_major_order(self, index, name):
         sq = Square(tuple(range(9)))
-        names = [sq.a1, sq.a2, sq.a3, sq.b1, sq.b2, sq.b3, sq.c1, sq.c2, sq.c3]
-        assert names == list(range(9))
-        assert sq.at(2, 1) == 7
+        assert getattr(sq, name) == index == sq.at(*divmod(index, 3))
 
 
 class TestDihedralGroup:

@@ -3,7 +3,6 @@ import dataclasses
 import pytest
 
 from magic3 import (
-    RationalSeries,
     count_closed,
     count_families,
     expand,
@@ -13,9 +12,9 @@ from magic3 import (
     iter_family_grids,
     iter_family_squares,
     magic_gf,
-    poly_mul,
     reconcile,
 )
+from magic3.series import RationalSeries, _poly_mul
 
 EXPECTED_PREFIX = [0, 0, 0, 0, 8, 24, 32, 56, 80, 104, 136, 176, 208]
 
@@ -39,7 +38,7 @@ class TestExpand:
     def test_product_of_denominator_and_expansion_is_numerator(self):
         gf = magic_gf()
         coeffs = tuple(expand(gf, 101))
-        product = poly_mul(gf.denominator, coeffs)[:101]
+        product = _poly_mul(gf.denominator, coeffs)[:101]
         padded = gf.numerator + (0,) * (101 - len(gf.numerator))
         assert product == padded
 

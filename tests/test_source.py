@@ -321,6 +321,10 @@ def test_cli_renders_both_sources_through_one_path():
     assert [(f, fn) for f, fn, name, _ in _calls(path) if name == "_column_names"] == [
         ("cli.py", "_cmd_enumerate")
     ]
+    # The library's family stream reads the same layout as `enumerate`.
+    assert ("enumeration.py", "iter_family_grids") in [
+        (f, fn) for f, fn, name, _ in _calls(Path(enumeration.__file__)) if name == "_family_points"
+    ]
     joins = [ast.unparse(node.value) for node in ast.walk(_function(path, "_cmd_enumerate"))
              if isinstance(node, ast.Attribute) and node.attr == "join"]
     assert joins == ["''"] * 2

@@ -29,7 +29,6 @@ from magic3 import (
     Family,
     MagicSquare,
     MagicSquareError,
-    RationalSeries,
     ReducedMagicSquare,
     Square,
     apply,
@@ -39,7 +38,6 @@ from magic3 import (
     format_square,
     magic_gf,
     parse_square,
-    poly_mul,
     reduce,
     scale,
     selftest,
@@ -47,6 +45,7 @@ from magic3 import (
 )
 from magic3.core import _certify, _MagicSquareTwin, _square, _SquareTwin
 from magic3.decompose import _decomposition, _DecompositionTwin
+from magic3.series import RationalSeries
 from strategies import magic_squares
 
 ID = DihedralElement.ID
@@ -558,11 +557,11 @@ class TestScalarIntArguments:
             (expand, (magic_gf(), True), TypeError, "n must be int, got bool"),
             (expand, (magic_gf(), -3), ValueError, "n must be nonnegative, got -3"),
             (expand, (magic_gf(), 2.0), TypeError, "n must be int, got float"),
-            # `Square.at` read True as row 1, and `poly_mul` multiplied floats.
+            # `Square.at` read True as row 1.
             (SEED_F1.at, (True, 0), TypeError, "row must be int, got bool"),
             (SEED_F1.at, (0, 1.0), TypeError, "col must be int, got float"),
-            (poly_mul, ((1.5,), (2,)), TypeError, "coefficient must be int, got float"),
-            (poly_mul, ((1, -1), (True,)), TypeError, "coefficient must be int, got bool"),
+            # A series that was not a `RationalSeries` once raised AttributeError naming its numerator.
+            (expand, ((1,), 3), TypeError, "f must be RationalSeries, got tuple"),
         ],
     )
     def test_the_other_int_arguments_follow_the_rule(self, function, args, error, message):
