@@ -24,7 +24,7 @@ def main() -> int:
     args = parser.parse_args()
 
     for s in range(4, args.max_s + 1):
-        classes = [d for d in iter_decompositions(s) if d.symmetry.tag == "id"]
+        classes = [d for d in iter_decompositions(s) if d.symmetry.value == "id"]
         split = Counter(d.family for d in classes)
         print(
             f"s={s}: {len(classes)} classes "

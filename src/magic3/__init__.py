@@ -62,7 +62,7 @@ _LAZY = {
             "iter_family_squares",
             "reconcile",
         ),
-        "series": ("CountReport", "count_closed", "expand", "magic_gf"),
+        "series": ("count_closed", "expand", "magic_gf"),
         "selftest": (),
     }.items()
     for name in (module, *names)

@@ -9,8 +9,9 @@ byte-identical output.
 
 The square verbs need only `core` and `decompose`.  `enumerate`, `count` and
 `selftest` import the counting routes (`enumeration`, `series`, `selftest`)
-when they run, and only the three verbs that print JSON import `json`, so a
-square verb's cold start loads neither.
+when they run, and `main` imports `json` only to print the object that
+`reduce`, `decompose` or `count` returns, so `verify` and `construct` load
+neither.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from .core import (
 )
 from .decompose import Decomposition, Family, construct, decompose, reduce
 
-_JSON_COMPACT = {"separators": (",", ":")}
-
 # While 2s is below this bound, `enumerate` slices each column of decimal
 # strings from two tables of those of 0..2s, each string followed by the
 # separator that comes after a value inside a line or at its end, made once
@@ -46,11 +45,21 @@ _NAME_TABLE_BOUND = 2**15
 
 
 class _Parser(argparse.ArgumentParser):
+    # Set on the square verbs' parsers, whose only options are -h and --help.
+    square_words = False
+
     # usage problems exit 1, not argparse's default 2
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+    def _parse_optional(self, arg_string: str):
+        # A square verb reads every word but -h and --help as a square word, so
+        # one that starts with "-" ("-7,0,5", "-x") reaches the text grammar.
+        if self.square_words and arg_string not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _int_arg(text: str) -> int:
@@ -68,17 +77,8 @@ def _int_arg(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
-def _square_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "square",
-        nargs="+",
-        help="nine integers, row-major, each one or more ASCII digits 0-9 (no sign, not even '+'), "
-        "separated by runs of commas, semicolons and ASCII whitespace",
-    )
-
-
 def _magic_arg(args: argparse.Namespace) -> MagicSquare:
-    """The certified square of the `square` words that `_square_arg` adds."""
+    """The certified square of a square verb's `square` words, joined by spaces."""
     return validate(parse_square(" ".join(args.square)))
 
 
@@ -87,19 +87,13 @@ def _cmd_verify(args: argparse.Namespace) -> None:
     print(f"magic m={magic.magic_sum} s={magic.s}")
 
 
-def _cmd_reduce(args: argparse.Namespace) -> None:
-    import json
-
+def _cmd_reduce(args: argparse.Namespace) -> dict[str, object]:
     reduced, shift, g = reduce(_magic_arg(args))
-    obj = {"reduced": list(reduced.entries), "i": shift, "symmetry": g.tag}
-    print(json.dumps(obj, **_JSON_COMPACT))
+    return {"reduced": list(reduced.entries), "i": shift, "symmetry": g.value}
 
 
-def _cmd_decompose(args: argparse.Namespace) -> None:
-    import json
-
-    d = decompose(_magic_arg(args))
-    print(json.dumps(d.to_json_obj(), **_JSON_COMPACT))
+def _cmd_decompose(args: argparse.Namespace) -> dict[str, object]:
+    return decompose(_magic_arg(args)).to_json_obj()
 
 
 def _cmd_construct(args: argparse.Namespace) -> None:
@@ -143,8 +137,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> None:
     # before anything is written; a row that fails its check raises after the
     # rows before it are written and before any square of its own.
     # Each piece is one write, with the bytes of printing its squares (or
-    # its part of one JSON array of them).  A brute piece can be empty, and
-    # writes nothing.
+    # its part of one JSON array of them).
     from . import enumeration
 
     s, json_format = args.s, args.format == "json"
@@ -157,8 +150,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> None:
     write = sys.stdout.write
     opening = "[["
     for piece in pieces:
-        if not (lines := "".join(map("".join, rows(*piece, column)))):
-            continue
+        lines = "".join(map("".join, rows(*piece, column)))
         if json_format:
             # The last square ends in "],[": its "]" closes it.
             write(opening + lines[:-2])
@@ -169,20 +161,17 @@ def _cmd_enumerate(args: argparse.Namespace) -> None:
         write("[]\n" if opening == "[[" else "]\n")
 
 
-def _cmd_count(args: argparse.Namespace) -> None:
-    import json
-
+def _cmd_count(args: argparse.Namespace) -> dict[str, object]:
     from .enumeration import reconcile
 
     report = reconcile(args.s, include_brute=not args.no_brute)
-    obj = {
+    return {
         "s": report.s,
         "closed": report.closed_form,
         "series": report.series,
         "families": report.families,
         "brute": report.brute,
     }
-    print(json.dumps(obj, **_JSON_COMPACT))
 
 
 def _cmd_selftest(args: argparse.Namespace) -> None:
@@ -198,24 +187,23 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="magic3", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("verify", help="check the magic conditions")
-    _square_arg(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("reduce", help="canonical orientation and translation")
-    _square_arg(p)
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("decompose", help="family coordinates of a magic square")
-    _square_arg(p)
-    p.set_defaults(func=_cmd_decompose)
+    for verb, summary, func in (
+        ("verify", "check the magic conditions", _cmd_verify),
+        ("reduce", "canonical orientation and translation", _cmd_reduce),
+        ("decompose", "family coordinates of a magic square", _cmd_decompose),
+    ):
+        p = sub.add_parser(verb, help=summary)
+        p.square_words = True
+        p.add_argument("square", nargs="+", help="nine integers, row-major, each one or more ASCII digits 0-9 "
+                       "(no sign, not even '+'), separated by runs of commas, semicolons and ASCII whitespace")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("construct", help="rebuild a square from family coordinates")
     p.add_argument("--family", required=True, choices=[f.value for f in Family])
     p.add_argument("--i", required=True, type=_int_arg)
     p.add_argument("--j", required=True, type=_int_arg)
     p.add_argument("--k", required=True, type=_int_arg)
-    p.add_argument("--sym", default="id", choices=[g.tag for g in DihedralElement])
+    p.add_argument("--sym", default="id", choices=[g.value for g in DihedralElement])
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("enumerate", help="all magic squares with magic sum 3s")
@@ -247,7 +235,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         try:
-            args.func(args)
+            # A verb that prints JSON returns its one object, printed here.
+            if (obj := args.func(args)) is not None:
+                import json
+
+                print(json.dumps(obj, separators=(",", ":")))
             code = 0
         except MismatchError as exc:
             print(f"{args.verb} failed: {exc}", file=sys.stderr)

@@ -95,7 +95,7 @@ class DihedralElement(Enum):
 
     Rotations are clockwise.  FH and FV flip across the horizontal and
     vertical axes, FD and FA across the main and anti-diagonal.  The wire
-    tags ("id", "r90", ...) are the enum values.
+    tags ("id", "r90", ...) are the members' values, read as `.value`.
     """
 
     ID = "id"
@@ -106,10 +106,6 @@ class DihedralElement(Enum):
     FV = "fv"
     FD = "fd"
     FA = "fa"
-
-    @property
-    def tag(self) -> str:
-        return self.value
 
     @property
     def inverse(self) -> "DihedralElement":
@@ -133,14 +129,10 @@ _SOURCE_CELL = {
 }
 
 
-def _permutation(g: DihedralElement) -> tuple[int, ...]:
-    source = _SOURCE_CELL[g]
-    return tuple(
-        source(r, c)[0] * 3 + source(r, c)[1] for r in range(3) for c in range(3)
-    )
-
-
-_PERM: dict[DihedralElement, tuple[int, ...]] = {g: _permutation(g) for g in ELEMENTS}
+_PERM: dict[DihedralElement, tuple[int, ...]] = {
+    g: tuple(3 * row + col for row, col in (source(r, c) for r in range(3) for c in range(3)))
+    for g, source in _SOURCE_CELL.items()
+}
 _BY_PERM = {perm: g for g, perm in _PERM.items()}
 _IMAGE = {g: itemgetter(*perm) for g, perm in _PERM.items()}
 

@@ -51,7 +51,6 @@ reduced shape itself.
 from __future__ import annotations
 
 from enum import Enum
-from operator import itemgetter
 
 from .core import (
     ELEMENTS,
@@ -61,6 +60,7 @@ from .core import (
     GEN3,
     SEED_F1,
     SEED_F2,
+    _IMAGE,
     DihedralElement,
     MagicSquare,
     Square,
@@ -82,7 +82,7 @@ _ORIENTATION = {
 if len(_ORIENTATION) != 8:
     raise RuntimeError("the dihedral permutations do not orient the corners one way each")
 # construct() undoes each recorded symmetry, in symmetry index order.
-_INVERSE_IMAGES = tuple(itemgetter(*permutation(g.inverse)) for g in ELEMENTS)
+_INVERSE_IMAGES = tuple(_IMAGE[g.inverse] for g in ELEMENTS)
 
 
 @_value_type
@@ -201,7 +201,7 @@ class Decomposition:
             "i": self.i,
             "j": self.j,
             "k": self.k,
-            "symmetry": self.symmetry.tag,
+            "symmetry": self.symmetry.value,
         }
 
 

@@ -45,13 +45,13 @@ a chain of pieces of certified rows (`_family_pieces`, `_brute_pieces`),
 and `_PIECE` alone sets their size: a piece is at most `_PIECE` offsets of
 an a1 row less the cuts inside them, or `_PIECE // 8` points of a lattice
 row with their eight images each.  A brute piece whose offsets are all cut
-is empty.  A piece is handed out as its row's first grid and steps and its
-first offset and length m, so each of its cells is a first value and a step,
-and column(first, step, m, end) gives its m values, or what stands for each
-of them; end is true for a column of the cells that end a line, a grid's
-last.  `_brute_grids` zips a brute piece's nine columns; a family piece
-has one layout, a 72-tuple per point of its eight images' cells
-(`_family_points`), whose ninth cells, all corners, read four line-end
+is dropped, so no piece is empty.  A piece is handed out as its row's first
+grid and steps and its first offset and length m, so each of its cells is a
+first value and a step, and column(first, step, m, end) gives its m values,
+or what stands for each of them; end is true for a column of the cells that
+end a line, a grid's last.  `_brute_grids` zips a brute piece's nine
+columns; a family piece has one layout, a 72-tuple per point of its eight
+images' cells (`_family_points`), whose ninth cells, all corners, read four line-end
 columns, and `iter_family_grids` cuts it into grids.  A piece holds at most
 13 such columns and 7 cuts, so a consumer that does not keep what the
 streams yield runs in memory that does not depend on s.  A row's pieces
@@ -255,7 +255,7 @@ def iter_brute_grids(s: int) -> Iterator[tuple[int, ...]]:
     * the row is cut into pieces of at most `_PIECE` offsets.  A piece's
       grids are one `zip` of the cells' ranges and repeats, built from the
       row's first end grid, and `compress` passes over the cuts inside the
-      piece, so a piece whose offsets are all cut yields no grid (see
+      piece; a piece whose offsets are all cut is dropped (see
       `_brute_pieces`, `_brute_grids`);
     * the first grid gets the `Square` entry checks, once, before the first
       row, so an s past the 64-bit range raises EntryRangeError as `Square`
@@ -341,22 +341,21 @@ def _brute_rows(s: int) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], int,
 def _brute_pieces(s: int) -> Iterator[tuple[tuple[int, ...], list[int], int, int, bytearray]]:
     """The pieces of `iter_brute_grids(s)`, in order, as (first, steps, start, m, keep): m offsets of an a1 row.
 
-    Each certified a1 row that yields a grid is cut into pieces of at most
-    `_PIECE` offsets.  A piece can still be empty: the a1 = 512 row at
-    s = 768 has 1,025 offsets and its last one cut, so its second piece
-    holds no grid.  A piece is the row's offsets start to start + m - 1, at
-    which each cell x of the row's first grid holds x + start * d, ... for
-    its step d, -1, 0 or +1; keep is a mask that is 0 at the cuts inside the
-    piece (see `_brute_grids`).  s is read by the int rule, and the sweep's
-    first grid, the forced grid of cell 4s - 1 when s >= 4 (see
-    `iter_brute_grids`), gets the `Square` entry checks before the first row.
+    Each certified a1 row is cut into pieces of at most `_PIECE` offsets,
+    and only a piece that holds a grid is yielded, so no piece is empty:
+    the a1 = 512 row at s = 768 has 1,025 offsets and its last one cut, so
+    it yields one piece, not two.  A piece is the row's offsets start to
+    start + m - 1, at which each cell x of the row's first grid holds
+    x + start * d, ... for its step d, -1, 0 or +1; keep is a mask that is 0
+    at the cuts inside the piece (see `_brute_grids`).  s is read by the int
+    rule, and the sweep's first grid, the forced grid of cell 4s - 1 when
+    s >= 4 (see `iter_brute_grids`), gets the `Square` entry checks before
+    the first row.
     """
     s = _natural("s", s)
     if s >= 4:
         check_entries(_forced_grid(s, 4 * s - 1))
     for cell, (first, last), n, cuts in _brute_rows(s):
-        if len(cuts) == n:
-            continue
         steps = [(y > x) - (y < x) for x, y in zip(first, last)]
         for start in range(0, n, _PIECE):
             m = min(_PIECE, n - start)
@@ -364,7 +363,8 @@ def _brute_pieces(s: int) -> Iterator[tuple[tuple[int, ...], list[int], int, int
             for c in cuts:
                 if start <= c < start + m:
                     keep[c - start] = 0
-            yield first, steps, start, m, keep
+            if 1 in keep:
+                yield first, steps, start, m, keep
 
 
 # Of a grid's nine cells, only the last ends its line.

@@ -131,8 +131,8 @@ def count(s: int) -> int:
 
 def _outcome(argv: list[str]) -> str:
     verb, compact = argv[0], {"separators": (",", ":")}
-    if verb in ("verify", "reduce", "decompose"):  # argv: verb, "--", words
-        grid = parse(" ".join(argv[2:]))
+    if verb in ("verify", "reduce", "decompose"):  # argv: verb, words
+        grid = parse(" ".join(argv[1:]))
         m, d = validate(grid), decompose(grid)
         if verb == "reduce":
             reduced = construct(d["family"], 0, d["j"], d["k"], "id")

@@ -325,8 +325,9 @@ class TestEnumerate:
         # With pieces of eight grids, a family piece is one lattice point, and
         # every a1 row longer than eight spans several pieces; cuts fall on
         # each offset of a piece (checked below), so a run that crosses a
-        # piece edge or a cut that is dropped shows.  Some brute pieces are
-        # all cuts (two at s = 6), and each must write nothing.
+        # piece edge or a cut that is dropped shows.  Some brute pieces would
+        # be all cuts (two at s = 6); none is yielded, so every piece, of
+        # either source, holds a grid.
         monkeypatch.setattr(enumeration, "_PIECE", 8)
         offsets = {c % 8 for s in range(0, 41) for _, _, n, cuts in enumeration._brute_rows(s) if len(cuts) < n for c in cuts}
         assert offsets == set(range(8))
@@ -346,7 +347,7 @@ class TestEnumerate:
         for s in (*range(0, 41), 230):
             for fmt, expected in collected_renderings(s)[source]:
                 assert main_stdout(["enumerate", str(s), "--source", source, "--format", fmt]) == (0, expected)
-        assert min(sizes) == (0 if source == "brute" else 8) and max(sizes) == 8
+        assert min(sizes) == (1 if source == "brute" else 8) and max(sizes) == 8
 
     @pytest.mark.parametrize("source", ["families", "brute"])
     def test_no_column_is_longer_than_a_piece(self, source, monkeypatch):
@@ -417,17 +418,23 @@ class TestEnumerate:
             assert len(rows) == (0 if s == 3 else 118 if source == "brute" else 112)
             assert out.writes == expected
 
-    def test_an_a1_row_ends_in_an_empty_piece_at_768(self):
-        # n = 1,025 offsets: the row's second piece is its last offset, cut.
+    def test_an_a1_row_yields_no_piece_for_its_cut_last_offset_at_768(self):
+        # n = 1,025 offsets: the row's second piece would be its last offset,
+        # which is cut, so the row yields its first piece only.
         rows = {cell // 1537: (n, cuts) for cell, _, n, cuts in enumeration._brute_rows(768)}
+        starts = {}
+        for first, _, start, _, _ in enumeration._brute_pieces(768):
+            starts.setdefault(first[0], []).append(start)
         for a1 in (512, 1024):
             n, cuts = rows[a1]
             assert (n, cuts[-1]) == (enumeration._PIECE + 1, enumeration._PIECE) == (1025, 1024)
+            assert starts[a1] == [0]
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_empty_pieces_write_nothing(self, fmt):
-        # At s = 768 two rows end in an empty piece (see above); every write
-        # is one nonempty piece, and together they hold every square.
+        # At s = 768 two rows end in an all-cut offset past their first
+        # piece (see above); every write is one nonempty piece, and together
+        # they hold every square.
         out = SquareCounter(fmt)
         with contextlib.redirect_stdout(out):
             assert cli.main(["enumerate", "768", "--source", "brute", "--format", fmt]) == 0
@@ -734,23 +741,27 @@ class TestUsage:
         result = run_cli()
         assert result.returncode == 1
 
-    def test_a_square_word_that_starts_with_a_dash_follows_a_double_dash(self):
-        # argparse reads a word that starts with "-" and is not a negative
-        # number as an option, so the grammar never sees it; after "--" it is
-        # a square word, and the grammar names its bad entry.
-        word = "-7,0,5,2,4,6,3,8,1"
+    @pytest.mark.parametrize("verb", ["verify", "reduce", "decompose"])
+    @pytest.mark.parametrize("dashes", [[], ["--"]], ids=["bare", "after-double-dash"])
+    @pytest.mark.parametrize(
+        "words, token", [(["-7,0,5,2,4,6,3,8,1"], "-7"), (["7", "0", "5", "2", "4", "6", "3", "8", "-x"], "-x")]
+    )
+    def test_a_square_word_that_starts_with_a_dash_reaches_the_grammar(self, verb, dashes, words, token):
+        # A square verb reads every word but -h and --help as a square word,
+        # with or without "--" before it, so the grammar names the bad entry.
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            assert cli.main(["verify", "--", word]) == 1
-        assert (out.getvalue(), err.getvalue()) == ("", "magic3: error: entry '-7' is not a string of ASCII digits 0-9\n")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as info:
-            cli.main(["verify", word])
-        assert (info.value.code, out.getvalue()) == (1, "")
-        assert err.getvalue() == (
-            "usage: magic3 verify [-h] square [square ...]\n"
-            "magic3 verify: error: the following arguments are required: square\n"
-        )
+            assert cli.main([verb, *dashes, *words]) == 1
+        assert (out.getvalue(), err.getvalue()) == ("", f"magic3: error: entry {token!r} is not a string of ASCII digits 0-9\n")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("before", [[], ["7", "0", "5"]], ids=["alone", "after-words"])
+    def test_a_square_verb_still_reads_its_help_options(self, flag, before):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as info:
+            cli.main(["verify", *before, flag])
+        assert info.value.code == 0
+        assert out.getvalue().startswith("usage: magic3 verify [-h] square [square ...]\n")
 
     @pytest.mark.parametrize("argv", [["count", "-1"], ["count", "-1", "--no-brute"], ["enumerate", "-1"]])
     def test_negative_s_is_usage_error(self, argv):

@@ -69,7 +69,7 @@ def square_argvs(draw):
     for tag, edit in zip(DIHEDRAL, image_edits):
         tokens = [z + str(value) for z, value in zip(zeros, cli_model.construct(family, i, j, k, tag))]
         text = edit(ends[0] + "".join(token + run for token, run in zip(tokens, runs)) + tokens[-1] + ends[1])
-        argvs += [[verb, "--", *(text.split(" ") if split else [text])] for verb in ("verify", "reduce", "decompose")]
+        argvs += [[verb, *(text.split(" ") if split else [text])] for verb in ("verify", "reduce", "decompose")]
     return argvs
 
 

@@ -156,6 +156,8 @@ class TestDecompose:
             "k": 0,
             "symmetry": "id",
         }
+        # The wire tag is the member's `.value`; `.tag`, once its alias, is gone.
+        assert ID.value == "id" and not hasattr(ID, "tag")
 
 
 class TestRoundTrip:

@@ -17,7 +17,6 @@ from magic3 import (
     ONES,
     SEED_F1,
     SEED_F2,
-    CountReport,
     EntryRangeError,
     MismatchError,
     add,
@@ -39,7 +38,7 @@ from magic3 import core
 from magic3.core import _LINES
 from magic3.decompose import _BASIS, _INVERSE_IMAGES, Family, base_grid
 from magic3.enumeration import COUNT_MAX_S, _forced_grid
-from magic3.series import _poly_mul
+from magic3.series import CountReport, _poly_mul
 
 
 def naive_magic_grids(s):

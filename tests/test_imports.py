@@ -101,14 +101,16 @@ def test_submodules_resolve_before_any_verb_runs():
     assert lines == ["magic3.selftest magic3.enumeration magic3.series", "True", "True"]
 
 
-# `poly_mul` and `RationalSeries` left the package's names; the type is read
-# from `magic3.series`, and `magic_gf()` is still one.
-@pytest.mark.parametrize("name", ["nope", "poly_mul", "RationalSeries"])
+# `poly_mul`, `RationalSeries` and `CountReport` left the package's names;
+# the types are read from `magic3.series`, and `magic_gf()` and `reconcile(4)`
+# still return them.
+@pytest.mark.parametrize("name", ["nope", "poly_mul", "RationalSeries", "CountReport"])
 def test_an_unknown_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=f"^module 'magic3' has no attribute '{name}'$"):
         getattr(magic3, name)
     assert not hasattr(magic3, f"_{name}")
     assert isinstance(magic3.magic_gf(), magic3.series.RationalSeries)
+    assert type(magic3.reconcile(4)) is magic3.series.CountReport
     lines = probe(
         "import sys, magic3\n"
         "try:\n"

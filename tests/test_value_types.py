@@ -22,7 +22,6 @@ from magic3 import (
     ENTRY_MAX,
     ONES,
     SEED_F1,
-    CountReport,
     DihedralElement,
     Decomposition,
     EntryRangeError,
@@ -45,7 +44,7 @@ from magic3 import (
 )
 from magic3.core import _certify, _MagicSquareTwin, _square, _SquareTwin
 from magic3.decompose import _decomposition, _DecompositionTwin
-from magic3.series import RationalSeries
+from magic3.series import CountReport, RationalSeries
 from strategies import magic_squares
 
 ID = DihedralElement.ID
