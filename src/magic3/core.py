@@ -30,16 +30,18 @@ square of order three is built:
 * ``SEED_F2``  anchor of the second family (m = 15); SEED_F2 = GEN3 + GEN2.
 
 All values are immutable and every operation is a pure function, so they are
-safe to share across threads without synchronization.
+safe to share across threads without synchronization.  The one state written
+after import, a value type's dataclass fields, built on their first read, is
+built once under a lock (see `_Fields`).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass, fields
+from _thread import allocate_lock
+from collections.abc import Callable, Iterable
 from enum import Enum
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, TypeVar
 
 ENTRY_MAX = 2**64 - 1
 # `reconcile` keeps one byte per (a1, a2) pair, (2s + 1)**2 in all; this s is
@@ -73,6 +75,11 @@ class NotMagicError(MagicSquareError):
         self.expected = expected
         self.actual = actual
 
+    # Pickle and copy rebuild an error from its constructor's arguments, which
+    # `args`, the message alone, are not.
+    def __reduce__(self):
+        return self.__class__, (self.line, self.expected, self.actual), self.__dict__
+
 
 class DuplicateEntriesError(MagicSquareError):
     """Two entries share a value; carries the first repeated value."""
@@ -80,6 +87,9 @@ class DuplicateEntriesError(MagicSquareError):
     def __init__(self, value: int) -> None:
         super().__init__(f"entry {value} appears more than once")
         self.value = value
+
+    def __reduce__(self):
+        return self.__class__, (self.value,), self.__dict__
 
 
 class MismatchError(MagicSquareError):
@@ -136,10 +146,16 @@ _PERM: dict[DihedralElement, tuple[int, ...]] = {
 _BY_PERM = {perm: g for g, perm in _PERM.items()}
 _IMAGE = {g: itemgetter(*perm) for g, perm in _PERM.items()}
 
-# The eight maps must be closed under composition, or `compose` and `inverse`
-# would find no element; checked once here, on the permutations themselves.
-if any(tuple(map(h.__getitem__, g)) not in _BY_PERM for g in _BY_PERM for h in _BY_PERM):
-    raise RuntimeError("the eight dihedral maps are not closed under composition")
+
+def _check_closure(perms: Iterable[tuple[int, ...]]) -> None:
+    """Raise RuntimeError unless the permutations are closed under composition."""
+    perms = set(perms)
+    if not {image(perm) for image in [itemgetter(*g) for g in perms] for perm in perms} <= perms:
+        raise RuntimeError("the eight dihedral maps are not closed under composition")
+
+
+# `compose` and `inverse` look up every product and inverse among the eight.
+_check_closure(_PERM.values())
 _INVERSE = {g: _BY_PERM[tuple(sorted(range(9), key=perm.__getitem__))] for g, perm in _PERM.items()}
 
 
@@ -160,10 +176,7 @@ def permutation(g: DihedralElement) -> tuple[int, ...]:
     return _PERM[_member("g", g, DihedralElement)]
 
 
-_T = TypeVar("_T")
-
-
-def _member(name: str, value: _T, cls: type[_T]) -> _T:
+def _member(name: str, value: object, cls: type) -> object:
     """value if it is an instance of cls; else TypeError naming the field and value's type."""
     if not isinstance(value, cls):
         raise TypeError(f"{name} must be {cls.__name__}, got {type(value).__name__}")
@@ -200,20 +213,54 @@ def check_entries(entries: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(exact)
 
 
-def _value_type(cls: type[_T]) -> type[_T]:
-    """Make cls a frozen, slotted dataclass whose methods are written once, here.
+class _Fields:
+    """A value type's `__dataclass_fields__`, built by `dataclass` on the first read.
 
-    `dataclass` with init, eq and repr off registers the fields and builds the
-    slotted class (so `fields`, `replace`, `asdict` and `__match_args__` work)
-    but generates no code, which it would compile on every import.  The
-    closures below give a frozen dataclass's equality, hash, repr, refused
-    assignment and deletion, and pickle and copy state.  A method the class
-    writes stays; `__hash__` goes where Python set it to None beside a written
-    `__eq__`.  Each class writes its own `__init__`, which sets the fields
-    by one `__setstate__` call.
+    The first read, from the class or an instance, runs `dataclass` on a
+    plain shadow class with the value type's annotations and field defaults,
+    then replaces this descriptor on the value type with the shadow's field
+    dict and `__dataclass_params__`; later reads find the dict itself.  Racing
+    first reads build the fields once, under a lock, and all see one dict.
     """
-    cls = dataclass(cls, init=False, repr=False, eq=False, slots=True)
-    names = tuple(f.name for f in fields(cls))
+
+    _lock = allocate_lock()
+
+    def __init__(self, shadow: dict[str, object]) -> None:
+        self.shadow = shadow
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.owner = owner
+
+    def __get__(self, instance: object, owner: type | None = None) -> dict:
+        cls = self.owner
+        with self._lock:
+            if vars(cls)["__dataclass_fields__"] is self:
+                from dataclasses import dataclass
+
+                shadow = dataclass(type(cls.__name__, (), self.shadow), init=False, repr=False, eq=False, slots=True)
+                cls.__dataclass_params__ = shadow.__dataclass_params__
+                cls.__dataclass_fields__ = shadow.__dataclass_fields__
+        return vars(cls)["__dataclass_fields__"]
+
+
+def _value_type(name: str, bases: tuple[type, ...], namespace: dict[str, object]) -> type:
+    """Build a frozen, slotted class with the dataclass API, whose methods are written once, here.
+
+    A value type names this function as its metaclass, so its class statement
+    hands the body here and the class is built once, by `type`, as
+    `dataclass(slots=True)` would rebuild it: the annotated fields are its
+    `__slots__` and `__match_args__`, and their defaults leave the body for
+    the shadow class of `_Fields`.  `fields`, `replace`, `asdict` and
+    `is_dataclass` read `__dataclass_fields__`, a `_Fields` descriptor, so
+    `dataclasses` (and the `inspect` it imports) loads on the first use of
+    that API, not at import, and generates no code.  The closures below give
+    a frozen dataclass's equality, hash, repr, refused assignment and
+    deletion, pickle and copy state, and `__replace__` for `copy.replace`.  A
+    method the body writes stays, and a body that writes `__eq__` alone still
+    hashes by its fields.  Each class writes its own `__init__`, which sets
+    the fields by one `__setstate__` call.
+    """
+    names = tuple(namespace["__annotations__"])
     get = attrgetter(*names)
     values = get if len(names) > 1 else lambda self: (get(self),)
 
@@ -229,9 +276,13 @@ def _value_type(cls: type[_T]) -> type[_T]:
         return f"{self.__class__.__qualname__}({', '.join(map('{}={!r}'.format, names, values(self)))})"
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __getstate__(self):
@@ -241,16 +292,24 @@ def _value_type(cls: type[_T]) -> type[_T]:
         for name, value in zip(names, state):
             object.__setattr__(self, name, value)
 
-    for method in (__eq__, __hash__, __repr__, __setattr__, __delattr__, __getstate__, __setstate__):
-        if cls.__dict__.get(method.__name__) is None:
-            setattr(cls, method.__name__, method)
-    return cls
+    def __replace__(self, /, **changes):
+        from dataclasses import replace
+
+        return replace(self, **changes)
+
+    shadow = {key: namespace[key] for key in ("__module__", "__doc__", "__annotations__", *names) if key in namespace}
+    body = {key: value for key, value in namespace.items() if key not in names}
+    for method in (__eq__, __hash__, __repr__, __setattr__, __delattr__, __getstate__, __setstate__, __replace__):
+        if body.get(method.__name__) is None:
+            body[method.__name__] = method
+    body.update(__slots__=names, __match_args__=names, __dataclass_fields__=_Fields(shadow))
+    return type(name, bases, body)
 
 
-# The value types are dataclasses whose methods `_value_type` writes once.  Each
-# checked `__init__` sets its fields by the `__setstate__` that pickle and copy use.
-@_value_type
-class Square:
+# The value types are slotted classes with the dataclass API, built by
+# `_value_type`, which writes their methods once.  Each checked `__init__` sets
+# its fields by the `__setstate__` that pickle and copy use.
+class Square(metaclass=_value_type):
     """Nine checked nonnegative integers in row-major order."""
 
     entries: tuple[int, ...]
@@ -290,8 +349,7 @@ for _index, _name in enumerate(("a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", 
 del _index, _name
 
 
-@_value_type
-class MagicSquare:
+class MagicSquare(metaclass=_value_type):
     """A certified magic square: equal line sums and distinct entries.
 
     Building one, or a `dataclasses.replace` copy, raises TypeError for a
@@ -397,10 +455,11 @@ _LINES: tuple[tuple[str, tuple[int, int, int]], ...] = (
 
 def _check_images(images: Iterable[Callable[..., tuple[int, ...]]]) -> None:
     """Raise RuntimeError unless each image maps the eight lines onto the eight lines."""
+    getters = [itemgetter(*line) for _, line in _LINES]
     lines = {frozenset(line) for _, line in _LINES}
     for image in images:
         cells = image(range(9))
-        if {frozenset(cells[c] for c in line) for line in lines} != lines:
+        if {frozenset(get(cells)) for get in getters} != lines:
             raise RuntimeError(f"image {cells} does not map the eight lines onto the eight lines")
 
 

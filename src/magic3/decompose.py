@@ -85,8 +85,7 @@ if len(_ORIENTATION) != 8:
 _INVERSE_IMAGES = tuple(_IMAGE[g.inverse] for g in ELEMENTS)
 
 
-@_value_type
-class ReducedMagicSquare:
+class ReducedMagicSquare(metaclass=_value_type):
     """A magic square in reduced form, with r = c3 and s = b2.
 
     TypeError for a square that is not a `MagicSquare`.  r and s are read by
@@ -165,8 +164,7 @@ class Family(Enum):
         return 1 if self is Family.F1 else 2
 
 
-@_value_type
-class Decomposition:
+class Decomposition(metaclass=_value_type):
     """Coordinates (family, i, j, k) plus the symmetry from reduction."""
 
     family: Family

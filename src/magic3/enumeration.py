@@ -68,9 +68,9 @@ they are imported here, and read from here as before.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Sequence
 from itertools import chain, compress, starmap
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
 
 from .core import (
     COUNT_MAX_S,

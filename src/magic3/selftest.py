@@ -15,7 +15,7 @@ happens.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from .core import COUNT_MAX_S, MismatchError, _integer
 from .decompose import construct, decompose

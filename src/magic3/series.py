@@ -16,8 +16,7 @@ from __future__ import annotations
 from .core import _integer, _member, _natural, _value_type
 
 
-@_value_type
-class RationalSeries:
+class RationalSeries(metaclass=_value_type):
     """A rational power series num(t) / den(t) with den(0) = 1.
 
     Every coefficient is read by `_integer`, and the unit constant term makes
@@ -34,8 +33,7 @@ class RationalSeries:
         self.__setstate__((numerator, denominator))
 
 
-@_value_type
-class CountReport:
+class CountReport(metaclass=_value_type):
     """Per-s counts from every route, each read by `_natural`; all present counts must agree."""
 
     s: int

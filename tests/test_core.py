@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import re
 import sys
 
@@ -19,6 +21,8 @@ from magic3 import (
     DuplicateEntriesError,
     EntryRangeError,
     MagicSquare,
+    MagicSquareError,
+    MismatchError,
     NotMagicError,
     Square,
     add,
@@ -30,6 +34,7 @@ from magic3 import (
     scale,
     validate,
 )
+from magic3 import core
 from magic3.core import permutation
 from strategies import magic_squares
 
@@ -212,6 +217,18 @@ class TestDihedralGroup:
         for g in (FH, FV, DihedralElement.FD, DihedralElement.FA):
             assert g.inverse is g
 
+    def test_the_permutations_pass_the_closure_check(self):
+        core._check_closure(core._PERM.values())
+
+    @pytest.mark.parametrize("g", ELEMENTS)
+    def test_a_permutation_with_one_pair_swapped_fails_the_closure_check(self, g):
+        for a, b in itertools.combinations(range(9), 2):
+            perm = list(core._PERM[g])
+            perm[a], perm[b] = perm[b], perm[a]
+            perms = {**core._PERM, g: tuple(perm)}.values()
+            with pytest.raises(RuntimeError, match="^the eight dihedral maps are not closed under composition$"):
+                core._check_closure(perms)
+
     @given(magic_squares, st.sampled_from(ELEMENTS))
     def test_apply_preserves_magic(self, m: MagicSquare, g: DihedralElement):
         image = validate(apply(g, m.square))
@@ -271,6 +288,32 @@ class TestValidate:
         assert m.magic_sum == 3 * m.square.b2
         assert m.s >= 4
         assert max(m.entries) <= 2 * m.s
+
+
+# Each domain error, its constructor's arguments, and the attributes it carries.
+ERRORS = {
+    "MagicSquareError": (MagicSquareError, ("no such square",), {}),
+    "EntryRangeError": (EntryRangeError, ("entry 18446744073709551616 exceeds the unsigned 64-bit range",), {}),
+    "NotMagicError": (NotMagicError, ("row 2", 15, 14), {"line": "row 2", "expected": 15, "actual": 14}),
+    "DuplicateEntriesError": (DuplicateEntriesError, (3,), {"value": 3}),
+    "MismatchError": (MismatchError, ("families and brute disagree at s = 4",), {"square": None}),
+    "MismatchError-square": (
+        MismatchError, ("a square is missing", (7, 0, 5, 2, 4, 6, 3, 8, 1)), {"square": (7, 0, 5, 2, 4, 6, 3, 8, 1)},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ERRORS))
+def test_domain_errors_survive_pickle_and_copy(name):
+    cls, args, attributes = ERRORS[name]
+    error = cls(*args)
+    # A note, as `add_note` stores it, rides along with the attributes.
+    error.__notes__ = ["a note"]
+    copies = [pickle.loads(pickle.dumps(error, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in (error, *copies, copy.copy(error), copy.deepcopy(error)):
+        assert type(other) is cls
+        assert (str(other), other.args, other.__notes__) == (str(error), error.args, ["a note"])
+        assert {key: getattr(other, key) for key in attributes} == attributes
 
 
 LO_SHU = Square((2, 7, 6, 9, 5, 1, 4, 3, 8))

@@ -42,19 +42,20 @@ def probe(code, *args):
     return result.stdout.splitlines()
 
 
-@pytest.mark.parametrize(
-    "argv, added",
-    [
-        (["verify", *SQUARE], []),
-        (["reduce", *SQUARE], []),
-        (["decompose", *SQUARE], []),
-        (["construct", "--family", "F2", "--i", "1", "--j", "2", "--k", "3"], []),
-        (["enumerate", "5"], COUNTING),
-        (["enumerate", "5", "--format", "json", "--source", "brute"], COUNTING),
-        (["count", "5"], COUNTING),
-        (["selftest", "--max-s", "4"], [*COUNTING, "magic3.selftest"]),
-    ],
-)
+# Each verb's argv, and the magic3 modules that it loads beyond `import magic3`.
+VERBS = [
+    (["verify", *SQUARE], []),
+    (["reduce", *SQUARE], []),
+    (["decompose", *SQUARE], []),
+    (["construct", "--family", "F2", "--i", "1", "--j", "2", "--k", "3"], []),
+    (["enumerate", "5"], COUNTING),
+    (["enumerate", "5", "--format", "json", "--source", "brute"], COUNTING),
+    (["count", "5"], COUNTING),
+    (["selftest", "--max-s", "4"], [*COUNTING, "magic3.selftest"]),
+]
+
+
+@pytest.mark.parametrize("argv, added", VERBS)
 def test_each_verb_loads_only_what_it_runs(argv, added):
     on_import, code, on_verb, others = map(ast.literal_eval, probe(VERB_PROBE, *argv))
     assert on_import == EAGER
@@ -63,6 +64,28 @@ def test_each_verb_loads_only_what_it_runs(argv, added):
     # Only `reduce`, `decompose` and `count` print JSON, and need `json`.
     if argv[0] in ("verify", "construct", "enumerate", "selftest"):
         assert "json" not in others
+
+
+def test_no_verb_loads_dataclasses_inspect_or_typing():
+    # The value types load `dataclasses` (which imports `inspect`) on the first
+    # use of the dataclass API, and the package reads its annotation names from
+    # `collections.abc`.  `-S` skips `site`, whose `.pth` files may load
+    # `typing` before any code runs; every verb then runs in the one interpreter.
+    code = (
+        "import contextlib, io, sys\n"
+        "def loaded():\n"
+        "    print([name for name in ('dataclasses', 'inspect', 'typing') if name in sys.modules])\n"
+        "loaded()\n"
+        "import magic3, magic3.cli\n"
+        "loaded()\n"
+        f"for argv in {[argv for argv, _ in VERBS]}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        print(magic3.cli.main(argv), file=sys.stderr)\n"
+        "    loaded()\n"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "0\n" * len(VERBS))
+    assert result.stdout.splitlines() == ["[]"] * (len(VERBS) + 2)
 
 
 def test_every_public_name_resolves_in_a_fresh_interpreter():

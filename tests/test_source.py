@@ -44,11 +44,16 @@ def _calls(path):
             yield path.name, function, name, ast.unparse(node)
 
 
-def test_only_value_type_uses_the_dataclass_decorator():
-    # `dataclass` writes and compiles methods on every import unless init,
-    # eq and repr are off; `_value_type` turns them off and writes its own.
-    # A `@dataclass` or `dataclass(...)` anywhere else would bring the
-    # compiling back (a fresh import is checked in `test_value_types.py`).
+def test_only_the_field_descriptor_runs_dataclass():
+    # `dataclass` loads `dataclasses` and `inspect`, and writes and compiles
+    # methods unless init, eq and repr are off.  `_value_type` builds each
+    # slotted class itself and writes its methods; only `_Fields.__get__`, on
+    # the first read of a value type's fields, runs `dataclass`, with all
+    # three off, on a shadow class (slotted, so that `__dataclass_params__`
+    # reads as it did when `dataclass` built the value type).  A `@dataclass`
+    # or `dataclass(...)` anywhere else would load it at import, or bring the
+    # compiling back (fresh imports are checked in `test_value_types.py` and
+    # `test_imports.py`).
     uses = [
         (path.name, function)
         for path in SOURCES
@@ -56,7 +61,16 @@ def test_only_value_type_uses_the_dataclass_decorator():
         if isinstance(node, ast.Name) and node.id == "dataclass"
         or isinstance(node, ast.Attribute) and node.attr == "dataclass"
     ]
-    assert uses == [("core.py", "_value_type")]
+    assert uses == [("core.py", "__get__")]
+    tree = ast.parse(Path(core.__file__).read_text())
+    (fields,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Fields"]
+    (get,) = [node for node in fields.body if isinstance(node, ast.FunctionDef) and node.name == "__get__"]
+    (first_read,) = [node for node in ast.walk(get) if isinstance(node, ast.If)]
+    assert ast.unparse(first_read.test) == "vars(cls)['__dataclass_fields__'] is self"
+    (call,) = [node for node in ast.walk(first_read)
+               if isinstance(node, ast.Call) and ast.unparse(node.func) == "dataclass"]
+    assert {k.arg: ast.unparse(k.value) for k in call.keywords} == {
+        "init": "False", "repr": "False", "eq": "False", "slots": "True"}
 
 
 def test_only_validate_and_construct_mint_through_certify():
@@ -103,8 +117,14 @@ def test_value_types_set_their_fields_one_way():
     scoped = [(name, function, node) for name, path in zip(trees, SOURCES) for function, node in _scoped_nodes(path)]
     assert [(f, fn) for f, fn, node in scoped if isinstance(node, ast.Call)
             and ast.unparse(node.func) == "object.__setattr__"] == [("core.py", "__setstate__")]
-    assert [(f, fn) for f, fn, node in scoped if isinstance(node, ast.Call)
-            and ast.unparse(node.func) == "type" and len(node.args) == 3] == [("core.py", "_twin")]
+    # Three classes are built by `type`: each value type's slotted class, once,
+    # in `_value_type`, which its class statement names as its metaclass (see
+    # `setstate_calls` below); its twin in `_twin`; and the shadow that
+    # `_Fields` hands `dataclass` on the first read of its fields.
+    assert sorted((f, fn) for f, fn, node in scoped if isinstance(node, ast.Call)
+                  and ast.unparse(node.func) == "type" and len(node.args) == 3) == [
+        ("core.py", "__get__"), ("core.py", "_twin"), ("core.py", "_value_type"),
+    ]
     assert [(f, fn) for f, fn, node in scoped
             if isinstance(node, ast.Attribute) and node.attr == "__slots__"] == [("core.py", "_twin")]
     assert [(f, node.lineno) for f, fn, node in scoped if isinstance(node, (ast.Name, ast.Attribute))
@@ -146,7 +166,7 @@ def test_value_types_set_their_fields_one_way():
         )
         for tree in trees.values()
         for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef) and "_value_type" in map(ast.unparse, node.decorator_list)
+        if isinstance(node, ast.ClassDef) and "metaclass=_value_type" in map(ast.unparse, node.keywords)
         for init in node.body
         if isinstance(init, ast.FunctionDef) and init.name == "__init__"
     }

@@ -1,11 +1,13 @@
 """The public contract of the value types and of the text parser.
 
-The six value types are dataclasses whose methods `_value_type` writes once,
-and each sets its slots in a hand-written `__init__`; these tests pin what a
-frozen, slotted dataclass gives: construction, fields, `replace`,
-immutability, equality, hashing, `repr`, pickle and copy.
+The six value types are slotted classes with the dataclass API, whose
+methods `_value_type` writes once, and each sets its slots in a hand-written
+`__init__`; these tests pin what a frozen, slotted dataclass gives:
+construction, fields, `replace`, immutability, equality, hashing, `repr`,
+pickle and copy.
 """
 
+import ast
 import copy
 import dataclasses
 import os
@@ -134,6 +136,14 @@ class TestValueTypeContract:
         assert cls.__slots__ == cls.__match_args__ == tuple(FIELDS[name])
         assert not hasattr(cls(*args), "__dict__")
 
+    def test_dataclass_params_are_the_ones_dataclass_set(self, name):
+        # As `dataclass(init=False, repr=False, eq=False, slots=True)` left
+        # them on the class; a `@dataclass` subclass reads them from its base.
+        cls = CASES[name][0]
+        dataclasses.fields(cls)  # a first read builds the fields and the params
+        params = cls.__dataclass_params__
+        assert (params.init, params.repr, params.eq, params.order, params.unsafe_hash, params.frozen) == (False,) * 6
+
     def test_replace_builds_a_new_value(self, name):
         cls, args, kwargs, (field, value), _ = CASES[name]
         x = cls(*args)
@@ -241,8 +251,9 @@ class TestMintedValueContract:
 def test_import_generates_no_dataclass_code():
     # `dataclasses` runs the source of each method that it generates with
     # `exec` (in `_create_fn` up to Python 3.12); a fresh import of the
-    # package, every name of it (which loads the lazy submodules), and its CLI
-    # calls it never.  A module global shadows the builtin.
+    # package, every name of it (which loads the lazy submodules), its CLI,
+    # and the first read of every value type's fields call it never.  A module
+    # global shadows the builtin.
     probe = (
         "import dataclasses\n"
         "calls = []\n"
@@ -252,6 +263,10 @@ def test_import_generates_no_dataclass_code():
         "dataclasses.exec = record\n"
         "import magic3, magic3.cli, magic3.selftest\n"
         "from magic3 import *\n"
+        "from magic3.series import CountReport, RationalSeries\n"
+        "for cls in (Square, MagicSquare, ReducedMagicSquare, Decomposition, RationalSeries, CountReport):\n"
+        "    dataclasses.fields(cls)\n"
+        "dataclasses.replace(validate(SEED_F1))\n"
         "import sys\n"
         "print(sorted(name for name in sys.modules if name.startswith('magic3')))\n"
         "print(magic3.__file__)\n"
@@ -268,6 +283,59 @@ def test_import_generates_no_dataclass_code():
     assert loaded == str(sorted(modules))
     assert Path(imported).parent == src / "magic3"
     assert calls == "[]"
+
+
+# Eight threads, more than the cores of a small machine, race for the first
+# read of the six value types' fields, each built on that read (`core._Fields`),
+# while the interpreter switches threads every microsecond.
+FIELDS_RACE = """
+import sys, threading
+from magic3 import Decomposition, MagicSquare, ReducedMagicSquare, Square
+from magic3.series import CountReport, RationalSeries
+TYPES = (Square, MagicSquare, ReducedMagicSquare, Decomposition, RationalSeries, CountReport)
+print([type(vars(cls)["__dataclass_fields__"]).__name__ for cls in TYPES], "dataclasses" in sys.modules)
+start = threading.Barrier(8, timeout=60)
+results = [None] * 8
+def read(n):
+    import dataclasses
+    start.wait()
+    # Each thread starts at another type, so every type is raced from several sides.
+    fields = {cls: dataclasses.fields(cls) for cls in TYPES[n % 6:] + TYPES[:n % 6]}
+    results[n] = [fields[cls] for cls in TYPES]
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    threads = [threading.Thread(target=read, args=(n,)) for n in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+finally:
+    sys.setswitchinterval(interval)
+import dataclasses
+print([thread.is_alive() for thread in threads])
+print(sorted({repr([[(f.name, f.type, "MISSING" if f.default is dataclasses.MISSING else f.default) for f in fields]
+                    for fields in r]) for r in results}))
+print(all(a is b for r in results for x, y in zip(r, results[0]) for a, b in zip(x, y, strict=True)))
+print([type(vars(cls)["__dataclass_fields__"]) is dict and tuple(vars(cls)["__dataclass_fields__"].values()) == fields
+       for cls, fields in zip(TYPES, results[0])])
+"""
+
+
+def test_racing_first_reads_build_each_types_fields_once():
+    result = subprocess.run([sys.executable, "-c", FIELDS_RACE], capture_output=True, text=True, timeout=180)
+    assert result.returncode == 0, result.stderr
+    before, alive, distinct, shared, settled = result.stdout.splitlines()
+    assert before == f"{['_Fields'] * 6} False"
+    assert alive == str([False] * 8)
+    # One set of names, types and defaults in every thread: the declared ones.
+    declared = [[(f.name, f.type, "MISSING" if f.default is dataclasses.MISSING else f.default)
+                 for f in dataclasses.fields(cls)]
+                for cls in (Square, MagicSquare, ReducedMagicSquare, Decomposition, RationalSeries, CountReport)]
+    assert ast.literal_eval(distinct) == [repr(declared)]
+    # The same Field objects in every thread, and each class holds one plain dict of them.
+    assert shared == "True"
+    assert settled == str([True] * 6)
 
 
 class TestMagicSquareMint:
