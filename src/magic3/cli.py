@@ -122,35 +122,51 @@ def _column_names(table: list[str] | None, suffix: str, first: int, step: int, m
     return table[first : stop if stop >= 0 else None : step]
 
 
+def _brute_cells(columns: list[list[str]], cuts: list[int]) -> list[str]:
+    """A brute piece's nine columns laid out grid by grid as one flat list, less the nine cells of each cut grid."""
+    cells = [""] * (9 * len(columns[0]))
+    for p, column in enumerate(columns):
+        cells[p::9] = column
+    # From the back, so that each cut still names its grid.
+    for c in reversed(cuts):
+        del cells[9 * c : 9 * c + 9]
+    return cells
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> None:
     # Renders the stream's pieces of rows (see `magic3.enumeration`) with
     # decimal strings for values.  Each cell of a piece is an arithmetic
     # progression of values in 0..2s, so its strings are one slice of a table
     # of those of 0..2s, or a repeat.  Each string carries the separator that
     # follows it, from one table inside a line and from the other at its end,
-    # so one empty `join` per grid, or per family point and its eight images,
-    # builds the lines, with no Python step per square; the eight images share
-    # the point's columns, so each entry is converted once for its eight
-    # squares.  Both streams check each row's two end grids, so every value is
-    # in 0..2s, the tables' range.  They also check their first grid, which
-    # holds the largest entry, 2s, so a range error or a negative s raises
-    # before anything is written; a row that fails its check raises after the
-    # rows before it are written and before any square of its own.
-    # Each piece is one write, with the bytes of printing its squares (or
-    # its part of one JSON array of them).
+    # so empty `join`s build the lines, with no Python step per square: one
+    # per brute piece, over its cells laid out flat (`_brute_cells`), and one
+    # per family point, whose eight images share the point's columns, so each
+    # entry is converted once for its eight squares.  Both streams check each
+    # row's two end grids, so every value is in 0..2s, the tables' range.
+    # They also check their first grid, which holds the largest entry, 2s, so
+    # a range error or a negative s raises before anything is written; a row
+    # that fails its check raises after the rows before it are written and
+    # before any square of its own.  Each piece is one write, with the bytes
+    # of printing its squares (or its part of one JSON array of them).
     from . import enumeration
 
     s, json_format = args.s, args.format == "json"
     suffixes = (",", "],[") if json_format else (" ", "\n")
     tables = [[f"{v}{suffix}" for v in range(2 * s + 1)] if 2 * s < _NAME_TABLE_BOUND else None for suffix in suffixes]
+    # A lambda, not a `partial`: CPython 3.11 inlines the lambda's call of
+    # `_column_names`, and a column built through `partial` took longer.
     column = lambda first, step, m, end: _column_names(tables[end], suffixes[end], first, step, m)
     brute = args.source == "brute"
     pieces = (enumeration._brute_pieces if brute else enumeration._family_pieces)(s)
-    rows = enumeration._brute_grids if brute else enumeration._family_points
     write = sys.stdout.write
     opening = "[["
     for piece in pieces:
-        lines = "".join(map("".join, rows(*piece, column)))
+        if brute:
+            first, steps, start, m, cuts = piece
+            lines = "".join(_brute_cells(enumeration._brute_columns(first, steps, start, m, column), cuts))
+        else:
+            lines = "".join(map("".join, enumeration._family_points(*piece, column)))
         if json_format:
             # The last square ends in "],[": its "]" closes it.
             write(opening + lines[:-2])

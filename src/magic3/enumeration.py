@@ -44,22 +44,25 @@ Output orders are deterministic: family grids are lexicographic by
 a chain of pieces of certified rows (`_family_pieces`, `_brute_pieces`),
 and `_PIECE` alone sets their size: a piece is at most `_PIECE` offsets of
 an a1 row less the cuts inside them, or `_PIECE // 8` points of a lattice
-row with their eight images each.  A brute piece whose offsets are all cut
-is dropped, so no piece is empty.  A piece is handed out as its row's first
-grid and steps and its first offset and length m, so each of its cells is a
-first value and a step, and column(first, step, m, end) gives its m values,
-or what stands for each of them; end is true for a column of the cells that
-end a line, a grid's last.  `_brute_grids` zips a brute piece's nine
-columns; a family piece has one layout, a 72-tuple per point of its eight
-images' cells (`_family_points`), whose ninth cells, all corners, read four line-end
-columns, and `iter_family_grids` cuts it into grids.  A piece holds at most
-13 such columns and 7 cuts, so a consumer that does not keep what the
-streams yield runs in memory that does not depend on s.  A row's pieces
-come after its end grids pass, so a failing row raises after every piece of
-the rows before it and before any of its own.  `magic3 enumerate` is such a
-consumer: its columns are slices, or repeats, of two tables of decimal
-strings, each string followed by the separator inside a line or at its end,
-and it writes each piece as one write of one empty `join` per grid or point.
+row with their eight images each.  A brute piece carries its cuts as sorted
+offsets into it and is yielded only if they are fewer than its offsets, so
+no piece is empty.  A piece is handed out as its row's first grid and steps
+and its first offset and length m, so each of its cells is a first value
+and a step, and column(first, step, m, end) gives its m values, or what
+stands for each of them; end is true for a column of the cells that end a
+line, a grid's last.  `_brute_columns` builds a brute piece's nine columns,
+which `_brute_grids` zips, less the cuts; a family piece has one layout, a
+72-tuple per point of its eight images' cells (`_family_points`), whose
+ninth cells, all corners, read four line-end columns, and
+`iter_family_grids` cuts it into grids.  A piece holds at most 13 such
+columns and 7 cuts, so a consumer that does not keep what the streams yield
+runs in memory that does not depend on s.  A row's pieces come after its end
+grids pass, so a failing row raises after every piece of the rows before it
+and before any of its own.  `magic3 enumerate` is such a consumer: its
+columns are slices, or repeats, of two tables of decimal strings, each
+string followed by the separator inside a line or at its end, and it writes
+each piece as one write: of one empty `join` of a brute piece's columns laid
+out flat, less the cuts, or of one per point of a family piece.
 
 `MismatchError` and `COUNT_MAX_S`, the bound on the s of `reconcile`, are
 defined in `core`, so that the CLI reads them without loading this module;
@@ -252,11 +255,11 @@ def iter_brute_grids(s: int) -> Iterator[tuple[int, ...]]:
       an equal pair is dropped (only a1 = s does this).  Any other difference
       is zero at one a2 at most, which is cut from the row when it is an
       integer in it, so a row loses at most 7 grids;
-    * the row is cut into pieces of at most `_PIECE` offsets.  A piece's
-      grids are one `zip` of the cells' ranges and repeats, built from the
-      row's first end grid, and `compress` passes over the cuts inside the
-      piece; a piece whose offsets are all cut is dropped (see
-      `_brute_pieces`, `_brute_grids`);
+    * the row is cut into pieces of at most `_PIECE` offsets, each with the
+      cuts inside it, and a piece whose offsets are all cut is dropped.  A
+      piece's grids are one `zip` of the cells' ranges and repeats, built
+      from the row's first end grid, less the grids at its cuts (see
+      `_brute_pieces`, `_brute_columns`, `_brute_grids`);
     * the first grid gets the `Square` entry checks, once, before the first
       row, so an s past the 64-bit range raises EntryRangeError as `Square`
       would on it.  No later grid can fail them: every cell is nonnegative
@@ -338,19 +341,19 @@ def _brute_rows(s: int) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], int,
             yield cell, ends, n, sorted(cuts)
 
 
-def _brute_pieces(s: int) -> Iterator[tuple[tuple[int, ...], list[int], int, int, bytearray]]:
-    """The pieces of `iter_brute_grids(s)`, in order, as (first, steps, start, m, keep): m offsets of an a1 row.
+def _brute_pieces(s: int) -> Iterator[tuple[tuple[int, ...], list[int], int, int, list[int]]]:
+    """The pieces of `iter_brute_grids(s)`, in order, as (first, steps, start, m, cuts): m offsets of an a1 row.
 
     Each certified a1 row is cut into pieces of at most `_PIECE` offsets,
-    and only a piece that holds a grid is yielded, so no piece is empty:
-    the a1 = 512 row at s = 768 has 1,025 offsets and its last one cut, so
-    it yields one piece, not two.  A piece is the row's offsets start to
-    start + m - 1, at which each cell x of the row's first grid holds
-    x + start * d, ... for its step d, -1, 0 or +1; keep is a mask that is 0
-    at the cuts inside the piece (see `_brute_grids`).  s is read by the int
-    rule, and the sweep's first grid, the forced grid of cell 4s - 1 when
-    s >= 4 (see `iter_brute_grids`), gets the `Square` entry checks before
-    the first row.
+    and only a piece that holds a grid, fewer than m cuts, is yielded, so no
+    piece is empty: the a1 = 512 row at s = 768 has 1,025 offsets and its
+    last one cut, so it yields one piece, not two.  A piece is the row's
+    offsets start to start + m - 1, at which each cell x of the row's first
+    grid holds x + start * d, ... for its step d, -1, 0 or +1; cuts are the
+    sorted offsets inside the piece, each in [0, m), of the row's cuts that
+    fall in it (see `_brute_columns`).  s is read by the int rule, and the
+    sweep's first grid, the forced grid of cell 4s - 1 when s >= 4 (see
+    `iter_brute_grids`), gets the `Square` entry checks before the first row.
     """
     s = _natural("s", s)
     if s >= 4:
@@ -359,29 +362,42 @@ def _brute_pieces(s: int) -> Iterator[tuple[tuple[int, ...], list[int], int, int
         steps = [(y > x) - (y < x) for x, y in zip(first, last)]
         for start in range(0, n, _PIECE):
             m = min(_PIECE, n - start)
-            keep = bytearray(b"\1") * m
-            for c in cuts:
-                if start <= c < start + m:
-                    keep[c - start] = 0
-            if 1 in keep:
-                yield first, steps, start, m, keep
+            inside = [c - start for c in cuts if start <= c < start + m]
+            if len(inside) < m:
+                yield first, steps, start, m, inside
 
 
 # Of a grid's nine cells, only the last ends its line.
 _LINE_ENDS = (False,) * 8 + (True,)
 
 
+def _brute_columns(
+    first: tuple[int, ...], steps: list[int], start: int, m: int, column: Callable[[int, int, int, bool], Sequence]
+) -> list[Sequence]:
+    """A brute piece's nine columns, cuts and all: column(first, step, m, end) for each cell.
+
+    column gives a cell's m values, `_cell_values`, or what stands for each
+    of them, such as its decimal string, with end true for the last cell,
+    which ends the grid's line.  Its consumers skip the grids at the piece's
+    cuts: `_brute_grids` here, and `magic3 enumerate`, which lays the nine
+    columns out as one flat list of cells.
+    """
+    return [column(x + start * d, d, m, end) for x, d, end in zip(first, steps, _LINE_ENDS)]
+
+
 def _brute_grids(
-    first: tuple[int, ...], steps: list[int], start: int, m: int, keep: bytearray,
+    first: tuple[int, ...], steps: list[int], start: int, m: int, cuts: list[int],
     column: Callable[[int, int, int, bool], Sequence] = _cell_values,
 ) -> Iterator[tuple]:
-    """A brute piece's grids: one `zip` of its nine columns, passed through `compress` with keep.
+    """A brute piece's grids: one `zip` of its nine columns (`_brute_columns`), less the grids at the cuts.
 
-    column(first, step, m, end) gives a cell's m values, `_cell_values`, or
-    what stands for each of them, such as its decimal string, with end true
-    for the last cell, which ends the grid's line.
+    `compress` passes over the cuts with a mask that is 0 at each, so the
+    grids are made one at a time, as they are read.
     """
-    return compress(zip(*[column(x + start * d, d, m, end) for x, d, end in zip(first, steps, _LINE_ENDS)]), keep)
+    keep = bytearray(b"\1") * m
+    for c in cuts:
+        keep[c] = 0
+    return compress(zip(*_brute_columns(first, steps, start, m, column)), keep)
 
 
 def iter_brute_squares(s: int) -> Iterator[MagicSquare]:

@@ -547,8 +547,19 @@ class TestEnumerate:
             f"enumerate failed: {failure}\ncounterexample: {' '.join(map(str, square))}\n"
         )
 
-    @pytest.mark.parametrize("s", [*range(0, 41), 230])
-    def test_brute_source_matches_the_validated_full_sweep(self, s):
+    @pytest.mark.parametrize("s, piece", [
+        *(pytest.param(s, 1024, id=f"{s}") for s in (*range(0, 41), 230)),
+        *(pytest.param(s, 8, id=f"{s}-8") for s in (*range(0, 41), 230)),
+    ])
+    def test_brute_source_matches_the_validated_full_sweep(self, s, piece, monkeypatch):
+        # With pieces of 1,024 offsets, the default, every a1 row up to
+        # s = 511 is one piece; with pieces of eight, rows span many pieces,
+        # cuts fall on both sides of piece edges, a piece can hold one grid,
+        # and some are all cuts, which are dropped.  Each piece that the sweep yields names its
+        # cuts as sorted, distinct offsets into it, fewer than its m offsets.
+        monkeypatch.setattr(enumeration, "_PIECE", piece)
+        for _, _, _, m, cuts in enumeration._brute_pieces(s):
+            assert cuts == sorted(set(cuts)) and all(0 <= c < m for c in cuts) and len(cuts) < m
         grids = list(certified_full_sweep(s))
         text = "".join(" ".join(map(str, grid)) + "\n" for grid in grids)
         array = json.dumps([list(grid) for grid in grids], separators=(",", ":")) + "\n"

@@ -283,7 +283,10 @@ def test_public_names_are_the_imported_names():
 
 # The brute-force sweep, and the brute half of `reconcile` that compares it
 # with the family marks.
-SWEEP = ("iter_brute_grids", "_brute_pieces", "_brute_grids", "_brute_rows", "_forced_grid", "_compare_brute_rows")
+SWEEP = (
+    "iter_brute_grids", "_brute_pieces", "_brute_columns", "_brute_grids", "_brute_rows", "_forced_grid",
+    "_compare_brute_rows",
+)
 
 
 def test_brute_sweep_uses_nothing_from_decompose():
@@ -326,10 +329,12 @@ def test_family_marks_use_nothing_from_the_sweep():
 
 def test_cli_renders_both_sources_through_one_path():
     # The piece format and the eight images stay in `enumeration`: `cli`
-    # passes one column function to whichever stream it renders.  Each
+    # passes one column function to whichever stream it renders, and the
+    # brute columns come from the same builder as the library's grids.  Each
     # string carries the separator that follows it, so `enumerate` joins with
-    # the empty string alone: a join per line or per piece with a separator
-    # would show here.
+    # the empty string alone: once per brute piece, over `_brute_cells`' flat
+    # list, and once per family point and once per piece.  A join per brute
+    # grid, or one with a separator, would show here.
     path = Path(magic3.__file__).parent / "cli.py"
     imported = {
         alias.name
@@ -338,16 +343,24 @@ def test_cli_renders_both_sources_through_one_path():
         for alias in node.names
     }
     assert {"_INVERSE_IMAGES", "_WIDE", "_CORNERS"} & imported == set()
-    assert [(f, fn) for f, fn, name, _ in _calls(path) if name == "_column_names"] == [
+    calls = list(_calls(path))
+    assert [(f, fn) for f, fn, name, _ in calls if name == "_column_names"] == [
         ("cli.py", "_cmd_enumerate")
     ]
-    # The library's family stream reads the same layout as `enumerate`.
-    assert ("enumeration.py", "iter_family_grids") in [
-        (f, fn) for f, fn, name, _ in _calls(Path(enumeration.__file__)) if name == "_family_points"
-    ]
-    joins = [ast.unparse(node.value) for node in ast.walk(_function(path, "_cmd_enumerate"))
-             if isinstance(node, ast.Attribute) and node.attr == "join"]
-    assert joins == ["''"] * 2
+    # The library's streams read the same layouts as `enumerate`.
+    library = [(fn, name) for _, fn, name, _ in _calls(Path(enumeration.__file__))]
+    assert ("iter_family_grids", "_family_points") in library
+    assert ("_brute_grids", "_brute_columns") in library
+    assert [fn for _, fn, name, _ in calls if name in ("_brute_columns", "_brute_cells", "_family_points")] == [
+        "_cmd_enumerate"
+    ] * 3
+    enumerate_nodes = list(ast.walk(_function(path, "_cmd_enumerate")))
+    joins = [ast.unparse(node.value) for node in enumerate_nodes if isinstance(node, ast.Attribute) and node.attr == "join"]
+    assert joins == ["''"] * 3
+    assert len([node for node in enumerate_nodes
+                if isinstance(node, ast.Call) and ast.unparse(node).startswith("''.join(_brute_cells(")]) == 1
+    assert [node for node in ast.walk(_function(path, "_brute_cells"))
+            if isinstance(node, ast.Attribute) and node.attr == "join"] == []
 
 
 def _int_constants(module):
