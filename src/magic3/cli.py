@@ -34,14 +34,16 @@ from .core import (
 )
 from .decompose import Decomposition, Family, construct, decompose, reduce
 
-# While 2s is below this bound, `enumerate` slices each column of decimal
-# strings from two tables of those of 0..2s, each string followed by the
-# separator that comes after a value inside a line or at its end, made once
-# per call (together at most 4.14 MB for text and 4.20 MB, 4.01 MiB, for
-# JSON, at 2s = 2**15 - 2): at s = 250 that writes two to five times the
-# squares per second that building each value's string does.  From the bound
-# on, it builds each value's string, so memory does not grow with s.
-_NAME_TABLE_BOUND = 2**15
+# While 2s is below this bound, `enumerate` slices each column of strings
+# from three tables made once per call, each with one string for each value
+# of 0..2s: its decimal string followed by the separator inside a line, the
+# same at a line's end, and the middle row that it begins as b1.  The peak up
+# to the first write is then at most 3.37 MB for text and 3.42 MB, 3.26 MiB,
+# for JSON, at 2s = 2**14 - 2 (6.8 MB at 2**15 - 2): at s = 250 the tables
+# write 2.3 to 5.9 times the squares per second that building each value's
+# string does.  From the bound on, it builds each value's string, so memory
+# does not grow with s.
+_NAME_TABLE_BOUND = 2**14
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,14 +109,20 @@ def _cmd_construct(args: argparse.Namespace) -> None:
     print(format_square(construct(d).square))
 
 
-def _column_names(table: list[str] | None, suffix: str, first: int, step: int, m: int) -> list[str]:
+def _column_names(table: list[str] | None, suffix: str, first: int, step: int, m: int, s: int | None = None) -> list[str]:
     """The decimal strings of the m values first, first + step, ..., each followed by suffix.
 
-    One slice of table, those strings of 0..2s, or a repeat of one of them
-    if step is 0; with no table (past `_NAME_TABLE_BOUND`), built for each value.
+    Given s, each value v is b1, and its string stands for the middle row
+    v, s and 2s - v, each followed by suffix.  One slice of table, those
+    strings of 0..2s, or a repeat of one of them if step is 0; with no table
+    (past `_NAME_TABLE_BOUND`), built for each value.
     """
     if table is None:
-        return [f"{v}{suffix}" for v in range(first, first + m * step, step)] if step else [f"{first}{suffix}"] * m
+        if s is None:
+            return [f"{v}{suffix}" for v in range(first, first + m * step, step)] if step else [f"{first}{suffix}"] * m
+        center, two_s = f"{suffix}{s}{suffix}", 2 * s
+        values = range(first, first + m * step, step) if step else [first] * m
+        return [f"{v}{center}{two_s - v}{suffix}" for v in values]
     if not step:
         return [table[first]] * m
     stop = first + m * step
@@ -122,14 +130,21 @@ def _column_names(table: list[str] | None, suffix: str, first: int, step: int, m
     return table[first : stop if stop >= 0 else None : step]
 
 
-def _brute_cells(columns: list[list[str]], cuts: list[int]) -> list[str]:
-    """A brute piece's nine columns laid out grid by grid as one flat list, less the nine cells of each cut grid."""
-    cells = [""] * (9 * len(columns[0]))
+def _brute_cells(columns: list[list[str]], m: int, cuts: list[int]) -> list[str]:
+    """A brute piece's m lines laid out as one flat list of their columns' strings, less the lines of the cuts.
+
+    A column is the one string of a cell that stays fixed along the a1 row,
+    as a1 and c3 do, or the m strings of one that steps.  Each line starts
+    as a copy of the first, and the longer columns are laid over the copies.
+    """
+    width = len(columns)
+    cells = [column[0] for column in columns] * m
     for p, column in enumerate(columns):
-        cells[p::9] = column
-    # From the back, so that each cut still names its grid.
+        if len(column) > 1:
+            cells[p::width] = column
+    # From the back, so that each cut still names its line.
     for c in reversed(cuts):
-        del cells[9 * c : 9 * c + 9]
+        del cells[width * c : width * (c + 1)]
     return cells
 
 
@@ -138,25 +153,42 @@ def _cmd_enumerate(args: argparse.Namespace) -> None:
     # decimal strings for values.  Each cell of a piece is an arithmetic
     # progression of values in 0..2s, so its strings are one slice of a table
     # of those of 0..2s, or a repeat.  Each string carries the separator that
-    # follows it, from one table inside a line and from the other at its end,
-    # so empty `join`s build the lines, with no Python step per square: one
-    # per brute piece, over its cells laid out flat (`_brute_cells`), and one
-    # per family point, whose eight images share the point's columns, so each
-    # entry is converted once for its eight squares.  Both streams check each
-    # row's two end grids, so every value is in 0..2s, the tables' range.
-    # They also check their first grid, which holds the largest entry, 2s, so
-    # a range error or a negative s raises before anything is written; a row
-    # that fails its check raises after the rows before it are written and
-    # before any square of its own.  Each piece is one write, with the bytes
-    # of printing its squares (or its part of one JSON array of them).
+    # follows it, from one table inside a line and from another at its end,
+    # and b1's stands for the whole middle row, b1, s, 2s - b1, from a third,
+    # so a line is seven strings and empty `join`s build the lines, with no
+    # Python step per square: one per brute piece, over its cells laid out
+    # flat (`_brute_cells`), and one per family point, whose eight images
+    # share the point's columns, so each entry is converted once for its
+    # eight squares.  Both streams check each row's two end grids, so every
+    # value is in 0..2s, the tables' range, and every grid has center s and
+    # b1 + b3 = 2s.  They also check their first grid, which holds the
+    # largest entry, 2s, so a range error or a negative s raises before
+    # anything is written; a row that fails its check raises after the rows
+    # before it are written and before any square of its own.  Each piece is
+    # one write, with the bytes of printing its squares (or its part of one
+    # JSON array of them).
     from . import enumeration
 
     s, json_format = args.s, args.format == "json"
-    suffixes = (",", "],[") if json_format else (" ", "\n")
-    tables = [[f"{v}{suffix}" for v in range(2 * s + 1)] if 2 * s < _NAME_TABLE_BOUND else None for suffix in suffixes]
+    inside, end = (",", "],[") if json_format else (" ", "\n")
+    # The three kinds of string, by `enumeration._LINE_PLACES`: a value inside
+    # a line, at its end, and b1's, which stands for the middle row.
+    suffixes, middles = (inside, end, inside), (None, None, s)
+    if 2 * s < _NAME_TABLE_BOUND:
+        inner, center = [f"{v}{inside}" for v in range(2 * s + 1)], f"{s}{inside}"
+        tables = [inner, [f"{v}{end}" for v in range(2 * s + 1)], [v + center + w for v, w in zip(inner, reversed(inner))]]
+        layout = enumeration._WIDE
+    else:
+        # Past the bound a family line is nine strings: a point's four columns
+        # of middle rows would convert eight values on top of the twelve that
+        # its lines of nine convert, which took 1.17 times as long at s = 250.
+        tables, layout = [None] * 3, enumeration._GRIDS
     # A lambda, not a `partial`: CPython 3.11 inlines the lambda's call of
     # `_column_names`, and a column built through `partial` took longer.
-    column = lambda first, step, m, end: _column_names(tables[end], suffixes[end], first, step, m)
+    column = lambda first, step, m, kind: _column_names(tables[kind], suffixes[kind], first, step, m, middles[kind])
+    # A brute cell that stays fixed along its a1 row is one string, which
+    # `_brute_cells` repeats.
+    brute_column = lambda first, step, m, kind: column(first, step, m if step else 1, kind)
     brute = args.source == "brute"
     pieces = (enumeration._brute_pieces if brute else enumeration._family_pieces)(s)
     write = sys.stdout.write
@@ -164,9 +196,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> None:
     for piece in pieces:
         if brute:
             first, steps, start, m, cuts = piece
-            lines = "".join(_brute_cells(enumeration._brute_columns(first, steps, start, m, column), cuts))
+            lines = "".join(_brute_cells(enumeration._brute_columns(first, steps, start, m, brute_column), m, cuts))
         else:
-            lines = "".join(map("".join, enumeration._family_points(*piece, column)))
+            lines = "".join(map("".join, enumeration._family_points(*piece, column, layout)))
         if json_format:
             # The last square ends in "],[": its "]" closes it.
             write(opening + lines[:-2])

@@ -48,20 +48,23 @@ row with their eight images each.  A brute piece carries its cuts as sorted
 offsets into it and is yielded only if they are fewer than its offsets, so
 no piece is empty.  A piece is handed out as its row's first grid and steps
 and its first offset and length m, so each of its cells is a first value
-and a step, and column(first, step, m, end) gives its m values, or what
-stands for each of them; end is true for a column of the cells that end a
-line, a grid's last.  `_brute_columns` builds a brute piece's nine columns,
-which `_brute_grids` zips, less the cuts; a family piece has one layout, a
-72-tuple per point of its eight images' cells (`_family_points`), whose
-ninth cells, all corners, read four line-end columns, and
-`iter_family_grids` cuts it into grids.  A piece holds at most 13 such
-columns and 7 cuts, so a consumer that does not keep what the streams yield
-runs in memory that does not depend on s.  A row's pieces come after its end
-grids pass, so a failing row raises after every piece of the rows before it
-and before any of its own.  `magic3 enumerate` is such a consumer: its
-columns are slices, or repeats, of two tables of decimal strings, each
-string followed by the separator inside a line or at its end, and it writes
-each piece as one write: of one empty `join` of a brute piece's columns laid
+and a step, and column(first, step, m, kind) gives its m values, or what
+stands for each of them in a line: a string of one of three kinds
+(`_LINE_PLACES`), inside a line, at its end, or at b1, where it stands for
+the whole middle row, as a certified grid's is b1, s and 2s - b1.  So a
+line is seven places and a grid nine (`_GRID_PLACES`).  `_brute_columns`
+builds a brute piece's columns at either's places, and `_brute_grids` zips
+the nine, less the cuts; `_family_points` lays a family piece out per
+point, as its eight images' grids, 72 values (`_GRIDS`), which
+`iter_family_grids` cuts into grids, or as their lines, 56 strings
+(`_WIDE`).  A piece holds at most 16 such columns and 7 cuts, so a consumer
+that does not keep what the streams yield runs in memory that does not
+depend on s.  A row's pieces come after its end grids pass, so a failing
+row raises after every piece of the rows before it and before any of its
+own.  `magic3 enumerate` is such a consumer: its columns are slices, or
+repeats, of three tables of strings, one of each kind for each value in
+0..2s, each followed by the separator that comes after it, and it writes
+each piece as one write: of one empty `join` of a brute piece's lines laid
 out flat, less the cuts, or of one per point of a family piece.
 
 `MismatchError` and `COUNT_MAX_S`, the bound on the s of `reconcile`, are
@@ -89,7 +92,7 @@ from .decompose import _INVERSE_IMAGES, Decomposition, Family, _decomposition, b
 from .series import CountReport, count_closed, expand, magic_gf
 
 # Each grid stream cuts its rows into pieces of at most this many grids, so
-# that the nine columns of one piece, and what a consumer builds from one
+# that the columns of one piece, and what a consumer builds from one
 # piece, stay small whatever s is, while the work per piece is spread over
 # many grids: a brute piece is at most this many offsets of an a1 row (up to
 # s = 511 every row is one piece), a family piece at most an eighth as many
@@ -140,12 +143,12 @@ def iter_decompositions(s: int) -> Iterator[Decomposition]:
                 yield _decomposition(family, i, j, k, g)
 
 
-def _cell_values(first: int, step: int, m: int, end: bool = False) -> Sequence[int]:
+def _cell_values(first: int, step: int, m: int, kind: int = 0) -> Sequence[int]:
     """The m values first, first + step, ... of a cell: a range, or a list of m firsts if step is 0.
 
     Either can be read more than once, as the eight images of a family
-    piece read the same columns.  end, whether the cell ends its grid's
-    line, leaves the values as they are.
+    piece read the same columns.  kind, of the string that would stand for
+    each value in a line (see `_LINE_PLACES`), leaves the values as they are.
     """
     return range(first, first + m * step, step) if step else [first] * m
 
@@ -169,31 +172,51 @@ def _family_pieces(s: int) -> Iterator[tuple[tuple[int, ...], list[int], int, in
             yield first, steps, start, min(_PIECE // 8, n - start)
 
 
-# A dihedral image moves a corner to cell 8, so each image's last cell is a
-# base-grid corner.  `_WIDE` lays a family piece's nine columns, then its four
-# corners' line-end columns, out as the 72 cells of a point's eight images in
-# output order: each image's first eight cells, then its ninth from a corner.
-_CORNERS = (0, 2, 6, 8)
-_WIDE = itemgetter(*[
-    cell if place < 8 else 9 + _CORNERS.index(cell)
-    for image in _INVERSE_IMAGES
-    for place, cell in enumerate(image(range(9)))
-])
+# The places of a grid that a line of `magic3 enumerate` reads, each with
+# the kind of string that stands for its value there: 0 inside the line, 1
+# at its end, c3, and 2 at b1, whose string stands for the whole middle row
+# b1, s, 2s - b1, as every certified grid has center s and b1 + b3 = 2s.  So
+# a line is seven strings.  A grid, `_GRID_PLACES`, is its nine values, or a
+# line of nine strings.
+_LINE_PLACES = ((0, 0), (1, 0), (2, 0), (3, 2), (6, 0), (7, 0), (8, 1))
+_GRID_PLACES = ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0), (8, 1))
+
+
+def _layout(places: Sequence[tuple[int, int]]) -> tuple[list[tuple[int, int]], itemgetter]:
+    """(columns, getter): a family piece's columns at these (place, kind)s, and their layout per point.
+
+    columns are the distinct (base-grid cell, kind)s that the eight images
+    read at the places, and getter lays them out as the point's eight images
+    in output order, each image's places in turn.
+    """
+    cells = [(image(range(9))[place], kind) for image in _INVERSE_IMAGES for place, kind in places]
+    columns = sorted(set(cells))
+    return columns, itemgetter(*map(columns.index, cells))
+
+
+# A dihedral image moves a corner to c3 and an edge cell to b1, so a point's
+# eight lines, 56 strings, read 16 columns: the eight cells around the center
+# inside a line, the four corners' line ends and the four edge cells' middle
+# rows.  Its eight grids, 72 values, read the nine cells and the corners'
+# line ends.
+_WIDE = _layout(_LINE_PLACES)
+_GRIDS = _layout(_GRID_PLACES)
 
 
 def _family_points(
-    first: tuple[int, ...], steps: list[int], start: int, m: int, column: Callable[[int, int, int, bool], Sequence]
+    first: tuple[int, ...], steps: list[int], start: int, m: int, column: Callable[[int, int, int, int], Sequence],
+    layout: tuple[list[tuple[int, int]], itemgetter] = _WIDE,
 ) -> Iterator[tuple]:
-    """A family piece as one 72-tuple per point: the cells of its eight images, in output order.
+    """A family piece as one tuple per point: its eight images' lines, 56 strings, in output order.
 
-    column(first, step, m, end) gives what stands for each of a cell's m
-    values, such as its decimal string, with end true for the column of an
-    image's last cell, the one that ends its line: nine columns and four
-    line-end ones, of the corners, per piece (see `_WIDE`).
+    column(first, step, m, kind) gives what stands for each of a cell's m
+    values of that kind (see `_LINE_PLACES`), such as its decimal string and
+    the separator that follows it: one call per column of the layout,
+    `_WIDE`.  With `_GRIDS`, a point is its eight images' grids, 72 values,
+    or lines of nine strings.
     """
-    columns = [column(x + start * d, d, m, False) for x, d in zip(first, steps)]
-    columns += [column(first[c] + start * steps[c], steps[c], m, True) for c in _CORNERS]
-    return zip(*_WIDE(columns))
+    columns, wide = layout
+    return zip(*wide([column(first[c] + start * steps[c], steps[c], m, kind) for c, kind in columns]))
 
 
 def iter_family_grids(s: int) -> Iterator[tuple[int, ...]]:
@@ -202,11 +225,11 @@ def iter_family_grids(s: int) -> Iterator[tuple[int, ...]]:
     The eight images of each lattice point's base grid, in symmetry index
     order; each permutes the base grid's entries.  Raises MismatchError at
     the first lattice row whose end grids fail, with the message and square
-    that `reconcile` names (`_family_row`).  Each grid is nine cells in turn
-    of a point's 72, which `_family_points` lays out as `magic3 enumerate`
-    renders them.
+    that `reconcile` names (`_family_row`).  Each grid is nine values in
+    turn of a point's 72, which `_family_points` lays out with `_GRIDS`, as
+    `magic3 enumerate` lays out its lines with `_WIDE`.
     """
-    points = chain.from_iterable(_family_points(*piece, _cell_values) for piece in _family_pieces(s))
+    points = chain.from_iterable(_family_points(*piece, _cell_values, _GRIDS) for piece in _family_pieces(s))
     cells = chain.from_iterable(points)
     return zip(*[cells] * 9)
 
@@ -367,27 +390,25 @@ def _brute_pieces(s: int) -> Iterator[tuple[tuple[int, ...], list[int], int, int
                 yield first, steps, start, m, inside
 
 
-# Of a grid's nine cells, only the last ends its line.
-_LINE_ENDS = (False,) * 8 + (True,)
-
-
 def _brute_columns(
-    first: tuple[int, ...], steps: list[int], start: int, m: int, column: Callable[[int, int, int, bool], Sequence]
+    first: tuple[int, ...], steps: list[int], start: int, m: int, column: Callable[[int, int, int, int], Sequence],
+    places: Sequence[tuple[int, int]] = _LINE_PLACES,
 ) -> list[Sequence]:
-    """A brute piece's nine columns, cuts and all: column(first, step, m, end) for each cell.
+    """A brute piece's columns, cuts and all: column(first, step, m, kind) for each (place, kind).
 
     column gives a cell's m values, `_cell_values`, or what stands for each
-    of them, such as its decimal string, with end true for the last cell,
-    which ends the grid's line.  Its consumers skip the grids at the piece's
-    cuts: `_brute_grids` here, and `magic3 enumerate`, which lays the nine
-    columns out as one flat list of cells.
+    of them, such as its decimal string, of that kind (see `_LINE_PLACES`):
+    the seven columns of a line, or with `_GRID_PLACES` the nine of a grid.
+    Its consumers skip the grids at the piece's cuts: `_brute_grids` here,
+    and `magic3 enumerate`, which lays a line's seven columns out as one
+    flat list of strings.
     """
-    return [column(x + start * d, d, m, end) for x, d, end in zip(first, steps, _LINE_ENDS)]
+    return [column(first[p] + start * steps[p], steps[p], m, kind) for p, kind in places]
 
 
 def _brute_grids(
     first: tuple[int, ...], steps: list[int], start: int, m: int, cuts: list[int],
-    column: Callable[[int, int, int, bool], Sequence] = _cell_values,
+    column: Callable[[int, int, int, int], Sequence] = _cell_values,
 ) -> Iterator[tuple]:
     """A brute piece's grids: one `zip` of its nine columns (`_brute_columns`), less the grids at the cuts.
 
@@ -397,7 +418,7 @@ def _brute_grids(
     keep = bytearray(b"\1") * m
     for c in cuts:
         keep[c] = 0
-    return compress(zip(*_brute_columns(first, steps, start, m, column)), keep)
+    return compress(zip(*_brute_columns(first, steps, start, m, column, _GRID_PLACES)), keep)
 
 
 def iter_brute_squares(s: int) -> Iterator[MagicSquare]:

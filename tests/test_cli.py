@@ -355,17 +355,25 @@ class TestEnumerate:
         # lattice rows 199 points, so whole rows would make longer columns;
         # the first write comes before any such row, so the memory tests above
         # cannot see this.
-        piece = enumeration._PIECE if source == "brute" else enumeration._PIECE // 8
+        # Every column goes through `_column_names`: a line is seven strings,
+        # so a brute piece reads seven columns, one of them b1's middle rows,
+        # and a family piece 16, four of them middle rows (see
+        # `enumeration._WIDE`).
+        brute = source == "brute"
+        piece = enumeration._PIECE if brute else enumeration._PIECE // 8
+        pieces = len(list((enumeration._brute_pieces if brute else enumeration._family_pieces)(600)))
         column_names, sizes = cli._column_names, []
 
-        def recording(table, suffix, first, step, m):
-            sizes.append(m)
-            return column_names(table, suffix, first, step, m)
+        def recording(table, suffix, first, step, m, s=None):
+            sizes.append((m, s is not None))
+            return column_names(table, suffix, first, step, m, s)
 
         monkeypatch.setattr(cli, "_column_names", recording)
         with contextlib.redirect_stdout(NullWriter()):
             assert cli.main(["enumerate", "600", "--source", source]) == 0
-        assert max(sizes) == piece
+        assert len(sizes) == pieces * (7 if brute else 16)
+        assert sum(middle for _, middle in sizes) == pieces * (1 if brute else 4)
+        assert max(m for m, _ in sizes) == max(m for m, middle in sizes if middle) == piece
 
     @pytest.mark.parametrize("suffix", [" ", "\n", ",", "],["])
     def test_column_names_are_slices_of_the_table(self, suffix):
@@ -373,7 +381,8 @@ class TestEnumerate:
         # (rows of either source step by -2 to 2): ascending, descending to 0
         # (which a stop of -1 would empty), to 1 or to 2, repeated, and of one
         # value; each string followed by the separator inside a line or at its
-        # end, of either format, the same from the table as built past its bound.
+        # end, of either format, the same from the table as built past its bound,
+        # and so for b1's strings, which stand for the middle row.
         table = [str(v) + suffix for v in range(11)]
         cases = [
             (first, step, m)
@@ -383,10 +392,15 @@ class TestEnumerate:
             if 0 <= first + (m - 1) * step <= 10
         ]
         assert (10, -1, 11) in cases and (8, -4, 3) in cases
+        # Given s = 5, b1's strings stand for the middle row b1, 5, 10 - b1.
+        middle = [f"{v}{suffix}5{suffix}{10 - v}{suffix}" for v in range(11)]
         for first, step, m in cases:
             expected = [str(first + t * step) + suffix for t in range(m)]
             assert cli._column_names(table, suffix, first, step, m) == expected
             assert cli._column_names(None, suffix, first, step, m) == expected
+            expected = [middle[first + t * step] for t in range(m)]
+            assert cli._column_names(middle, suffix, first, step, m, 5) == expected
+            assert cli._column_names(None, suffix, first, step, m, 5) == expected
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("source", ["families", "brute"])

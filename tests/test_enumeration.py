@@ -386,6 +386,19 @@ def test_negative_s_raises_on_the_first_item(fn):
         next(fn(-1))
 
 
+@pytest.mark.parametrize("stream", [iter_family_grids, iter_brute_grids], ids=lambda fn: fn.__name__)
+def test_every_middle_row_is_b1_s_and_2s_less_b1(stream):
+    # `magic3 enumerate` writes a grid's middle row as one string, looked up
+    # by b1 alone, so every grid that either stream yields must have center s
+    # and b1 + b3 = 2s.  230 and 269 are the ends of the benchmark's band.
+    grids = 0
+    for s in (*range(0, 41), 230, 269):
+        for grid in stream(s):
+            assert (grid[4], grid[3] + grid[5]) == (s, 2 * s), (s, grid)
+            grids += 1
+    assert grids == sum(count_closed(s) for s in (*range(0, 41), 230, 269))
+
+
 class TestReconcile:
     def test_at_smallest_parameter(self):
         report = reconcile(4)

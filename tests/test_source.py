@@ -328,11 +328,13 @@ def test_family_marks_use_nothing_from_the_sweep():
 
 
 def test_cli_renders_both_sources_through_one_path():
-    # The piece format and the eight images stay in `enumeration`: `cli`
-    # passes one column function to whichever stream it renders, and the
-    # brute columns come from the same builder as the library's grids.  Each
-    # string carries the separator that follows it, so `enumerate` joins with
-    # the empty string alone: once per brute piece, over `_brute_cells`' flat
+    # The piece format, the places of a line and the eight images stay in
+    # `enumeration`: `cli` passes one column function to whichever stream it
+    # renders (to brute pieces through a wrapper that asks for a fixed cell's
+    # one string), with a family layout that `enumeration` defines, and the
+    # brute columns come from the same builder as the library's grids.  Each string
+    # carries the separator that follows it, so `enumerate` joins with the
+    # empty string alone: once per brute piece, over `_brute_cells`' flat
     # list, and once per family point and once per piece.  A join per brute
     # grid, or one with a separator, would show here.
     path = Path(magic3.__file__).parent / "cli.py"
@@ -343,6 +345,12 @@ def test_cli_renders_both_sources_through_one_path():
         for alias in node.names
     }
     assert {"_INVERSE_IMAGES", "_WIDE", "_CORNERS"} & imported == set()
+    read = {
+        node.attr
+        for node in ast.walk(_function(path, "_cmd_enumerate"))
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "enumeration"
+    }
+    assert read == {"_brute_pieces", "_family_pieces", "_brute_columns", "_family_points", "_WIDE", "_GRIDS"}
     calls = list(_calls(path))
     assert [(f, fn) for f, fn, name, _ in calls if name == "_column_names"] == [
         ("cli.py", "_cmd_enumerate")
